@@ -21,7 +21,7 @@ from .generators import DungeonParams, gen_dungeon, gen_gridworld, gen_tutorial_
 from .query import LocationIndex, read_trace, write_transitions
 from .raster import rasterize
 from .serialization import read_block_map, read_semantic_map, write_world
-from .viz import BlueprintStyle, load_palette, render_blueprint, render_graph
+from .viz import GRAPH_MODES, BlueprintStyle, load_palette, render_blueprint, render_graph
 
 
 def _positive_int(text: str) -> int:
@@ -59,32 +59,9 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-llr", required=True, metavar="FILE", help="block map output path")
 
 
-def _cmd_gridworld(args: argparse.Namespace) -> int:
-    world = gen_gridworld(args.n)
-    write_world(world, rasterize(world), args.out_hlr, args.out_llr)
-    return 0
-
-
-def _cmd_dungeon(args: argparse.Namespace) -> int:
-    params = DungeonParams(
-        n=args.n,
-        seed=args.seed,
-        room_probability=args.room_prob,
-        cell_footprint=args.cell_footprint,
-    )
-    world = gen_dungeon(params)
-    write_world(world, rasterize(world), args.out_hlr, args.out_llr)
-    return 0
-
-
-def _cmd_zombieworld(args: argparse.Namespace) -> int:
-    world = gen_zombieworld(args.seed)
-    write_world(world, rasterize(world), args.out_hlr, args.out_llr)
-    return 0
-
-
-def _cmd_tutorial(args: argparse.Namespace) -> int:
-    world = gen_tutorial_house()
+def _cmd_generate(args: argparse.Namespace) -> int:
+    """Build the world with the function its subparser set as ``build``; write both maps."""
+    world = args.build(args)
     write_world(world, rasterize(world), args.out_hlr, args.out_llr)
     return 0
 
@@ -125,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gridworld", help="n x n grid of door-connected rooms")
     p.add_argument("--n", type=_positive_int, default=4, help="grid dimension (default 4)")
     _add_output_args(p)
-    p.set_defaults(func=_cmd_gridworld)
+    p.set_defaults(func=_cmd_generate, build=lambda a: gen_gridworld(a.n))
 
     p = sub.add_parser("dungeon", help="seeded rooms-and-corridors dungeon")
     p.add_argument("--n", type=_positive_int, default=4, help="grid dimension (default 4)")
@@ -135,16 +112,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-footprint", type=_positive_int, default=10,
                    help="experimental: voxels per grid cell edge (default 10)")
     _add_output_args(p)
-    p.set_defaults(func=_cmd_dungeon)
+    p.set_defaults(func=_cmd_generate, build=lambda a: gen_dungeon(DungeonParams(
+        n=a.n,
+        seed=a.seed,
+        room_probability=a.room_prob,
+        cell_footprint=a.cell_footprint,
+    )))
 
     p = sub.add_parser("zombieworld", help="walled yard with buildings, mobs and hazard pits")
     p.add_argument("--seed", type=_seed, default=0, help="64-bit seed (default 0)")
     _add_output_args(p)
-    p.set_defaults(func=_cmd_zombieworld)
+    p.set_defaults(func=_cmd_generate, build=lambda a: gen_zombieworld(a.seed))
 
     p = sub.add_parser("tutorial", help="the fixed two-room demo house")
     _add_output_args(p)
-    p.set_defaults(func=_cmd_tutorial)
+    p.set_defaults(func=_cmd_generate, build=lambda a: gen_tutorial_house())
 
     viz = sub.add_parser("viz", help="render maps into SVG or DOT files")
     viz_sub = viz.add_subparsers(dest="viz_command", required=True)
@@ -160,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = viz_sub.add_parser("graph", help="DOT graph of hierarchy or topology")
     p.add_argument("--hlr", required=True, metavar="FILE", help="semantic map input")
-    p.add_argument("--mode", choices=("hierarchy", "topology"), default="hierarchy")
+    p.add_argument("--mode", choices=GRAPH_MODES, default="hierarchy")
     p.add_argument("--out", required=True, metavar="FILE", help="DOT output path")
     p.set_defaults(func=_cmd_viz_graph)
 

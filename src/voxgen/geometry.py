@@ -350,6 +350,11 @@ class BoundingVolume:
 
     def _freeze(self) -> None:
         self._frozen = True
+        self.children = tuple(self.children)
+        self.blocks = tuple(self.blocks)
+        self.entities = tuple(self.entities)
+        self.objects = tuple(self.objects)
+        self.connections = tuple(self.connections)
         for child in self.children:
             child._freeze()
 
@@ -364,11 +369,12 @@ class BoundingVolume:
             and self.bottom_right == other.bottom_right
             and self.has_roof == other.has_roof
             and self.auto_expand == other.auto_expand
-            and self.children == other.children
-            and self.blocks == other.blocks
-            and self.entities == other.entities
-            and self.objects == other.objects
-            and self.connections == other.connections
+            # A finalized volume holds tuples where a mutable one holds lists.
+            and tuple(self.children) == tuple(other.children)
+            and tuple(self.blocks) == tuple(other.blocks)
+            and tuple(self.entities) == tuple(other.entities)
+            and tuple(self.objects) == tuple(other.objects)
+            and tuple(self.connections) == tuple(other.connections)
         )
 
     def __repr__(self) -> str:
@@ -384,7 +390,8 @@ class WorldModel:
     """Root container: top-level volumes plus loose blocks/entities/objects.
 
     Construction is single-owner and not thread-safe; after ``finalize()`` the
-    world is immutable and safe to share between readers.
+    world is immutable and safe to share between readers: its containers and
+    those of every volume are tuples.
     """
 
     id: str
@@ -398,6 +405,19 @@ class WorldModel:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("world id must be nonempty")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WorldModel):
+            return NotImplemented
+        # A finalized world holds tuples where a mutable one holds lists.
+        return (
+            self.id == other.id
+            and tuple(self.volumes) == tuple(other.volumes)
+            and tuple(self.blocks) == tuple(other.blocks)
+            and tuple(self.entities) == tuple(other.entities)
+            and tuple(self.objects) == tuple(other.objects)
+            and tuple(self.connections) == tuple(other.connections)
+        )
 
     def _check_mutable(self) -> None:
         if self.finalized:
@@ -446,10 +466,12 @@ class WorldModel:
         yield from self.connections
 
     def finalize(self) -> "WorldModel":
-        """Validate global invariants and freeze the world.
+        """Validate the world's invariants and freeze it; the one place they are enforced.
 
         Checks id uniqueness across volumes, entities, objects and connections
-        at every depth, and that every connection's ids resolve to volumes.
+        at every depth, that each volume's blocks, object blocks and entities
+        lie inside it, and that every connection's ids resolve to volumes.
+        Then makes every container of the world and its volumes a tuple.
         Returns self for chaining.
         """
         if self.finalized:
@@ -465,10 +487,17 @@ class WorldModel:
             claim(v.id, "volume")
         volume_ids = set(seen)
         for v in self.walk_volumes():
+            for block in v.blocks:
+                if not v.contains(block.position):
+                    raise OutOfBoundsError(f"block at {block.position.as_tuple()} outside volume {v.id}")
             for e in v.entities:
                 claim(e.id, "entity")
+                if not v.contains(e.position):
+                    raise OutOfBoundsError(f"entity {e.id} at {e.position.as_tuple()} outside volume {v.id}")
             for o in v.objects:
                 claim(o.id, "object")
+                if not v.contains(o.block.position):
+                    raise OutOfBoundsError(f"object {o.id} at {o.block.position.as_tuple()} outside volume {v.id}")
             for c in v.connections:
                 claim(c.id, "connection")
         for e in self.entities:
@@ -487,5 +516,10 @@ class WorldModel:
 
         for v in self.volumes:
             v._freeze()
+        self.volumes = tuple(self.volumes)
+        self.blocks = tuple(self.blocks)
+        self.entities = tuple(self.entities)
+        self.objects = tuple(self.objects)
+        self.connections = tuple(self.connections)
         self.finalized = True
         return self

@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .errors import NonMonotonicTraceError, ParseError, ValidationError
 from .geometry import Position
-from .serialization import LocationRecord, SemanticMap
-
-PathLike = Union[str, Path]
+from .serialization import LocationRecord, PathLike, SemanticMap, _read_coord, _read_int, _read_str
 
 
 @dataclass(frozen=True)
@@ -118,11 +115,8 @@ class LocationIndex:
         lexicographically smaller id first.
         """
         facts = set()
-        for conn in self.map.connections:
-            ids = sorted(set(conn.connected_ids))
-            for i, a in enumerate(ids):
-                for b in ids[i + 1:]:
-                    facts.add(f"connected({a}, {b})")
+        for a, b in self.map.connected_pairs():
+            facts.add(f"connected({a}, {b})")
         for loc in self.map.locations:
             for child_id in loc.child_ids:
                 facts.add(f"contains({loc.id}, {child_id})")
@@ -150,32 +144,18 @@ def read_trace(path: PathLike) -> list[TraceEvent]:
             try:
                 events.append(
                     TraceEvent(
-                        timestamp=_int_field(raw, "timestamp"),
-                        player_id=_str_field(raw, "player_id"),
+                        timestamp=_read_int(raw.get("timestamp"), "timestamp"),
+                        player_id=_read_str(raw.get("player_id"), "player_id"),
                         position=Position(
-                            _int_field(raw, "x"),
-                            _int_field(raw, "y"),
-                            _int_field(raw, "z"),
+                            _read_coord(raw.get("x"), "x"),
+                            _read_coord(raw.get("y"), "y"),
+                            _read_coord(raw.get("z"), "z"),
                         ),
                     )
                 )
-            except (TypeError, ValueError) as err:
+            except (ValidationError, ValueError) as err:
                 raise ValidationError(f"{path}: line {lineno}: {err}") from err
     return events
-
-
-def _int_field(raw: dict, key: str) -> int:
-    value = raw.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _str_field(raw: dict, key: str) -> str:
-    value = raw.get(key)
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"{key} must be a nonempty string, got {value!r}")
-    return value
 
 
 def write_transitions(events: Iterable[Transition], path: PathLike) -> None:

@@ -16,6 +16,7 @@ volume's material (this applies even to "blank" volumes, where it is the only
 thing they emit).
 
 Entities do not write cells; they are collected in the same traversal order.
+Nothing is validated here: ``WorldModel.finalize()`` already has.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import OutOfBoundsError
 from .geometry import BLANK, BoundingVolume, EntitySpec, Position, WorldModel
 
 CARVING_CONNECTION_TYPES = ("door", "opening")
@@ -61,23 +61,10 @@ def _write_volume(v: BoundingVolume, grid: BlockGrid) -> None:
     if v.has_roof:
         _write_roof(v, grid.cells)
     for block in v.blocks:
-        if not v.contains(block.position):
-            raise OutOfBoundsError(
-                f"block at {block.position.as_tuple()} outside declaring volume {v.id}"
-            )
         grid.cells[block.position] = block.material
     for obj in v.objects:
-        if not v.contains(obj.block.position):
-            raise OutOfBoundsError(
-                f"object {obj.id} at {obj.block.position.as_tuple()} outside declaring volume {v.id}"
-            )
         grid.cells[obj.block.position] = obj.block.material
-    for entity in v.entities:
-        if not v.contains(entity.position):
-            raise OutOfBoundsError(
-                f"entity {entity.id} at {entity.position.as_tuple()} outside declaring volume {v.id}"
-            )
-        grid.entities.append(entity)
+    grid.entities.extend(v.entities)
     for child in v.children:
         _write_volume(child, grid)
 

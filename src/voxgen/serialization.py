@@ -1,26 +1,28 @@
 """The two lockstep output documents: the semantic map and the block map.
 
 Both are UTF-8 JSON with schema_version "1"; the field-by-field contract
-lives in docs/file-formats.md. Writers are canonical: keys appear in a fixed
-order, every list is sorted (locations/connections/entities/objects by id,
-blocks by coordinates then material, entity rows by coordinates then type),
-line endings are "\n", and output is ASCII. Writing what you just read
-reproduces the file byte for byte.
+lives in docs/file-formats.md. Canonical order is set when a document or
+record is constructed: it keeps a sorted copy of every list (locations,
+connections, entities, objects by id; child/connected ids and equipment
+sorted; blocks by coordinates then material, entity rows by coordinates then
+type). Writers only encode: keys in a fixed order, "\n" line endings, ASCII
+output. Writing what you just read reproduces the file byte for byte.
 
-Readers validate referential integrity and raise ParseError (malformed JSON,
-with line/column) or ValidationError (schema or integrity violation, naming
-the offending id).
+Readers validate shapes, coordinate range and referential integrity, and
+raise ParseError (malformed JSON, with line/column) or ValidationError
+(schema or integrity violation, naming the offending id).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .errors import ParseError, ValidationError
-from .geometry import EQUIPMENT_SLOTS, Position, WorldModel
+from .geometry import COORD_MAX, COORD_MIN, EQUIPMENT_SLOTS, Position, WorldModel
 from .raster import BlockGrid
 
 SCHEMA_VERSION = "1"
@@ -37,6 +39,9 @@ class LocationRecord:
     bottom_right: Position
     child_ids: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "child_ids", tuple(sorted(self.child_ids)))
+
 
 @dataclass(frozen=True)
 class ConnectionRecord:
@@ -46,6 +51,9 @@ class ConnectionRecord:
     bottom_right: Position
     connected_ids: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "connected_ids", tuple(sorted(self.connected_ids)))
+
 
 @dataclass(frozen=True)
 class EntityRecord:
@@ -54,6 +62,9 @@ class EntityRecord:
     position: Position
     location_id: Optional[str]
     equipment: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "equipment", tuple(sorted(self.equipment)))
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,17 @@ class SemanticMap:
     entities: tuple[EntityRecord, ...] = ()
     objects: tuple[ObjectRecord, ...] = ()
 
+    def __post_init__(self) -> None:
+        for name in ("locations", "connections", "entities", "objects"):
+            object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=lambda r: r.id)))
+
+    def connected_pairs(self) -> list[tuple[str, str]]:
+        """Sorted unordered pairs of locations that share a connection, smaller id first."""
+        pairs = set()
+        for conn in self.connections:
+            pairs.update(itertools.combinations(sorted(set(conn.connected_ids)), 2))
+        return sorted(pairs)
+
 
 @dataclass(frozen=True)
 class BlockRecord:
@@ -92,6 +114,9 @@ class BlockEntityRecord:
     z: int
     equipment: tuple[tuple[str, str], ...] = ()
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "equipment", tuple(sorted(self.equipment)))
+
 
 @dataclass
 class BlockMapDocument:
@@ -100,6 +125,10 @@ class BlockMapDocument:
     blocks: list[BlockRecord] = field(default_factory=list)
     entities: list[BlockEntityRecord] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self.blocks = sorted(self.blocks, key=lambda b: (b.x, b.y, b.z, b.material))
+        self.entities = sorted(self.entities, key=lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment))
+
 
 # -- building documents from in-memory worlds -------------------------------
 
@@ -107,7 +136,7 @@ class BlockMapDocument:
 def _equipment_items(equipment) -> tuple[tuple[str, str], ...]:
     if not equipment:
         return ()
-    return tuple(sorted(equipment.items()))
+    return tuple(equipment.items())
 
 
 def semantic_map_from_world(world: WorldModel) -> SemanticMap:
@@ -117,7 +146,18 @@ def semantic_map_from_world(world: WorldModel) -> SemanticMap:
     objects = []
     connections = []
 
-    def visit(volume, _parent_id):
+    def add_items(owner, location_id: Optional[str]) -> None:
+        """Records for a volume's or the world's own items; world-level items have no location."""
+        for e in owner.entities:
+            entities.append(
+                EntityRecord(e.id, e.entity_type, e.position, location_id, _equipment_items(e.equipment))
+            )
+        for o in owner.objects:
+            objects.append(ObjectRecord(o.id, o.object_type, o.block.material, o.block.position, location_id))
+        for c in owner.connections:
+            connections.append(ConnectionRecord(c.id, c.connection_type, c.bounds[0], c.bounds[1], c.connected_ids))
+
+    for volume in world.walk_volumes():
         locations.append(
             LocationRecord(
                 id=volume.id,
@@ -125,52 +165,22 @@ def semantic_map_from_world(world: WorldModel) -> SemanticMap:
                 material=volume.material,
                 top_left=volume.top_left,
                 bottom_right=volume.bottom_right,
-                child_ids=tuple(sorted(c.id for c in volume.children)),
+                child_ids=tuple(c.id for c in volume.children),
             )
         )
-        for e in volume.entities:
-            entities.append(
-                EntityRecord(e.id, e.entity_type, e.position, volume.id, _equipment_items(e.equipment))
-            )
-        for o in volume.objects:
-            objects.append(ObjectRecord(o.id, o.object_type, o.block.material, o.block.position, volume.id))
-        for c in volume.connections:
-            connections.append(
-                ConnectionRecord(c.id, c.connection_type, c.bounds[0], c.bounds[1],
-                                 tuple(sorted(c.connected_ids)))
-            )
-        for child in volume.children:
-            visit(child, volume.id)
+        add_items(volume, volume.id)
+    add_items(world, None)
 
-    for v in world.volumes:
-        visit(v, None)
-    for e in world.entities:
-        entities.append(EntityRecord(e.id, e.entity_type, e.position, None, _equipment_items(e.equipment)))
-    for o in world.objects:
-        objects.append(ObjectRecord(o.id, o.object_type, o.block.material, o.block.position, None))
-    for c in world.connections:
-        connections.append(
-            ConnectionRecord(c.id, c.connection_type, c.bounds[0], c.bounds[1], tuple(sorted(c.connected_ids)))
-        )
-
-    return SemanticMap(
-        id=world.id,
-        locations=tuple(sorted(locations, key=lambda r: r.id)),
-        connections=tuple(sorted(connections, key=lambda r: r.id)),
-        entities=tuple(sorted(entities, key=lambda r: r.id)),
-        objects=tuple(sorted(objects, key=lambda r: r.id)),
-    )
+    return SemanticMap(world.id, tuple(locations), tuple(connections), tuple(entities), tuple(objects))
 
 
 def block_map_from_grid(grid: BlockGrid) -> BlockMapDocument:
     """Project a block grid onto its block-map document."""
     blocks = [BlockRecord(material, p.x, p.y, p.z) for p, material in grid.cells.items()]
-    blocks.sort(key=lambda b: (b.x, b.y, b.z, b.material))
     entities = [
         BlockEntityRecord(e.entity_type, e.position.x, e.position.y, e.position.z, _equipment_items(e.equipment))
         for e in grid.entities
     ]
-    entities.sort(key=lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment))
     return BlockMapDocument(blocks=blocks, entities=entities)
 
 
@@ -193,16 +203,16 @@ def _semantic_map_json(m: SemanticMap) -> dict[str, Any]:
                 "bounds": {"top_left": _pos_json(r.top_left), "bottom_right": _pos_json(r.bottom_right)},
                 "child_ids": list(r.child_ids),
             }
-            for r in sorted(m.locations, key=lambda r: r.id)
+            for r in m.locations
         ],
         "connections": [
             {
                 "id": r.id,
                 "type": r.connection_type,
                 "bounds": {"top_left": _pos_json(r.top_left), "bottom_right": _pos_json(r.bottom_right)},
-                "connected_ids": sorted(r.connected_ids),
+                "connected_ids": list(r.connected_ids),
             }
-            for r in sorted(m.connections, key=lambda r: r.id)
+            for r in m.connections
         ],
         "entities": [
             {
@@ -210,9 +220,9 @@ def _semantic_map_json(m: SemanticMap) -> dict[str, Any]:
                 "type": r.entity_type,
                 "position": _pos_json(r.position),
                 "location_id": r.location_id,
-                "equipment": {slot: item for slot, item in sorted(r.equipment)},
+                "equipment": dict(r.equipment),
             }
-            for r in sorted(m.entities, key=lambda r: r.id)
+            for r in m.entities
         ],
         "objects": [
             {
@@ -222,21 +232,19 @@ def _semantic_map_json(m: SemanticMap) -> dict[str, Any]:
                 "position": _pos_json(r.position),
                 "location_id": r.location_id,
             }
-            for r in sorted(m.objects, key=lambda r: r.id)
+            for r in m.objects
         ],
     }
 
 
 def _block_map_json(doc: BlockMapDocument) -> dict[str, Any]:
-    blocks = sorted(doc.blocks, key=lambda b: (b.x, b.y, b.z, b.material))
-    entities = sorted(doc.entities, key=lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment))
     out: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "blocks": [], "entities": []}
-    for b in blocks:
+    for b in doc.blocks:
         out["blocks"].append({"material": b.material, "x": b.x, "y": b.y, "z": b.z})
-    for e in entities:
+    for e in doc.entities:
         row: dict[str, Any] = {"type": e.entity_type, "x": e.x, "y": e.y, "z": e.z}
         if e.equipment:
-            row["equipment"] = {slot: item for slot, item in sorted(e.equipment)}
+            row["equipment"] = dict(e.equipment)
         out["entities"].append(row)
     return out
 
@@ -283,19 +291,43 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+# The per-value readers run once per block-map field: they format a message only on failure.
 def _read_int(value: Any, context: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{context}: expected integer, got {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{context}: expected integer, got {value!r}")
+    return value
+
+
+def _read_coord(value: Any, context: str) -> int:
+    """An integer on the signed 64-bit lattice that geometry.Position accepts."""
+    if not isinstance(value, int) or isinstance(value, bool) or not COORD_MIN <= value <= COORD_MAX:
+        raise ValidationError(f"{context}: expected signed 64-bit integer, got {value!r}")
     return value
 
 
 def _read_str(value: Any, context: str) -> str:
-    _require(isinstance(value, str) and value != "", f"{context}: expected nonempty string, got {value!r}")
+    if not isinstance(value, str) or value == "":
+        raise ValidationError(f"{context}: expected nonempty string, got {value!r}")
+    return value
+
+
+def _read_object(value: Any, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{context}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _read_list(value: Any, context: str, read_item: Callable[[Any, str], Any]) -> list:
+    """A JSON list whose every element passes read_item (_read_object or _read_str)."""
+    _require(isinstance(value, list), f"{context}: expected a list, got {type(value).__name__}")
+    for item in value:
+        read_item(item, context)
     return value
 
 
 def _read_position(value: Any, context: str) -> Position:
     _require(isinstance(value, list) and len(value) == 3, f"{context}: expected [x, y, z], got {value!r}")
-    return Position(*(_read_int(v, context) for v in value))
+    return Position(*(_read_coord(v, context) for v in value))
 
 
 def _read_bounds(value: Any, context: str) -> tuple[Position, Position]:
@@ -316,7 +348,7 @@ def _read_equipment(value: Any, context: str) -> tuple[tuple[str, str], ...]:
     for slot, item in value.items():
         _require(slot in EQUIPMENT_SLOTS, f"{context}: unknown equipment slot {slot!r}")
         _read_str(item, f"{context}.{slot}")
-    return tuple(sorted(value.items()))
+    return tuple(value.items())
 
 
 def _check_schema_version(data: Any, path: PathLike) -> None:
@@ -333,10 +365,18 @@ def read_semantic_map(path: PathLike) -> SemanticMap:
     data = _load_json(path)
     _check_schema_version(data, path)
     map_id = _read_str(data.get("id"), f"{path}: id")
+    seen_ids: set[str] = set()
+
+    def claim_id(raw: dict, kind: str) -> str:
+        """The record's id, which no earlier location or record may already use."""
+        item_id = _read_str(raw.get("id"), f"{kind} id")
+        _require(item_id not in seen_ids, f"duplicate id {item_id!r}")
+        seen_ids.add(item_id)
+        return item_id
 
     locations = []
-    for raw in data.get("locations", []):
-        loc_id = _read_str(raw.get("id"), "location id")
+    for raw in _read_list(data.get("locations", []), f"{path}: locations", _read_object):
+        loc_id = claim_id(raw, "location")
         tl, br = _read_bounds(raw.get("bounds"), f"location {loc_id}: bounds")
         locations.append(
             LocationRecord(
@@ -345,20 +385,17 @@ def read_semantic_map(path: PathLike) -> SemanticMap:
                 material=_read_str(raw.get("material"), f"location {loc_id}: material"),
                 top_left=tl,
                 bottom_right=br,
-                child_ids=tuple(_read_str(c, f"location {loc_id}: child id") for c in raw.get("child_ids", [])),
+                child_ids=tuple(_read_list(raw.get("child_ids", []), f"location {loc_id}: child id", _read_str)),
             )
         )
-    by_id = {}
-    for loc in locations:
-        _require(loc.id not in by_id, f"duplicate location id {loc.id!r}")
-        by_id[loc.id] = loc
+    location_ids = set(seen_ids)
 
     # child_ids must form a forest: every child exists, has one parent, and
     # following parents never loops.
     parent: dict[str, str] = {}
     for loc in locations:
         for child_id in loc.child_ids:
-            _require(child_id in by_id, f"location {loc.id!r} lists unknown child {child_id!r}")
+            _require(child_id in location_ids, f"location {loc.id!r} lists unknown child {child_id!r}")
             _require(child_id not in parent, f"location {child_id!r} has more than one parent")
             parent[child_id] = loc.id
     for loc in locations:
@@ -369,93 +406,84 @@ def read_semantic_map(path: PathLike) -> SemanticMap:
             _require(cursor not in seen, f"location hierarchy cycle through {loc.id!r}")
             seen.add(cursor)
 
-    seen_ids = set(by_id)
+    def location_ref(ref: Any, owner: str) -> Optional[str]:
+        """A reference that is null or names a declared location."""
+        _require(ref is None or (isinstance(ref, str) and ref in location_ids),
+                 f"{owner} references unknown location {ref!r}")
+        return ref
 
     connections = []
-    for raw in data.get("connections", []):
-        conn_id = _read_str(raw.get("id"), "connection id")
-        _require(conn_id not in seen_ids, f"duplicate id {conn_id!r}")
-        seen_ids.add(conn_id)
-        connected = tuple(_read_str(c, f"connection {conn_id}: connected id") for c in raw.get("connected_ids", []))
+    for raw in _read_list(data.get("connections", []), f"{path}: connections", _read_object):
+        conn_id = claim_id(raw, "connection")
+        connected = _read_list(raw.get("connected_ids", []), f"connection {conn_id}: connected id", _read_str)
         _require(len(connected) >= 2, f"connection {conn_id!r} must name at least 2 locations")
         for ref in connected:
-            _require(ref in by_id, f"connection {conn_id!r} references unknown location {ref!r}")
+            location_ref(ref, f"connection {conn_id!r}")
         tl, br = _read_bounds(raw.get("bounds"), f"connection {conn_id}: bounds")
-        connections.append(ConnectionRecord(conn_id, _read_str(raw.get("type"), f"connection {conn_id}: type"), tl, br, connected))
+        connections.append(
+            ConnectionRecord(conn_id, _read_str(raw.get("type"), f"connection {conn_id}: type"), tl, br, tuple(connected))
+        )
 
     entities = []
-    for raw in data.get("entities", []):
-        ent_id = _read_str(raw.get("id"), "entity id")
-        _require(ent_id not in seen_ids, f"duplicate id {ent_id!r}")
-        seen_ids.add(ent_id)
-        location_id = raw.get("location_id")
-        if location_id is not None:
-            _require(location_id in by_id, f"entity {ent_id!r} references unknown location {location_id!r}")
+    for raw in _read_list(data.get("entities", []), f"{path}: entities", _read_object):
+        ent_id = claim_id(raw, "entity")
         entities.append(
             EntityRecord(
                 id=ent_id,
                 entity_type=_read_str(raw.get("type"), f"entity {ent_id}: type"),
                 position=_read_position(raw.get("position"), f"entity {ent_id}: position"),
-                location_id=location_id,
+                location_id=location_ref(raw.get("location_id"), f"entity {ent_id!r}"),
                 equipment=_read_equipment(raw.get("equipment"), f"entity {ent_id}: equipment"),
             )
         )
 
     objects = []
-    for raw in data.get("objects", []):
-        obj_id = _read_str(raw.get("id"), "object id")
-        _require(obj_id not in seen_ids, f"duplicate id {obj_id!r}")
-        seen_ids.add(obj_id)
-        location_id = raw.get("location_id")
-        if location_id is not None:
-            _require(location_id in by_id, f"object {obj_id!r} references unknown location {location_id!r}")
+    for raw in _read_list(data.get("objects", []), f"{path}: objects", _read_object):
+        obj_id = claim_id(raw, "object")
         objects.append(
             ObjectRecord(
                 id=obj_id,
                 object_type=_read_str(raw.get("type"), f"object {obj_id}: type"),
                 material=_read_str(raw.get("material"), f"object {obj_id}: material"),
                 position=_read_position(raw.get("position"), f"object {obj_id}: position"),
-                location_id=location_id,
+                location_id=location_ref(raw.get("location_id"), f"object {obj_id!r}"),
             )
         )
 
-    return SemanticMap(
-        id=map_id,
-        locations=tuple(sorted(locations, key=lambda r: r.id)),
-        connections=tuple(sorted(connections, key=lambda r: r.id)),
-        entities=tuple(sorted(entities, key=lambda r: r.id)),
-        objects=tuple(sorted(objects, key=lambda r: r.id)),
-    )
+    return SemanticMap(map_id, tuple(locations), tuple(connections), tuple(entities), tuple(objects))
 
 
 def read_block_map(path: PathLike) -> BlockMapDocument:
-    """Parse and validate a block-map file. Input order is free; writes sort."""
+    """Parse and validate a block-map file. Input order is free; the document sorts."""
     data = _load_json(path)
     _check_schema_version(data, path)
 
     blocks = []
     seen_cells: set[tuple[int, int, int]] = set()
-    for raw in data.get("blocks", []):
+    for raw in _read_list(data.get("blocks", []), f"{path}: blocks", _read_object):
         material = _read_str(raw.get("material"), "block material")
         cell = (
-            _read_int(raw.get("x"), "block x"),
-            _read_int(raw.get("y"), "block y"),
-            _read_int(raw.get("z"), "block z"),
+            _read_coord(raw.get("x"), "block x"),
+            _read_coord(raw.get("y"), "block y"),
+            _read_coord(raw.get("z"), "block z"),
         )
         _require(cell not in seen_cells, f"duplicate block coordinates {cell}")
         seen_cells.add(cell)
         blocks.append(BlockRecord(material, *cell))
 
     entities = []
-    for raw in data.get("entities", []):
+    for raw in _read_list(data.get("entities", []), f"{path}: entities", _read_object):
         entity_type = _read_str(raw.get("type"), "entity type")
         entities.append(
             BlockEntityRecord(
                 entity_type,
-                _read_int(raw.get("x"), f"entity {entity_type}: x"),
-                _read_int(raw.get("y"), f"entity {entity_type}: y"),
-                _read_int(raw.get("z"), f"entity {entity_type}: z"),
+                _read_coord(raw.get("x"), f"entity {entity_type}: x"),
+                _read_coord(raw.get("y"), f"entity {entity_type}: y"),
+                _read_coord(raw.get("z"), f"entity {entity_type}: z"),
                 _read_equipment(raw.get("equipment"), f"entity {entity_type}: equipment"),
             )
         )
+    # Free the parsed JSON before the document sorts the rows: the sort keys
+    # then reuse its memory instead of raising the peak.
+    del data, seen_cells
     return BlockMapDocument(blocks=blocks, entities=entities)

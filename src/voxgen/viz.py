@@ -9,20 +9,17 @@ column is painted with the palette color of its topmost block.
 ``render_graph`` emits Graphviz DOT text: hierarchy mode is a digraph with one
 edge per parent-child pair, topology mode an undirected graph with one edge
 per connected pair. Both list every location as a node, sorted by id, so
-output is stable.
+output is stable. Node and edge order come from the document's canonical
+order: locations by id, child ids sorted.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
-from .errors import ParseError, ValidationError
-from .serialization import BlockMapDocument, SemanticMap
-
-PathLike = Union[str, Path]
+from .errors import ValidationError
+from .serialization import BlockMapDocument, PathLike, SemanticMap, _load_json
 
 DEFAULT_PALETTE: dict[str, str] = {
     "cobblestone": "#7a7a7a",
@@ -62,14 +59,7 @@ def load_palette(path: PathLike) -> dict[str, str]:
 
     The result is the default palette with the file's entries laid over it.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except json.JSONDecodeError as err:
-        raise ParseError(
-            f"{path}: line {err.lineno} column {err.colno}: {err.msg}",
-            path=str(path), line=err.lineno, column=err.colno,
-        ) from err
+    raw = _load_json(path)
     if not isinstance(raw, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in raw.items()
     ):
@@ -130,7 +120,7 @@ def render_blueprint(
             )
 
     leaves = [loc for loc in semantic_map.locations if not loc.child_ids]
-    for loc in sorted(leaves, key=lambda l: l.id):
+    for loc in leaves:
         x = loc.top_left.x * s
         z = loc.top_left.z * s
         w = (loc.bottom_right.x - loc.top_left.x + 1) * s
@@ -156,29 +146,22 @@ def render_graph(semantic_map: SemanticMap, mode: str = "hierarchy") -> str:
     """Render the location structure as a DOT document string."""
     if mode not in GRAPH_MODES:
         raise ValueError(f"mode must be one of {GRAPH_MODES}, got {mode!r}")
-    node_ids = sorted(loc.id for loc in semantic_map.locations)
 
     if mode == "hierarchy":
         lines = ["digraph hierarchy {"]
         edge_op = "->"
-        edges = sorted(
+        edges = [
             (loc.id, child_id)
             for loc in semantic_map.locations
             for child_id in loc.child_ids
-        )
+        ]
     else:
         lines = ["graph topology {"]
         edge_op = "--"
-        pairs = set()
-        for conn in semantic_map.connections:
-            ids = sorted(set(conn.connected_ids))
-            for i, a in enumerate(ids):
-                for b in ids[i + 1:]:
-                    pairs.add((a, b))
-        edges = sorted(pairs)
+        edges = semantic_map.connected_pairs()
 
-    for node_id in node_ids:
-        lines.append(f'  "{node_id}";')
+    for loc in semantic_map.locations:
+        lines.append(f'  "{loc.id}";')
     for a, b in edges:
         lines.append(f'  "{a}" {edge_op} "{b}";')
     lines.append("}")

@@ -107,6 +107,16 @@ def test_validation_failure_exits_1_with_one_line_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("locations", [[1], {}])
+def test_malformed_locations_exit_1_with_one_line_error(tmp_path, capsys, locations):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema_version": "1", "id": "w", "locations": locations}))
+    assert run(["viz", "graph", "--hlr", str(bad), "--out", str(tmp_path / "x.dot")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_missing_input_file_exits_1(tmp_path, capsys):
     assert run(["monitor", "--hlr", str(tmp_path / "none.json"),
                 "--trace", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "o.jsonl")]) == 1

@@ -55,6 +55,10 @@ class TestShift:
         room.generate_box("planks", (1, 1, 0, 4, 1, 1))
         room.add_entity(EntitySpec("z", "zombie", Position(3, 4, 3)))
         assert room.shifted((0, 0, 0)) == room
+        world = WorldModel("w")
+        world.add_volume(room)
+        world.finalize()
+        assert room.shifted((0, 0, 0)) == room
 
     def test_shift_moves_both_corners(self):
         # Shifting the first room five voxels east yields the second one.
@@ -230,6 +234,18 @@ class TestWorldModel:
             world.add_volume(make_room("room_2", (20, 3, 20), (25, 7, 25)))
         with pytest.raises(FrozenWorldError):
             room.add_entity(EntitySpec("z", "zombie", Position(3, 4, 3)))
+        with pytest.raises(AttributeError):
+            room.blocks.append(BlockPlacement("stone", Position(2, 4, 2)))
+        with pytest.raises(AttributeError):
+            world.volumes.append(make_room("room_2", (20, 3, 20), (25, 7, 25)))
+
+    def test_finalizing_keeps_equality(self):
+        def build():
+            world = WorldModel("w")
+            world.add_volume(make_room("room_1"))
+            return world
+
+        assert build().finalize() == build()
 
     def test_unit_volume_contains_exactly_one_point(self):
         v = make_room("dot", (2, 2, 2), (2, 2, 2), "stone")

@@ -149,6 +149,9 @@ class TestTraceFiles:
         path.write_text('{"timestamp": 0, "player_id": "p", "x": 1.5, "y": 2, "z": 3}\n')
         with pytest.raises(ValidationError):
             read_trace(path)
+        path.write_text('{"timestamp": 0, "player_id": "p", "x": 9223372036854775808, "y": 2, "z": 3}\n')
+        with pytest.raises(ValidationError, match="line 1: x: expected signed 64-bit integer"):
+            read_trace(path)
 
     def test_predicates_file(self, tmp_path, tutorial_index):
         path = tmp_path / "facts.txt"

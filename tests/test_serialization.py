@@ -6,9 +6,12 @@ import pytest
 
 from voxgen.errors import ParseError, ValidationError
 from voxgen.generators import DungeonParams, gen_dungeon, gen_gridworld, gen_zombieworld
-from voxgen.geometry import WorldModel
+from voxgen.geometry import Position, WorldModel
 from voxgen.raster import rasterize
 from voxgen.serialization import (
+    BlockMapDocument,
+    BlockRecord,
+    LocationRecord,
     block_map_from_grid,
     read_block_map,
     read_semantic_map,
@@ -92,6 +95,76 @@ def test_unsorted_block_map_is_canonicalized_on_write(tmp_path):
     write_block_map(doc, out)
     materials = json.loads(out.read_text())["blocks"]
     assert [b["x"] for b in materials] == [1, 5]
+
+
+def test_unsorted_ids_are_canonicalized_on_write(tmp_path):
+    bounds = {"top_left": [0, 0, 0], "bottom_right": [1, 1, 1]}
+    path = tmp_path / "unsorted.json"
+    path.write_text(json.dumps({
+        "schema_version": "1",
+        "id": "w",
+        "locations": [
+            {"id": "p", "type": "house", "material": "blank", "bounds": bounds, "child_ids": ["b", "a"]},
+            {"id": "b", "type": "room", "material": "log", "bounds": bounds, "child_ids": []},
+            {"id": "a", "type": "room", "material": "log", "bounds": bounds, "child_ids": []},
+        ],
+        "connections": [{"id": "c", "type": "door", "bounds": bounds, "connected_ids": ["b", "a"]}],
+        "entities": [], "objects": [],
+    }))
+    first = read_semantic_map(path)
+    out_a = tmp_path / "a.json"
+    out_b = tmp_path / "b.json"
+    write_semantic_map(first, out_a)
+    data = json.loads(out_a.read_text())
+    assert [l["id"] for l in data["locations"]] == ["a", "b", "p"]
+    assert data["locations"][2]["child_ids"] == ["a", "b"]
+    assert data["connections"][0]["connected_ids"] == ["a", "b"]
+    assert read_semantic_map(out_a) == first
+    write_semantic_map(read_semantic_map(out_a), out_b)
+    assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_documents_sort_a_copy_of_the_callers_lists():
+    child_ids = ["b", "a"]
+    blocks = [BlockRecord("log", 5, 0, 0), BlockRecord("log", 1, 0, 0)]
+    record = LocationRecord("p", "house", "blank", Position(0, 0, 0), Position(1, 1, 1), child_ids)
+    doc = BlockMapDocument(blocks=blocks)
+    assert record.child_ids == ("a", "b") and child_ids == ["b", "a"]
+    assert [b.x for b in doc.blocks] == [1, 5] and [b.x for b in blocks] == [5, 1]
+
+
+SEMANTIC_ROOT = {"schema_version": "1", "id": "w", "connections": [], "entities": [], "objects": []}
+ROOM = {"type": "room", "material": "log", "bounds": {"top_left": [0, 0, 0], "bottom_right": [1, 1, 1]}}
+
+
+@pytest.mark.parametrize("reader, document, match", [
+    (read_block_map, {"schema_version": "1", "blocks": 5}, "blocks: expected a list"),
+    (read_block_map, {"schema_version": "1", "entities": "ab"}, "entities: expected a list"),
+    (read_block_map, {"schema_version": "1", "blocks": [[1, 2, 3]]}, "blocks: expected an object"),
+    (read_semantic_map, {**SEMANTIC_ROOT, "locations": [{"id": "a", **ROOM, "child_ids": "ab"}]},
+     "child id: expected a list"),
+    (read_semantic_map, {**SEMANTIC_ROOT, "locations": [{"id": "a", **ROOM}, {"id": "b", **ROOM}],
+                         "connections": [{"id": "c", "type": "door", "bounds": ROOM["bounds"],
+                                          "connected_ids": "ab"}]},
+     "connected id: expected a list"),
+    (read_semantic_map, {**SEMANTIC_ROOT, "locations": [{"id": "a", **ROOM}],
+                         "entities": [{"id": "e", "type": "zombie", "position": [0, 0, 0],
+                                       "location_id": ["a"]}]},
+     "unknown location"),
+])
+def test_malformed_shapes_rejected(tmp_path, reader, document, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValidationError, match=match):
+        reader(path)
+
+
+@pytest.mark.parametrize("x", [2**63, -(2**63) - 1, 99999999999999999999999])
+def test_block_coordinates_outside_the_64_bit_lattice_rejected(tmp_path, x):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"schema_version": "1", "blocks": [{"material": "log", "x": x, "y": 0, "z": 0}]}))
+    with pytest.raises(ValidationError, match="block x: expected signed 64-bit integer"):
+        read_block_map(path)
 
 
 def test_duplicate_block_coordinates_rejected(tmp_path):
