@@ -15,6 +15,7 @@ from .errors import (
     FrozenWorldError,
     NonMonotonicTraceError,
     OutOfBoundsError,
+    ParameterError,
     ParseError,
     RetryExhaustedError,
     ValidationError,
@@ -70,6 +71,7 @@ __all__ = [
     "NonMonotonicTraceError",
     "ObjectSpec",
     "OutOfBoundsError",
+    "ParameterError",
     "ParseError",
     "Position",
     "RetryExhaustedError",

@@ -9,6 +9,10 @@ class VoxgenError(Exception):
     """Base class for all voxgen errors."""
 
 
+class ParameterError(VoxgenError, ValueError):
+    """A generator parameter is out of its documented range."""
+
+
 class DuplicateIdError(VoxgenError):
     """An id is already used elsewhere in the volume tree or world."""
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import RetryExhaustedError
+from ..errors import ParameterError, RetryExhaustedError
 from ..geometry import (
     BlockPlacement,
     BoundingVolume,
@@ -67,17 +67,17 @@ class DungeonParams:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError(f"grid dimension must be >= 2, got {self.n}")
+            raise ParameterError(f"grid dimension must be >= 2, got {self.n}")
         # Rooms span cell_footprint - 2 voxels; anything narrower cannot fit
         # a 3-wide corridor mouth plus interior content positions.
         if self.cell_footprint < 7:
-            raise ValueError(f"cell_footprint must be >= 7, got {self.cell_footprint}")
+            raise ParameterError(f"cell_footprint must be >= 7, got {self.cell_footprint}")
         if not 0 < self.room_probability <= 1:
-            raise ValueError(f"room_probability must be in (0, 1], got {self.room_probability}")
+            raise ParameterError(f"room_probability must be in (0, 1], got {self.room_probability}")
         for name in ("treasure_range", "monster_range", "lava_patch_range", "spiderweb_range"):
             low, high = getattr(self, name)
             if low < 0 or low > high:
-                raise ValueError(f"{name} must satisfy 0 <= low <= high, got ({low}, {high})")
+                raise ParameterError(f"{name} must satisfy 0 <= low <= high, got ({low}, {high})")
 
 
 def _roll_occupancy(p: DungeonParams, rng: SeededRng) -> list[tuple[int, int]]:

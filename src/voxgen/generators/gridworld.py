@@ -9,6 +9,7 @@ locations and 2*n*(n-1) connections.
 
 from __future__ import annotations
 
+from ..errors import ParameterError
 from ..geometry import BoundingVolume, ConnectionSpec, Position, WorldModel
 
 GROUND_Y = 3
@@ -25,7 +26,7 @@ def _room_origin(row: int, col: int) -> tuple[int, int]:
 def gen_gridworld(n: int) -> WorldModel:
     """Build the n x n gridworld; n must be at least 1."""
     if n < 1:
-        raise ValueError(f"gridworld size must be >= 1, got {n}")
+        raise ParameterError(f"gridworld size must be >= 1, got {n}")
     world = WorldModel(f"gridworld_n{n}")
     for row in range(n):
         for col in range(n):

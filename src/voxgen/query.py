@@ -18,9 +18,11 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import NonMonotonicTraceError, ParseError, ValidationError
+from .errors import NonMonotonicTraceError, ValidationError
 from .geometry import Position
-from .serialization import LocationRecord, PathLike, SemanticMap, _read_coord, _read_int, _read_str
+from .serialization import (
+    _PARSE_FAILURES, LocationRecord, PathLike, SemanticMap, _parse_error, _read_coord, _read_int, _read_str,
+)
 
 
 @dataclass(frozen=True)
@@ -57,19 +59,7 @@ class LocationIndex:
 
     def __init__(self, semantic_map: SemanticMap):
         self.map = semantic_map
-        self.locations = {loc.id: loc for loc in semantic_map.locations}
-        self.parent: dict[str, str] = {}
-        for loc in semantic_map.locations:
-            for child_id in loc.child_ids:
-                self.parent[child_id] = loc.id
-        self.depth: dict[str, int] = {}
-        for loc_id in self.locations:
-            d = 0
-            cursor = loc_id
-            while cursor in self.parent:
-                cursor = self.parent[cursor]
-                d += 1
-            self.depth[loc_id] = d
+        self.depth = semantic_map.depths
         self.volume = {loc.id: _volume_of(loc) for loc in semantic_map.locations}
 
     def locate(self, p: Position) -> Optional[str]:
@@ -129,32 +119,31 @@ class LocationIndex:
 def read_trace(path: PathLike) -> list[TraceEvent]:
     """Read a JSON Lines trace file; blank lines are allowed and skipped."""
     events = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
+    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
                 raw = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ParseError(
-                    f"{path}: line {lineno}: {err.msg}", path=str(path), line=lineno, column=err.colno
-                ) from err
-            if not isinstance(raw, dict):
-                raise ValidationError(f"{path}: line {lineno}: expected an object per line")
-            try:
-                events.append(
-                    TraceEvent(
-                        timestamp=_read_int(raw.get("timestamp"), "timestamp"),
-                        player_id=_read_str(raw.get("player_id"), "player_id"),
-                        position=Position(
-                            _read_coord(raw.get("x"), "x"),
-                            _read_coord(raw.get("y"), "y"),
-                            _read_coord(raw.get("z"), "z"),
-                        ),
+                if not isinstance(raw, dict):
+                    raise ValidationError(f"{path}: line {lineno}: expected an object per line")
+                try:
+                    events.append(
+                        TraceEvent(
+                            timestamp=_read_int(raw.get("timestamp"), "timestamp"),
+                            player_id=_read_str(raw.get("player_id"), "player_id"),
+                            position=Position(
+                                _read_coord(raw.get("x"), "x"),
+                                _read_coord(raw.get("y"), "y"),
+                                _read_coord(raw.get("z"), "z"),
+                            ),
+                        )
                     )
-                )
-            except (ValidationError, ValueError) as err:
-                raise ValidationError(f"{path}: line {lineno}: {err}") from err
+                except (ValidationError, ValueError) as err:
+                    raise ValidationError(f"{path}: line {lineno}: {err}") from err
+    except _PARSE_FAILURES as err:
+        raise _parse_error(path, err, lineno) from err
     return events
 
 

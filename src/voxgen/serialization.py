@@ -1,16 +1,17 @@
 """The two lockstep output documents: the semantic map and the block map.
 
 Both are UTF-8 JSON with schema_version "1"; the field-by-field contract
-lives in docs/file-formats.md. Canonical order is set when a document or
-record is constructed: it keeps a sorted copy of every list (locations,
-connections, entities, objects by id; child/connected ids and equipment
-sorted; blocks by coordinates then material, entity rows by coordinates then
-type). Writers only encode: keys in a fixed order, "\n" line endings, ASCII
-output. Writing what you just read reproduces the file byte for byte.
+lives in docs/file-formats.md. The document types own their invariants: on
+construction, by a reader or by library code, a document keeps a sorted copy
+of every list (records by id, id lists and equipment sorted, block and entity
+rows by coordinates) and raises ValidationError unless its ids are unique,
+child_ids form a forest, every reference names a declared location and no
+two blocks share a cell. Writers only encode: keys in a fixed order, "\n"
+line endings, ASCII output. Writing what you just read reproduces the file.
 
-Readers validate shapes, coordinate range and referential integrity, and
-raise ParseError (malformed JSON, with line/column) or ValidationError
-(schema or integrity violation, naming the offending id).
+Readers only parse: they check shapes, types and coordinate range, then
+construct the document. They raise ParseError (undecodable or malformed
+JSON, naming the line where known) or ValidationError.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from .raster import BlockGrid
 SCHEMA_VERSION = "1"
 
 PathLike = Union[str, Path]
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ValidationError(message)
 
 
 @dataclass(frozen=True)
@@ -78,17 +84,54 @@ class ObjectRecord:
 
 @dataclass(frozen=True)
 class SemanticMap:
-    """The high-level document: named locations, hierarchy, connections, items."""
+    """The high-level document: named locations, hierarchy, connections, items.
+
+    ``depths`` maps each location id to its depth in the forest (roots are 0).
+    """
 
     id: str
     locations: tuple[LocationRecord, ...] = ()
     connections: tuple[ConnectionRecord, ...] = ()
     entities: tuple[EntityRecord, ...] = ()
     objects: tuple[ObjectRecord, ...] = ()
+    depths: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("locations", "connections", "entities", "objects"):
             object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=lambda r: r.id)))
+        claimed: set[str] = set()
+        for records in (self.locations, self.connections, self.entities, self.objects):
+            for record in records:
+                _require(record.id not in claimed, f"duplicate id {record.id!r}")
+                claimed.add(record.id)
+        by_id = {loc.id: loc for loc in self.locations}
+
+        # child_ids must form a forest: every child exists and has one parent,
+        # and walking down from the roots reaches every location.
+        children: set[str] = set()
+        for loc in self.locations:
+            for child_id in loc.child_ids:
+                _require(child_id in by_id, f"location {loc.id!r} lists unknown child {child_id!r}")
+                _require(child_id not in children, f"location {child_id!r} has more than one parent")
+                children.add(child_id)
+        reached = [loc_id for loc_id in by_id if loc_id not in children]
+        depths = dict.fromkeys(reached, 0)
+        for loc_id in reached:  # grows as the walk reaches children
+            for child_id in by_id[loc_id].child_ids:
+                depths[child_id] = depths[loc_id] + 1
+                reached.append(child_id)
+        for loc_id in by_id:
+            _require(loc_id in depths, f"location hierarchy cycle through {loc_id!r}")
+        object.__setattr__(self, "depths", depths)
+
+        for conn in self.connections:
+            _require(len(conn.connected_ids) >= 2, f"connection {conn.id!r} must name at least 2 locations")
+            for ref in conn.connected_ids:
+                _require(ref in by_id, f"connection {conn.id!r} references unknown location {ref!r}")
+        for kind, records in (("entity", self.entities), ("object", self.objects)):
+            for record in records:
+                _require(record.location_id is None or record.location_id in by_id,
+                         f"{kind} {record.id!r} references unknown location {record.location_id!r}")
 
     def connected_pairs(self) -> list[tuple[str, str]]:
         """Sorted unordered pairs of locations that share a connection, smaller id first."""
@@ -118,16 +161,21 @@ class BlockEntityRecord:
         object.__setattr__(self, "equipment", tuple(sorted(self.equipment)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockMapDocument:
-    """The low-level document: every block and entity in the flattened world."""
+    """The low-level document: every block and entity in the flattened world, one block per cell."""
 
-    blocks: list[BlockRecord] = field(default_factory=list)
-    entities: list[BlockEntityRecord] = field(default_factory=list)
+    blocks: tuple[BlockRecord, ...] = ()
+    entities: tuple[BlockEntityRecord, ...] = ()
 
     def __post_init__(self) -> None:
-        self.blocks = sorted(self.blocks, key=lambda b: (b.x, b.y, b.z, b.material))
-        self.entities = sorted(self.entities, key=lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment))
+        blocks = sorted(self.blocks, key=lambda b: (b.x, b.y, b.z, b.material))
+        for a, b in itertools.pairwise(blocks):
+            if a.x == b.x and a.y == b.y and a.z == b.z:
+                raise ValidationError(f"duplicate block coordinates {(a.x, a.y, a.z)}")
+        object.__setattr__(self, "blocks", tuple(blocks))
+        entities = sorted(self.entities, key=lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment))
+        object.__setattr__(self, "entities", tuple(entities))
 
 
 # -- building documents from in-memory worlds -------------------------------
@@ -275,20 +323,36 @@ def write_world(world: WorldModel, grid: BlockGrid, hlr_path: PathLike, llr_path
 # -- validated reading --------------------------------------------------------
 
 
+# What decoding and parsing JSON text raises: JSONDecodeError,
+# UnicodeDecodeError and the integer-digit limit are ValueErrors.
+_PARSE_FAILURES = (ValueError, RecursionError)
+
+
+def _parse_error(path: PathLike, err: Exception, line: int = 0) -> ParseError:
+    """The ParseError for err, one of _PARSE_FAILURES; line is the file line being parsed, if known."""
+    column, reason = 0, str(err)
+    if isinstance(err, json.JSONDecodeError):
+        line, column, reason = line or err.lineno, err.colno, err.msg
+    elif isinstance(err, UnicodeDecodeError):
+        # A text reader decodes in chunks: find the first bad byte in the whole file.
+        raw = Path(path).read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as first:
+            line = raw.count(b"\n", 0, first.start) + 1
+        reason = f"not UTF-8 ({err.reason})"
+    elif isinstance(err, RecursionError):
+        reason = "nesting too deep"
+    where = f"line {line} column {column}: " if column else f"line {line}: " if line else ""
+    return ParseError(f"{path}: {where}{reason}", path=str(path), line=line, column=column)
+
+
 def _load_json(path: PathLike) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as err:
-        raise ParseError(
-            f"{path}: line {err.lineno} column {err.colno}: {err.msg}",
-            path=str(path), line=err.lineno, column=err.colno,
-        ) from err
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
+    except _PARSE_FAILURES as err:
+        raise _parse_error(path, err) from err
 
 
 # The per-value readers run once per block-map field: they format a message only on failure.
@@ -361,22 +425,19 @@ def _check_schema_version(data: Any, path: PathLike) -> None:
 
 
 def read_semantic_map(path: PathLike) -> SemanticMap:
-    """Parse and validate a semantic-map file."""
+    """Parse a semantic-map file; the SemanticMap checks its own invariants."""
     data = _load_json(path)
     _check_schema_version(data, path)
     map_id = _read_str(data.get("id"), f"{path}: id")
-    seen_ids: set[str] = set()
 
-    def claim_id(raw: dict, kind: str) -> str:
-        """The record's id, which no earlier location or record may already use."""
-        item_id = _read_str(raw.get("id"), f"{kind} id")
-        _require(item_id not in seen_ids, f"duplicate id {item_id!r}")
-        seen_ids.add(item_id)
-        return item_id
+    def location_ref(ref: Any, owner: str) -> Optional[str]:
+        """Null or a string; the document checks that a string names a location."""
+        _require(ref is None or isinstance(ref, str), f"{owner} references unknown location {ref!r}")
+        return ref
 
     locations = []
     for raw in _read_list(data.get("locations", []), f"{path}: locations", _read_object):
-        loc_id = claim_id(raw, "location")
+        loc_id = _read_str(raw.get("id"), "location id")
         tl, br = _read_bounds(raw.get("bounds"), f"location {loc_id}: bounds")
         locations.append(
             LocationRecord(
@@ -388,37 +449,11 @@ def read_semantic_map(path: PathLike) -> SemanticMap:
                 child_ids=tuple(_read_list(raw.get("child_ids", []), f"location {loc_id}: child id", _read_str)),
             )
         )
-    location_ids = set(seen_ids)
-
-    # child_ids must form a forest: every child exists, has one parent, and
-    # following parents never loops.
-    parent: dict[str, str] = {}
-    for loc in locations:
-        for child_id in loc.child_ids:
-            _require(child_id in location_ids, f"location {loc.id!r} lists unknown child {child_id!r}")
-            _require(child_id not in parent, f"location {child_id!r} has more than one parent")
-            parent[child_id] = loc.id
-    for loc in locations:
-        seen = {loc.id}
-        cursor = loc.id
-        while cursor in parent:
-            cursor = parent[cursor]
-            _require(cursor not in seen, f"location hierarchy cycle through {loc.id!r}")
-            seen.add(cursor)
-
-    def location_ref(ref: Any, owner: str) -> Optional[str]:
-        """A reference that is null or names a declared location."""
-        _require(ref is None or (isinstance(ref, str) and ref in location_ids),
-                 f"{owner} references unknown location {ref!r}")
-        return ref
 
     connections = []
     for raw in _read_list(data.get("connections", []), f"{path}: connections", _read_object):
-        conn_id = claim_id(raw, "connection")
+        conn_id = _read_str(raw.get("id"), "connection id")
         connected = _read_list(raw.get("connected_ids", []), f"connection {conn_id}: connected id", _read_str)
-        _require(len(connected) >= 2, f"connection {conn_id!r} must name at least 2 locations")
-        for ref in connected:
-            location_ref(ref, f"connection {conn_id!r}")
         tl, br = _read_bounds(raw.get("bounds"), f"connection {conn_id}: bounds")
         connections.append(
             ConnectionRecord(conn_id, _read_str(raw.get("type"), f"connection {conn_id}: type"), tl, br, tuple(connected))
@@ -426,7 +461,7 @@ def read_semantic_map(path: PathLike) -> SemanticMap:
 
     entities = []
     for raw in _read_list(data.get("entities", []), f"{path}: entities", _read_object):
-        ent_id = claim_id(raw, "entity")
+        ent_id = _read_str(raw.get("id"), "entity id")
         entities.append(
             EntityRecord(
                 id=ent_id,
@@ -439,7 +474,7 @@ def read_semantic_map(path: PathLike) -> SemanticMap:
 
     objects = []
     for raw in _read_list(data.get("objects", []), f"{path}: objects", _read_object):
-        obj_id = claim_id(raw, "object")
+        obj_id = _read_str(raw.get("id"), "object id")
         objects.append(
             ObjectRecord(
                 id=obj_id,
@@ -454,12 +489,11 @@ def read_semantic_map(path: PathLike) -> SemanticMap:
 
 
 def read_block_map(path: PathLike) -> BlockMapDocument:
-    """Parse and validate a block-map file. Input order is free; the document sorts."""
+    """Parse a block-map file. Input order is free; the document sorts and checks."""
     data = _load_json(path)
     _check_schema_version(data, path)
 
     blocks = []
-    seen_cells: set[tuple[int, int, int]] = set()
     for raw in _read_list(data.get("blocks", []), f"{path}: blocks", _read_object):
         material = _read_str(raw.get("material"), "block material")
         cell = (
@@ -467,8 +501,6 @@ def read_block_map(path: PathLike) -> BlockMapDocument:
             _read_coord(raw.get("y"), "block y"),
             _read_coord(raw.get("z"), "block z"),
         )
-        _require(cell not in seen_cells, f"duplicate block coordinates {cell}")
-        seen_cells.add(cell)
         blocks.append(BlockRecord(material, *cell))
 
     entities = []
@@ -485,5 +517,5 @@ def read_block_map(path: PathLike) -> BlockMapDocument:
         )
     # Free the parsed JSON before the document sorts the rows: the sort keys
     # then reuse its memory instead of raising the peak.
-    del data, seen_cells
+    del data
     return BlockMapDocument(blocks=blocks, entities=entities)

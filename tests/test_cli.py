@@ -117,6 +117,26 @@ def test_malformed_locations_exit_1_with_one_line_error(tmp_path, capsys, locati
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("data, argv", [
+    (b"\xff", ["viz", "graph", "--hlr", "{input}", "--out", "{dir}/o.dot"]),
+    (b'{"timestamp": 0, "player_id": "\xff", "x": 0, "y": 0, "z": 0}\n',
+     ["monitor", "--hlr", "{hlr}", "--trace", "{input}", "--out", "{dir}/o.jsonl"]),
+    (b'{"schema_version": "1", "id": "w", "locations": ' + b"[" * 100_000,
+     ["viz", "graph", "--hlr", "{input}", "--out", "{dir}/o.dot"]),
+    (b"", ["dungeon", "--n", "1", "--out-hlr", "{dir}/h.json", "--out-llr", "{dir}/l.json"]),
+    (b"", ["dungeon", "--cell-footprint", "5", "--out-hlr", "{dir}/h.json", "--out-llr", "{dir}/l.json"]),
+], ids=["undecodable-hlr", "undecodable-trace", "deep-nesting", "dungeon-n-1", "dungeon-footprint-5"])
+def test_malformed_input_exits_1_with_one_line_error(tmp_path, capsys, data, argv):
+    _, hlr, _ = run_gen(tmp_path, "tutorial")
+    source = tmp_path / "input"
+    source.write_bytes(data)
+    capsys.readouterr()
+    assert run([arg.format(input=source, hlr=hlr, dir=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_missing_input_file_exits_1(tmp_path, capsys):
     assert run(["monitor", "--hlr", str(tmp_path / "none.json"),
                 "--trace", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "o.jsonl")]) == 1

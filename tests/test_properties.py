@@ -1,0 +1,136 @@
+"""Property tests: no input file makes a reader fail outside the error contract.
+
+For any bytes and any JSON value, ``read_semantic_map``, ``read_block_map``
+and ``read_trace`` either return or raise ParseError/ValidationError. The
+near-valid strategies draw ids and coordinates from small pools, and in half
+the examples put any JSON value in any field, so that many examples get past
+the shape checks to the document invariants. A document that reads back
+writes and re-reads to the same bytes.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from voxgen.errors import ParseError, ValidationError
+from voxgen.query import read_trace
+from voxgen.serialization import read_block_map, read_semantic_map, write_block_map, write_semantic_map
+
+READERS = [read_semantic_map, read_block_map, read_trace]
+WRITERS = {read_semantic_map: write_semantic_map, read_block_map: write_block_map}
+
+# Small example counts keep the whole module within a few seconds.
+SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+ids = st.sampled_from(["a", "b", "c", "d"])
+coords = st.integers(-3, 3)
+positions = st.lists(coords, min_size=3, max_size=3)
+bounds = st.tuples(positions, positions).map(
+    lambda corners: {"top_left": list(map(min, *corners)), "bottom_right": list(map(max, *corners))}
+)
+
+
+def records(wild, **fields):
+    """Lists of records with these fields; when wild, any field may hold any JSON value."""
+    return st.lists(
+        st.fixed_dictionaries({k: v | json_values if wild else v for k, v in fields.items()}), max_size=4
+    )
+
+
+def semantic_map(wild):
+    return st.fixed_dictionaries(
+        {"schema_version": st.just("1"), "id": ids},
+        optional={
+            "locations": records(
+                wild, id=ids, type=st.just("room"), material=st.just("log"), bounds=bounds,
+                child_ids=st.lists(ids, max_size=3),
+            ),
+            "connections": records(
+                wild, id=ids, type=st.just("door"), bounds=bounds, connected_ids=st.lists(ids, max_size=3),
+            ),
+            "entities": records(
+                wild, id=ids, type=st.just("zombie"), position=positions, location_id=st.none() | ids,
+                equipment=st.dictionaries(st.sampled_from(["helmet", "weapon"]), st.just("iron"), max_size=2),
+            ),
+            "objects": records(
+                wild, id=ids, type=st.just("chest"), material=st.just("log"), position=positions,
+                location_id=st.none() | ids,
+            ),
+        },
+    )
+
+
+def block_map(wild):
+    return st.fixed_dictionaries(
+        {"schema_version": st.just("1")},
+        optional={
+            "blocks": records(wild, material=st.sampled_from(["log", "stone"]), x=coords, y=coords, z=coords),
+            "entities": records(wild, type=st.just("zombie"), x=coords, y=coords, z=coords),
+        },
+    )
+
+
+semantic_maps = st.booleans().flatmap(semantic_map)
+block_maps = st.booleans().flatmap(block_map)
+traces = st.lists(
+    json_values | st.fixed_dictionaries({
+        "timestamp": st.integers(-1, 3), "player_id": st.sampled_from(["", "p"]), "x": coords, "y": coords, "z": coords,
+    }),
+    max_size=4,
+)
+
+
+def read_within_contract(reader, path):
+    """The reader's result, or None when it rejected the file with ParseError/ValidationError."""
+    try:
+        return reader(path)
+    except (ParseError, ValidationError):
+        return None
+
+
+@pytest.mark.parametrize("reader", READERS)
+@SETTINGS
+@given(data=st.binary(max_size=64))
+def test_any_bytes(tmp_path, reader, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    read_within_contract(reader, path)
+
+
+@pytest.mark.parametrize("reader", READERS)
+@SETTINGS
+@given(value=json_values)
+def test_any_json_value(tmp_path, reader, value):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(value))
+    read_within_contract(reader, path)
+
+
+@pytest.mark.parametrize("reader, documents", [(read_semantic_map, semantic_maps), (read_block_map, block_maps)])
+@SETTINGS
+@given(data=st.data())
+def test_near_valid_documents_read_within_contract_and_rewrite_to_a_fixed_point(tmp_path, reader, documents, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data.draw(documents)))
+    doc = read_within_contract(reader, path)
+    if doc is not None:
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        WRITERS[reader](doc, first)
+        assert reader(first) == doc
+        WRITERS[reader](reader(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+@SETTINGS
+@given(lines=traces)
+def test_near_valid_traces_read_within_contract(tmp_path, lines):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    read_within_contract(read_trace, path)

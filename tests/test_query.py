@@ -144,6 +144,15 @@ class TestTraceFiles:
             read_trace(path)
         assert exc.value.line == 2
 
+    def test_undecodable_line_raises_parse_error_naming_it(self, tmp_path):
+        # Far past the text reader's first decoded chunk, so the line is found in the file.
+        path = tmp_path / "bad.jsonl"
+        good = b'{"timestamp": 0, "player_id": "p", "x": 1, "y": 2, "z": 3}\n'
+        path.write_bytes(good * 1000 + b'{"player_id": "\xff"}\n')
+        with pytest.raises(ParseError, match="line 1001: not UTF-8") as exc:
+            read_trace(path)
+        assert exc.value.line == 1001
+
     def test_bad_field_raises_validation_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"timestamp": 0, "player_id": "p", "x": 1.5, "y": 2, "z": 3}\n')

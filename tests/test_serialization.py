@@ -11,7 +11,11 @@ from voxgen.raster import rasterize
 from voxgen.serialization import (
     BlockMapDocument,
     BlockRecord,
+    ConnectionRecord,
+    EntityRecord,
     LocationRecord,
+    ObjectRecord,
+    SemanticMap,
     block_map_from_grid,
     read_block_map,
     read_semantic_map,
@@ -36,7 +40,7 @@ def test_empty_world_round_trips(tmp_path):
     assert m.id == "empty"
     assert m.locations == () and m.connections == () and m.entities == () and m.objects == ()
     doc = read_block_map(llr)
-    assert doc.blocks == [] and doc.entities == []
+    assert doc.blocks == () and doc.entities == ()
 
 
 def test_write_twice_is_byte_identical(tmp_path, tutorial_world, tutorial_grid):
@@ -262,3 +266,52 @@ def test_lockstep_entities_and_objects(tmp_path):
         assert (e.position.x, e.position.y, e.position.z, e.entity_type) in entity_cells
     for o in hlr.objects:
         assert blocks[(o.position.x, o.position.y, o.position.z)] == o.material
+
+
+# -- documents built in code check themselves ----------------------------------
+
+P0, P1 = Position(0, 0, 0), Position(1, 1, 1)
+
+
+def room(loc_id, *child_ids):
+    return LocationRecord(loc_id, "room", "log", P0, P1, child_ids)
+
+
+def test_semantic_map_built_in_code_rejects_a_child_cycle():
+    with pytest.raises(ValidationError, match="location hierarchy cycle through 'a'"):
+        SemanticMap("w", (room("a", "b"), room("b", "a")))
+
+
+@pytest.mark.parametrize("extra, match", [
+    ({"connections": (ConnectionRecord("c", "door", P0, P0, ("a", "z")),)},
+     "connection 'c' references unknown location 'z'"),
+    ({"entities": (EntityRecord("e", "zombie", P0, "z"),)}, "entity 'e' references unknown location 'z'"),
+    ({"objects": (ObjectRecord("o", "chest", "log", P0, "z"),)}, "object 'o' references unknown location 'z'"),
+    ({"connections": (ConnectionRecord("c", "door", P0, P0, ("a",)),)}, "must name at least 2 locations"),
+    ({"entities": (EntityRecord("a", "zombie", P0, None),)}, "duplicate id 'a'"),
+])
+def test_semantic_map_built_in_code_checks_ids_and_references(extra, match):
+    with pytest.raises(ValidationError, match=match):
+        SemanticMap("w", (room("a"),), **extra)
+
+
+def test_semantic_map_records_depths_without_comparing_them():
+    m = SemanticMap("w", (room("c"), room("a", "b"), room("b", "c")))
+    assert m.depths == {"a": 0, "b": 1, "c": 2}
+    assert "depths" not in repr(m)
+    assert m == SemanticMap("w", (room("a", "b"), room("b", "c"), room("c")))
+
+
+def test_block_map_document_is_frozen():
+    doc = BlockMapDocument(blocks=[BlockRecord("log", 5, 0, 0)])
+    with pytest.raises(AttributeError):
+        doc.blocks.append(BlockRecord("log", 1, 0, 0))
+    with pytest.raises(AttributeError):
+        doc.blocks = [BlockRecord("log", 1, 0, 0)]
+    assert doc.blocks == (BlockRecord("log", 5, 0, 0),)
+
+
+def test_block_map_built_in_code_rejects_two_blocks_in_one_cell():
+    with pytest.raises(ValidationError, match=r"duplicate block coordinates \(1, 2, 3\)"):
+        BlockMapDocument(blocks=[BlockRecord("stone", 1, 2, 3), BlockRecord("log", 0, 0, 0),
+                                 BlockRecord("log", 1, 2, 3)])
