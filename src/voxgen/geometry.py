@@ -14,8 +14,8 @@ must create connections only after all volumes are in their final positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import (
     CoordinateOverflowError,
@@ -50,6 +50,12 @@ def _check_coord(value: int, name: str) -> int:
     return value
 
 
+def _check_name(value: object, what: str) -> None:
+    """Ids, types, materials and equipment items are nonempty strings, as the document readers require."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{what} must be a nonempty str, got {value!r}")
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class Position:
     """A point on the 3D integer lattice. Ordering is lexicographic (x, y, z)."""
@@ -78,8 +84,7 @@ class BlockPlacement:
     position: Position
 
     def __post_init__(self) -> None:
-        if not self.material:
-            raise ValueError("block material must be nonempty")
+        _check_name(self.material, "block material")
 
 
 @dataclass(frozen=True)
@@ -92,16 +97,12 @@ class EntitySpec:
     equipment: Optional[Mapping[str, str]] = None
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("entity id must be nonempty")
-        if not self.entity_type:
-            raise ValueError("entity type must be nonempty")
-        if self.equipment:
-            for slot in self.equipment:
-                if slot not in EQUIPMENT_SLOTS:
-                    raise ValueError(
-                        f"unknown equipment slot {slot!r}; expected one of {EQUIPMENT_SLOTS}"
-                    )
+        _check_name(self.id, "entity id")
+        _check_name(self.entity_type, "entity type")
+        for slot, item in (self.equipment or {}).items():
+            if slot not in EQUIPMENT_SLOTS:
+                raise ValueError(f"unknown equipment slot {slot!r}; expected one of {EQUIPMENT_SLOTS}")
+            _check_name(item, f"entity {self.id} {slot} item")
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,8 @@ class ObjectSpec:
     block: BlockPlacement
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("object id must be nonempty")
-        if not self.object_type:
-            raise ValueError("object type must be nonempty")
+        _check_name(self.id, "object id")
+        _check_name(self.object_type, "object type")
 
 
 @dataclass(frozen=True)
@@ -134,10 +133,8 @@ class ConnectionSpec:
     connected_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("connection id must be nonempty")
-        if not self.connection_type:
-            raise ValueError("connection type must be nonempty")
+        _check_name(self.id, "connection id")
+        _check_name(self.connection_type, "connection type")
         tl, br = self.bounds
         if not (tl.x <= br.x and tl.y <= br.y and tl.z <= br.z):
             raise ValueError(f"connection {self.id}: bounds corners out of order")
@@ -162,7 +159,87 @@ def _inset(top_left: Position, bottom_right: Position, margins: Margins) -> tupl
     return tl, br
 
 
-class BoundingVolume:
+class _ItemHolder:
+    """A node of the world's hierarchy: the world itself or one of its volumes.
+
+    Both hold blocks, entities, objects and connections the same way. An item
+    must lie inside its holder when added and again at ``WorldModel.finalize()``;
+    the world has no bounds, so its loose items may take any position. After
+    finalizing, every container is a tuple and ``add_*`` raises FrozenWorldError.
+    """
+
+    def __init__(self, id: str) -> None:
+        _check_name(id, f"{type(self).__name__} id")
+        self.id = id
+        self.blocks: list[BlockPlacement] = []
+        self.entities: list[EntitySpec] = []
+        self.objects: list[ObjectSpec] = []
+        self.connections: list[ConnectionSpec] = []
+        self.finalized = False
+
+    def contains(self, p: Position) -> bool:
+        """The world has no bounds, so it contains every position; a volume overrides this."""
+        return True
+
+    def _check_mutable(self) -> None:
+        if self.finalized:
+            raise FrozenWorldError(f"{type(self).__name__} {self.id!r} is finalized")
+
+    def _check_inside(self, kind: str, items: Iterable) -> None:
+        """Raise OutOfBoundsError for the first of items ("block", "entity" or "object" by kind) outside this holder."""
+        for item in items:
+            position = item.block.position if kind == "object" else item.position
+            if not self.contains(position):
+                what = kind if kind == "block" else f"{kind} {item.id}"
+                raise OutOfBoundsError(f"{what} at {position.as_tuple()} outside volume {self.id}")
+
+    def add_block(self, block: BlockPlacement) -> None:
+        self._check_mutable()
+        self._check_inside("block", (block,))
+        self.blocks.append(block)
+
+    def add_entity(self, entity: EntitySpec) -> None:
+        self._check_mutable()
+        self._check_inside("entity", (entity,))
+        self.entities.append(entity)
+
+    def add_object(self, obj: ObjectSpec) -> None:
+        self._check_mutable()
+        self._check_inside("object", (obj,))
+        self.objects.append(obj)
+
+    def add_connection(self, conn: ConnectionSpec) -> None:
+        # Referential integrity of connected_ids is checked at world finalize.
+        self._check_mutable()
+        self.connections.append(conn)
+
+    def _ids(self) -> Iterator[tuple[str, str]]:
+        """(id, kind) of every entity, object and connection held directly, not by a sub-volume."""
+        for e in self.entities:
+            yield e.id, "entity"
+        for o in self.objects:
+            yield o.id, "object"
+        for c in self.connections:
+            yield c.id, "connection"
+
+    def _freeze(self) -> None:
+        self.finalized = True
+        self.blocks = tuple(self.blocks)
+        self.entities = tuple(self.entities)
+        self.objects = tuple(self.objects)
+        self.connections = tuple(self.connections)
+
+    def _same_items(self, other: "_ItemHolder") -> bool:
+        # A finalized holder keeps tuples where a mutable one keeps lists.
+        return (
+            tuple(self.blocks) == tuple(other.blocks)
+            and tuple(self.entities) == tuple(other.entities)
+            and tuple(self.objects) == tuple(other.objects)
+            and tuple(self.connections) == tuple(other.connections)
+        )
+
+
+class BoundingVolume(_ItemHolder):
     """A named, typed, material-bearing cuboid that may contain other things.
 
     Constructed with explicit corners it is a fixed box; constructed without
@@ -180,13 +257,11 @@ class BoundingVolume:
         bottom_right: Optional[Position] = None,
         has_roof: bool = False,
     ):
-        if not id:
-            raise ValueError("volume id must be nonempty")
-        if not material:
-            raise ValueError("volume material must be nonempty (use 'blank')")
+        super().__init__(id)
+        _check_name(volume_type, "volume type")
+        _check_name(material, "volume material")
         if (top_left is None) != (bottom_right is None):
             raise ValueError("give both corners or neither")
-        self.id = id
         self.volume_type = volume_type
         self.material = material
         self.auto_expand = top_left is None
@@ -198,11 +273,6 @@ class BoundingVolume:
         self.bottom_right = bottom_right
         self.has_roof = has_roof
         self.children: list[BoundingVolume] = []
-        self.blocks: list[BlockPlacement] = []
-        self.entities: list[EntitySpec] = []
-        self.objects: list[ObjectSpec] = []
-        self.connections: list[ConnectionSpec] = []
-        self._frozen = False
 
     # -- queries ----------------------------------------------------------
 
@@ -222,20 +292,15 @@ class BoundingVolume:
         for child in self.children:
             yield from child.walk()
 
+    def _ids(self) -> Iterator[tuple[str, str]]:
+        """This volume's own id, then those of the items it holds directly."""
+        yield self.id, "volume"
+        yield from super()._ids()
+
     def subtree_ids(self) -> set[str]:
-        ids: set[str] = set()
-        for v in self.walk():
-            ids.add(v.id)
-            ids.update(e.id for e in v.entities)
-            ids.update(o.id for o in v.objects)
-            ids.update(c.id for c in v.connections)
-        return ids
+        return {item_id for v in self.walk() for item_id, _ in v._ids()}
 
     # -- construction -----------------------------------------------------
-
-    def _check_mutable(self) -> None:
-        if self._frozen:
-            raise FrozenWorldError(f"volume {self.id} belongs to a finalized world")
 
     def add_child(self, child: "BoundingVolume") -> None:
         """Attach a child volume; group parents grow to the hull of their children."""
@@ -265,29 +330,6 @@ class BoundingVolume:
             )
         self.children.append(child)
 
-    def add_block(self, block: BlockPlacement) -> None:
-        self._check_mutable()
-        if not self.contains(block.position):
-            raise OutOfBoundsError(f"block at {block.position.as_tuple()} outside volume {self.id}")
-        self.blocks.append(block)
-
-    def add_entity(self, entity: EntitySpec) -> None:
-        self._check_mutable()
-        if not self.contains(entity.position):
-            raise OutOfBoundsError(f"entity {entity.id} outside volume {self.id}")
-        self.entities.append(entity)
-
-    def add_object(self, obj: ObjectSpec) -> None:
-        self._check_mutable()
-        if not self.contains(obj.block.position):
-            raise OutOfBoundsError(f"object {obj.id} outside volume {self.id}")
-        self.objects.append(obj)
-
-    def add_connection(self, conn: ConnectionSpec) -> None:
-        # Referential integrity of connected_ids is checked at world finalize.
-        self._check_mutable()
-        self.connections.append(conn)
-
     def generate_box(self, material: str, margins: Margins) -> None:
         """Fill the inset box left by the margins with blocks of one material.
 
@@ -296,8 +338,6 @@ class BoundingVolume:
         x, then y, then z order.
         """
         self._check_mutable()
-        if not material:
-            raise ValueError("material must be nonempty")
         tl, br = _inset(self.top_left, self.bottom_right, margins)
         for x in range(tl.x, br.x + 1):
             for y in range(tl.y, br.y + 1):
@@ -349,14 +389,8 @@ class BoundingVolume:
     # -- plumbing ----------------------------------------------------------
 
     def _freeze(self) -> None:
-        self._frozen = True
+        super()._freeze()
         self.children = tuple(self.children)
-        self.blocks = tuple(self.blocks)
-        self.entities = tuple(self.entities)
-        self.objects = tuple(self.objects)
-        self.connections = tuple(self.connections)
-        for child in self.children:
-            child._freeze()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoundingVolume):
@@ -369,12 +403,8 @@ class BoundingVolume:
             and self.bottom_right == other.bottom_right
             and self.has_roof == other.has_roof
             and self.auto_expand == other.auto_expand
-            # A finalized volume holds tuples where a mutable one holds lists.
             and tuple(self.children) == tuple(other.children)
-            and tuple(self.blocks) == tuple(other.blocks)
-            and tuple(self.entities) == tuple(other.entities)
-            and tuple(self.objects) == tuple(other.objects)
-            and tuple(self.connections) == tuple(other.connections)
+            and self._same_items(other)
         )
 
     def __repr__(self) -> str:
@@ -385,8 +415,7 @@ class BoundingVolume:
         )
 
 
-@dataclass
-class WorldModel:
+class WorldModel(_ItemHolder):
     """Root container: top-level volumes plus loose blocks/entities/objects.
 
     Construction is single-owner and not thread-safe; after ``finalize()`` the
@@ -394,43 +423,17 @@ class WorldModel:
     those of every volume are tuples.
     """
 
-    id: str
-    volumes: list[BoundingVolume] = field(default_factory=list)
-    blocks: list[BlockPlacement] = field(default_factory=list)
-    entities: list[EntitySpec] = field(default_factory=list)
-    objects: list[ObjectSpec] = field(default_factory=list)
-    connections: list[ConnectionSpec] = field(default_factory=list)
-    finalized: bool = field(default=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("world id must be nonempty")
+    def __init__(self, id: str) -> None:
+        super().__init__(id)
+        self.volumes: list[BoundingVolume] = []
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WorldModel):
             return NotImplemented
-        # A finalized world holds tuples where a mutable one holds lists.
-        return (
-            self.id == other.id
-            and tuple(self.volumes) == tuple(other.volumes)
-            and tuple(self.blocks) == tuple(other.blocks)
-            and tuple(self.entities) == tuple(other.entities)
-            and tuple(self.objects) == tuple(other.objects)
-            and tuple(self.connections) == tuple(other.connections)
-        )
-
-    def _check_mutable(self) -> None:
-        if self.finalized:
-            raise FrozenWorldError(f"world {self.id} is finalized")
+        return self.id == other.id and tuple(self.volumes) == tuple(other.volumes) and self._same_items(other)
 
     def all_ids(self) -> set[str]:
-        ids: set[str] = set()
-        for v in self.volumes:
-            ids |= v.subtree_ids()
-        ids.update(e.id for e in self.entities)
-        ids.update(o.id for o in self.objects)
-        ids.update(c.id for c in self.connections)
-        return ids
+        return {item_id for holder in self._holders() for item_id, _ in holder._ids()}
 
     def add_volume(self, volume: BoundingVolume) -> None:
         self._check_mutable()
@@ -439,31 +442,19 @@ class WorldModel:
             raise DuplicateIdError(f"ids already present in world: {sorted(overlap)}")
         self.volumes.append(volume)
 
-    def add_block(self, block: BlockPlacement) -> None:
-        self._check_mutable()
-        self.blocks.append(block)
-
-    def add_entity(self, entity: EntitySpec) -> None:
-        self._check_mutable()
-        self.entities.append(entity)
-
-    def add_object(self, obj: ObjectSpec) -> None:
-        self._check_mutable()
-        self.objects.append(obj)
-
-    def add_connection(self, conn: ConnectionSpec) -> None:
-        self._check_mutable()
-        self.connections.append(conn)
-
     def walk_volumes(self) -> Iterator[BoundingVolume]:
         """All volumes at all depths, depth-first pre-order."""
         for v in self.volumes:
             yield from v.walk()
 
+    def _holders(self) -> Iterator[_ItemHolder]:
+        """Every volume, depth-first pre-order, then the world itself."""
+        yield from self.walk_volumes()
+        yield self
+
     def all_connections(self) -> Iterator[ConnectionSpec]:
-        for v in self.walk_volumes():
-            yield from v.connections
-        yield from self.connections
+        for holder in self._holders():
+            yield from holder.connections
 
     def finalize(self) -> "WorldModel":
         """Validate the world's invariants and freeze it; the one place they are enforced.
@@ -476,37 +467,18 @@ class WorldModel:
         """
         if self.finalized:
             return self
+        holders = tuple(self._holders())
         seen: set[str] = set()
+        for holder in holders:
+            for item_id, kind in holder._ids():
+                if item_id in seen:
+                    raise DuplicateIdError(f"duplicate {kind} id {item_id!r}")
+                seen.add(item_id)
+            holder._check_inside("block", holder.blocks)
+            holder._check_inside("entity", holder.entities)
+            holder._check_inside("object", holder.objects)
 
-        def claim(item_id: str, kind: str) -> None:
-            if item_id in seen:
-                raise DuplicateIdError(f"duplicate {kind} id {item_id!r}")
-            seen.add(item_id)
-
-        for v in self.walk_volumes():
-            claim(v.id, "volume")
-        volume_ids = set(seen)
-        for v in self.walk_volumes():
-            for block in v.blocks:
-                if not v.contains(block.position):
-                    raise OutOfBoundsError(f"block at {block.position.as_tuple()} outside volume {v.id}")
-            for e in v.entities:
-                claim(e.id, "entity")
-                if not v.contains(e.position):
-                    raise OutOfBoundsError(f"entity {e.id} at {e.position.as_tuple()} outside volume {v.id}")
-            for o in v.objects:
-                claim(o.id, "object")
-                if not v.contains(o.block.position):
-                    raise OutOfBoundsError(f"object {o.id} at {o.block.position.as_tuple()} outside volume {v.id}")
-            for c in v.connections:
-                claim(c.id, "connection")
-        for e in self.entities:
-            claim(e.id, "entity")
-        for o in self.objects:
-            claim(o.id, "object")
-        for c in self.connections:
-            claim(c.id, "connection")
-
+        volume_ids = {v.id for v in self.walk_volumes()}
         for conn in self.all_connections():
             for ref in conn.connected_ids:
                 if ref not in volume_ids:
@@ -514,12 +486,7 @@ class WorldModel:
                         f"connection {conn.id} references unknown volume {ref!r}"
                     )
 
-        for v in self.volumes:
-            v._freeze()
+        for holder in holders:
+            holder._freeze()
         self.volumes = tuple(self.volumes)
-        self.blocks = tuple(self.blocks)
-        self.entities = tuple(self.entities)
-        self.objects = tuple(self.objects)
-        self.connections = tuple(self.connections)
-        self.finalized = True
         return self

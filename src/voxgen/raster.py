@@ -55,18 +55,13 @@ def _write_roof(v: BoundingVolume, cells: dict[Position, str]) -> None:
             cells[Position(x, br.y, z)] = v.material
 
 
-def _write_volume(v: BoundingVolume, grid: BlockGrid) -> None:
-    if v.material != BLANK:
-        _write_shell(v, grid.cells)
-    if v.has_roof:
-        _write_roof(v, grid.cells)
-    for block in v.blocks:
+def _write_items(holder: BoundingVolume | WorldModel, grid: BlockGrid) -> None:
+    """A volume's or the world's own blocks, then its objects' blocks, then its entities."""
+    for block in holder.blocks:
         grid.cells[block.position] = block.material
-    for obj in v.objects:
+    for obj in holder.objects:
         grid.cells[obj.block.position] = obj.block.material
-    grid.entities.extend(v.entities)
-    for child in v.children:
-        _write_volume(child, grid)
+    grid.entities.extend(holder.entities)
 
 
 def rasterize(world: WorldModel) -> BlockGrid:
@@ -74,13 +69,13 @@ def rasterize(world: WorldModel) -> BlockGrid:
     if not world.finalized:
         raise ValueError(f"world {world.id} must be finalized before rasterizing")
     grid = BlockGrid()
-    for v in world.volumes:
-        _write_volume(v, grid)
-    for block in world.blocks:
-        grid.cells[block.position] = block.material
-    for obj in world.objects:
-        grid.cells[obj.block.position] = obj.block.material
-    grid.entities.extend(world.entities)
+    for v in world.walk_volumes():
+        if v.material != BLANK:
+            _write_shell(v, grid.cells)
+        if v.has_roof:
+            _write_roof(v, grid.cells)
+        _write_items(v, grid)
+    _write_items(world, grid)
 
     for conn in world.all_connections():
         if conn.connection_type not in CARVING_CONNECTION_TYPES:

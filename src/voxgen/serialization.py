@@ -5,8 +5,9 @@ lives in docs/file-formats.md. The document types own their invariants: on
 construction, by a reader or by library code, a document keeps a sorted copy
 of every list (records by id, id lists and equipment sorted, block and entity
 rows by coordinates) and raises ValidationError unless its ids are unique,
-child_ids form a forest, every reference names a declared location and no
-two blocks share a cell. Writers only encode: keys in a fixed order, "\n"
+child_ids form a forest, every reference names a declared location, no two
+blocks share a cell, bounds corners are in order and every equipment slot is
+one of EQUIPMENT_SLOTS. Writers only encode: keys in a fixed order, "\n"
 line endings, ASCII output. Writing what you just read reproduces the file.
 
 Readers only parse: they check shapes, types and coordinate range, then
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, VoxgenError
 from .geometry import COORD_MAX, COORD_MIN, EQUIPMENT_SLOTS, Position, WorldModel
 from .raster import BlockGrid
 
@@ -36,6 +37,18 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _check_bounds(top_left: Position, bottom_right: Position, context: str) -> None:
+    _require(
+        top_left.x <= bottom_right.x and top_left.y <= bottom_right.y and top_left.z <= bottom_right.z,
+        f"{context}: top_left must be <= bottom_right per axis",
+    )
+
+
+def _check_equipment(equipment: tuple[tuple[str, str], ...], context: str) -> None:
+    for slot, _ in equipment:
+        _require(slot in EQUIPMENT_SLOTS, f"{context}: unknown equipment slot {slot!r}")
+
+
 @dataclass(frozen=True)
 class LocationRecord:
     id: str
@@ -46,6 +59,7 @@ class LocationRecord:
     child_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        _check_bounds(self.top_left, self.bottom_right, f"location {self.id}: bounds")
         object.__setattr__(self, "child_ids", tuple(sorted(self.child_ids)))
 
 
@@ -58,6 +72,7 @@ class ConnectionRecord:
     connected_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        _check_bounds(self.top_left, self.bottom_right, f"connection {self.id}: bounds")
         object.__setattr__(self, "connected_ids", tuple(sorted(self.connected_ids)))
 
 
@@ -70,6 +85,7 @@ class EntityRecord:
     equipment: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
+        _check_equipment(self.equipment, f"entity {self.id}: equipment")
         object.__setattr__(self, "equipment", tuple(sorted(self.equipment)))
 
 
@@ -158,6 +174,7 @@ class BlockEntityRecord:
     equipment: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
+        _check_equipment(self.equipment, f"entity {self.entity_type}: equipment")
         object.__setattr__(self, "equipment", tuple(sorted(self.equipment)))
 
 
@@ -315,7 +332,9 @@ def write_block_map(doc: BlockMapDocument, path: PathLike) -> None:
 
 
 def write_world(world: WorldModel, grid: BlockGrid, hlr_path: PathLike, llr_path: PathLike) -> None:
-    """Write the semantic map and block map for a world and its grid."""
+    """Write the semantic map and block map for a world and its grid, to two different files."""
+    if Path(hlr_path).resolve() == Path(llr_path).resolve():
+        raise VoxgenError(f"the semantic map and the block map would both be written to {llr_path}")
     write_semantic_map(semantic_map_from_world(world), hlr_path)
     write_block_map(block_map_from_grid(grid), llr_path)
 
@@ -398,10 +417,6 @@ def _read_bounds(value: Any, context: str) -> tuple[Position, Position]:
     _require(isinstance(value, dict), f"{context}: expected bounds object")
     tl = _read_position(value.get("top_left"), f"{context}.top_left")
     br = _read_position(value.get("bottom_right"), f"{context}.bottom_right")
-    _require(
-        tl.x <= br.x and tl.y <= br.y and tl.z <= br.z,
-        f"{context}: top_left must be <= bottom_right per axis",
-    )
     return tl, br
 
 
@@ -410,7 +425,6 @@ def _read_equipment(value: Any, context: str) -> tuple[tuple[str, str], ...]:
         return ()
     _require(isinstance(value, dict), f"{context}: expected equipment object")
     for slot, item in value.items():
-        _require(slot in EQUIPMENT_SLOTS, f"{context}: unknown equipment slot {slot!r}")
         _read_str(item, f"{context}.{slot}")
     return tuple(value.items())
 

@@ -137,6 +137,16 @@ def test_malformed_input_exits_1_with_one_line_error(tmp_path, capsys, data, arg
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("out_llr", ["same.json", "./same.json"])
+def test_identical_output_paths_exit_1_before_writing(tmp_path, capsys, monkeypatch, out_llr):
+    monkeypatch.chdir(tmp_path)
+    assert run(["tutorial", "--out-hlr", "same.json", "--out-llr", out_llr]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: VoxgenError: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "same.json").exists()
+
+
 def test_missing_input_file_exits_1(tmp_path, capsys):
     assert run(["monitor", "--hlr", str(tmp_path / "none.json"),
                 "--trace", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "o.jsonl")]) == 1

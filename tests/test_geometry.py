@@ -208,6 +208,22 @@ class TestContainers:
         e = EntitySpec("z", "zombie", Position(0, 0, 0), equipment={"weapon": "anything_here"})
         assert e.equipment["weapon"] == "anything_here"
 
+    # Each of these used to finalize and write a document its own reader rejects.
+    @pytest.mark.parametrize("build", [
+        lambda: BoundingVolume("r", "", "stone", Position(0, 0, 0), Position(1, 1, 1)),
+        lambda: BoundingVolume("r", 5, "stone", Position(0, 0, 0), Position(1, 1, 1)),
+        lambda: BoundingVolume("r", "room", 5, Position(0, 0, 0), Position(1, 1, 1)),
+        lambda: BlockPlacement(5, Position(0, 0, 0)),
+        lambda: EntitySpec("z", 5, Position(0, 0, 0)),
+        lambda: EntitySpec("z", "zombie", Position(0, 0, 0), equipment={"weapon": ""}),
+        lambda: EntitySpec("z", "zombie", Position(0, 0, 0), equipment={"weapon": 5}),
+        lambda: WorldModel(""),
+    ], ids=["empty-volume-type", "int-volume-type", "int-volume-material", "int-block-material",
+            "int-entity-type", "empty-equipment-item", "int-equipment-item", "empty-world-id"])
+    def test_names_must_be_nonempty_strings(self, build):
+        with pytest.raises(ValueError, match="must be a nonempty str"):
+            build()
+
 
 class TestWorldModel:
     def test_dangling_connection_fails_at_finalize(self):
@@ -238,6 +254,8 @@ class TestWorldModel:
             room.blocks.append(BlockPlacement("stone", Position(2, 4, 2)))
         with pytest.raises(AttributeError):
             world.volumes.append(make_room("room_2", (20, 3, 20), (25, 7, 25)))
+        with pytest.raises(FrozenWorldError):
+            world.add_block(BlockPlacement("stone", Position(2, 4, 2)))
 
     def test_finalizing_keeps_equality(self):
         def build():

@@ -11,10 +11,12 @@ from voxgen.geometry import (
     BoundingVolume,
     ConnectionSpec,
     EntitySpec,
+    ObjectSpec,
     Position,
     WorldModel,
 )
 from voxgen.raster import BlockGrid, diff_grids, rasterize
+from voxgen.serialization import semantic_map_from_world
 
 from oracles import brute_shell_cells, naive_rasterize, random_world
 
@@ -52,6 +54,28 @@ def test_full_tutorial_room_matches_oracle_partition():
     assert {p.as_tuple(): m for p, m in grid.cells.items()} == oracle_cells
     # 100 shell + 16 roof interior - 36 glass overwrites; floor is new cells.
     assert Counter(grid.cells.values()) == {"log": 80, "glass": 36, "planks": 16}
+
+
+def test_world_level_loose_items_follow_the_volume_rules_anywhere():
+    room = make_room()
+    room.add_entity(EntitySpec("villager", "villager", Position(3, 4, 3)))
+    world = WorldModel("w")
+    world.add_volume(room)
+    wall = Position(1, 3, 1)
+    world.add_block(BlockPlacement("gold_block", wall))
+    loose = EntitySpec("zombie", "zombie", Position(100, -5, 100))
+    world.add_entity(loose)
+    world.add_object(ObjectSpec("chest", "treasure", BlockPlacement("diamond_block", Position(-20, 0, 0))))
+    world.finalize()
+
+    grid = rasterize(world)
+    assert grid.cells[wall] == "gold_block"
+    assert grid.cells[Position(-20, 0, 0)] == "diamond_block"
+    assert grid.entities[-1] == loose
+    oracle_cells, oracle_entities = naive_rasterize(world)
+    assert {p.as_tuple(): m for p, m in grid.cells.items()} == oracle_cells
+    assert grid.entities == oracle_entities
+    assert [(o.id, o.location_id) for o in semantic_map_from_world(world).objects] == [("chest", None)]
 
 
 def test_blank_volume_emits_nothing():

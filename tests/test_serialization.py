@@ -9,6 +9,7 @@ from voxgen.generators import DungeonParams, gen_dungeon, gen_gridworld, gen_zom
 from voxgen.geometry import Position, WorldModel
 from voxgen.raster import rasterize
 from voxgen.serialization import (
+    BlockEntityRecord,
     BlockMapDocument,
     BlockRecord,
     ConnectionRecord,
@@ -289,10 +290,24 @@ def test_semantic_map_built_in_code_rejects_a_child_cycle():
     ({"objects": (ObjectRecord("o", "chest", "log", P0, "z"),)}, "object 'o' references unknown location 'z'"),
     ({"connections": (ConnectionRecord("c", "door", P0, P0, ("a",)),)}, "must name at least 2 locations"),
     ({"entities": (EntityRecord("a", "zombie", P0, None),)}, "duplicate id 'a'"),
+    # A generator builds its record only when SemanticMap reads it, inside pytest.raises.
+    ({"connections": (ConnectionRecord("c", "door", P1, P0, ("a", "b")) for _ in "x")},
+     "connection c: bounds: top_left must be <= bottom_right per axis"),
+    ({"entities": (EntityRecord("e", "zombie", P0, None, (("hat", "iron"),)) for _ in "x")},
+     "entity e: equipment: unknown equipment slot 'hat'"),
 ])
 def test_semantic_map_built_in_code_checks_ids_and_references(extra, match):
     with pytest.raises(ValidationError, match=match):
         SemanticMap("w", (room("a"),), **extra)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: LocationRecord("a", "room", "stone", P1, P0, ()), "location a: bounds: top_left must be <= bottom_right"),
+    (lambda: BlockEntityRecord("zombie", 0, 0, 0, (("hat", "iron"),)), "entity zombie: equipment: unknown equipment slot"),
+], ids=["reversed-location-bounds", "block-map-entity-hat"])
+def test_records_built_in_code_check_bounds_and_slots(build, match):
+    with pytest.raises(ValidationError, match=match):
+        build()
 
 
 def test_semantic_map_records_depths_without_comparing_them():
