@@ -10,11 +10,23 @@ Volumes nest: translating a volume translates its whole subtree (children,
 blocks, entities, objects) in one move. Connections are the deliberate
 exception: their stored bounds do not move with a translation, so builders
 must create connections only after all volumes are in their final positions.
+
+Ids are checked twice. ``WorldModel.add_volume`` and
+``BoundingVolume.add_child`` raise DuplicateIdError at once when the incoming
+subtree reuses an id the receiver has registered. Each holder keeps an id
+registry that grows as things are added to it: its own id, the ids of the
+entities, objects and connections added to it, and every child subtree's ids
+as they were when that child joined. Each call therefore costs the size of
+the incoming subtree, not of the whole tree, and building a world is linear.
+An id that enters a subtree after that subtree has joined its parent is not
+in the parent's registry; ``WorldModel.finalize()`` walks the whole world
+and is the one full check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import (
@@ -76,6 +88,22 @@ class Position:
         return (self.x, self.y, self.z)
 
 
+_SET_X, _SET_Y, _SET_Z = (Position.__dict__[axis].__set__ for axis in "xyz")
+
+
+def _lattice_point(x: int, y: int, z: int) -> Position:
+    """A Position built without the per-axis checks, at about a third of the cost.
+
+    Only for int coordinates that lie between those of two Positions, such as
+    a cell of a volume, which are therefore on the lattice already.
+    """
+    point = object.__new__(Position)
+    _SET_X(point, x)
+    _SET_Y(point, y)
+    _SET_Z(point, z)
+    return point
+
+
 @dataclass(frozen=True, slots=True)
 class BlockPlacement:
     """A single block: a material at an absolute world position."""
@@ -89,7 +117,11 @@ class BlockPlacement:
 
 @dataclass(frozen=True)
 class EntitySpec:
-    """A mob to place: type, absolute position, optional equipment per slot."""
+    """A mob to place: type, absolute position, optional equipment per slot.
+
+    The equipment is kept as a read-only copy, so changing the caller's
+    mapping afterwards changes neither the entity nor a finalized world.
+    """
 
     id: str
     entity_type: str
@@ -99,6 +131,8 @@ class EntitySpec:
     def __post_init__(self) -> None:
         _check_name(self.id, "entity id")
         _check_name(self.entity_type, "entity type")
+        if self.equipment is not None:
+            object.__setattr__(self, "equipment", MappingProxyType(dict(self.equipment)))
         for slot, item in (self.equipment or {}).items():
             if slot not in EQUIPMENT_SLOTS:
                 raise ValueError(f"unknown equipment slot {slot!r}; expected one of {EQUIPMENT_SLOTS}")
@@ -166,6 +200,9 @@ class _ItemHolder:
     must lie inside its holder when added and again at ``WorldModel.finalize()``;
     the world has no bounds, so its loose items may take any position. After
     finalizing, every container is a tuple and ``add_*`` raises FrozenWorldError.
+
+    ``_registered`` is the id registry that the add-time duplicate check reads
+    (see the module docstring); the ``add_*`` methods keep it up to date.
     """
 
     def __init__(self, id: str) -> None:
@@ -176,6 +213,7 @@ class _ItemHolder:
         self.objects: list[ObjectSpec] = []
         self.connections: list[ConnectionSpec] = []
         self.finalized = False
+        self._registered: set[str] = set()
 
     def contains(self, p: Position) -> bool:
         """The world has no bounds, so it contains every position; a volume overrides this."""
@@ -202,16 +240,27 @@ class _ItemHolder:
         self._check_mutable()
         self._check_inside("entity", (entity,))
         self.entities.append(entity)
+        self._registered.add(entity.id)
 
     def add_object(self, obj: ObjectSpec) -> None:
         self._check_mutable()
         self._check_inside("object", (obj,))
         self.objects.append(obj)
+        self._registered.add(obj.id)
 
     def add_connection(self, conn: ConnectionSpec) -> None:
         # Referential integrity of connected_ids is checked at world finalize.
         self._check_mutable()
         self.connections.append(conn)
+        self._registered.add(conn.id)
+
+    def _new_subtree_ids(self, volume: "BoundingVolume") -> set[str]:
+        """The ids of volume's subtree; DuplicateIdError if one is already registered here."""
+        incoming = volume.subtree_ids()
+        overlap = self._registered & incoming
+        if overlap:
+            raise DuplicateIdError(f"ids already present in {self.id}: {sorted(overlap)}")
+        return incoming
 
     def _ids(self) -> Iterator[tuple[str, str]]:
         """(id, kind) of every entity, object and connection held directly, not by a sub-volume."""
@@ -273,6 +322,7 @@ class BoundingVolume(_ItemHolder):
         self.bottom_right = bottom_right
         self.has_roof = has_roof
         self.children: list[BoundingVolume] = []
+        self._registered.add(id)
 
     # -- queries ----------------------------------------------------------
 
@@ -303,11 +353,14 @@ class BoundingVolume(_ItemHolder):
     # -- construction -----------------------------------------------------
 
     def add_child(self, child: "BoundingVolume") -> None:
-        """Attach a child volume; group parents grow to the hull of their children."""
+        """Attach a child volume; group parents grow to the hull of their children.
+
+        Raises DuplicateIdError if an id in the child's subtree is in this
+        volume's id registry, which covers this volume's subtree except for
+        ids added below one of its children after that child joined.
+        """
         self._check_mutable()
-        overlap = self.subtree_ids() & child.subtree_ids()
-        if overlap:
-            raise DuplicateIdError(f"ids already present: {sorted(overlap)}")
+        incoming = self._new_subtree_ids(child)
         if self.auto_expand:
             if not self.children:
                 self.top_left = child.top_left
@@ -328,6 +381,7 @@ class BoundingVolume(_ItemHolder):
                 f"child {child.id} {child.top_left.as_tuple()}..{child.bottom_right.as_tuple()} "
                 f"exceeds parent {self.id}"
             )
+        self._registered |= incoming
         self.children.append(child)
 
     def generate_box(self, material: str, margins: Margins) -> None:
@@ -342,7 +396,7 @@ class BoundingVolume(_ItemHolder):
         for x in range(tl.x, br.x + 1):
             for y in range(tl.y, br.y + 1):
                 for z in range(tl.z, br.z + 1):
-                    self.blocks.append(BlockPlacement(material, Position(x, y, z)))
+                    self.blocks.append(BlockPlacement(material, _lattice_point(x, y, z)))
 
     def random_pos(self, rng: SeededRng, margins: Margins) -> Position:
         """Uniform position inside the inset box.
@@ -384,6 +438,7 @@ class BoundingVolume(_ItemHolder):
             for o in self.objects
         ]
         out.connections = list(self.connections)
+        out._registered = set(self._registered)
         return out
 
     # -- plumbing ----------------------------------------------------------
@@ -432,14 +487,15 @@ class WorldModel(_ItemHolder):
             return NotImplemented
         return self.id == other.id and tuple(self.volumes) == tuple(other.volumes) and self._same_items(other)
 
-    def all_ids(self) -> set[str]:
-        return {item_id for holder in self._holders() for item_id, _ in holder._ids()}
-
     def add_volume(self, volume: BoundingVolume) -> None:
+        """Add a top-level volume.
+
+        Raises DuplicateIdError if an id in the volume's subtree is in the
+        world's id registry: the ids of every volume subtree as it was when
+        added, and of the world's own entities, objects and connections.
+        """
         self._check_mutable()
-        overlap = self.all_ids() & volume.subtree_ids()
-        if overlap:
-            raise DuplicateIdError(f"ids already present in world: {sorted(overlap)}")
+        self._registered |= self._new_subtree_ids(volume)
         self.volumes.append(volume)
 
     def walk_volumes(self) -> Iterator[BoundingVolume]:
@@ -460,8 +516,9 @@ class WorldModel(_ItemHolder):
         """Validate the world's invariants and freeze it; the one place they are enforced.
 
         Checks id uniqueness across volumes, entities, objects and connections
-        at every depth, that each volume's blocks, object blocks and entities
-        lie inside it, and that every connection's ids resolve to volumes.
+        at every depth, including ids that the add-time registries did not
+        see, that each volume's blocks, object blocks and entities lie inside
+        it, and that every connection's ids resolve to volumes.
         Then makes every container of the world and its volumes a tuple.
         Returns self for chaining.
         """

@@ -10,6 +10,13 @@ blocks share a cell, bounds corners are in order and every equipment slot is
 one of EQUIPMENT_SLOTS. Writers only encode: keys in a fixed order, "\n"
 line endings, ASCII output. Writing what you just read reproduces the file.
 
+The format is what ``json.dumps(indent=2, ensure_ascii=True)`` lays out. The
+semantic map is small and goes through ``json.dumps``. The block map, one row
+per cell, is streamed: each row fills a fixed template, with every distinct
+string encoded once by ``json.dumps``, and no per-row dict or whole-document
+string is built. Both writers replace the target only once the new file is
+complete, so a failure part-way leaves the previous file as it was.
+
 Readers only parse: they check shapes, types and coordinate range, then
 construct the document. They raise ParseError (undecodable or malformed
 JSON, naming the line where known) or ValidationError.
@@ -17,11 +24,13 @@ JSON, naming the line where known) or ValidationError.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, TextIO, Union
 
 from .errors import ParseError, ValidationError, VoxgenError
 from .geometry import COORD_MAX, COORD_MIN, EQUIPMENT_SLOTS, Position, WorldModel
@@ -302,33 +311,80 @@ def _semantic_map_json(m: SemanticMap) -> dict[str, Any]:
     }
 
 
-def _block_map_json(doc: BlockMapDocument) -> dict[str, Any]:
-    out: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "blocks": [], "entities": []}
-    for b in doc.blocks:
-        out["blocks"].append({"material": b.material, "x": b.x, "y": b.y, "z": b.z})
-    for e in doc.entities:
-        row: dict[str, Any] = {"type": e.entity_type, "x": e.x, "y": e.y, "z": e.z}
-        if e.equipment:
-            row["equipment"] = dict(e.equipment)
-        out["entities"].append(row)
-    return out
+def _write_atomically(path: PathLike, write: Callable[[TextIO], None]) -> None:
+    """Write a text file through write(handle), all or nothing.
 
-
-def _write_json(payload: dict[str, Any], path: PathLike) -> None:
-    text = json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
+    The text goes to a temporary sibling that then replaces the target, so an
+    exception part-way leaves the previous file (or no file) and no temporary
+    behind. The file gets the mode that ``open(path, "w")`` gives a new file
+    under the umask. A symbolic link is followed, and a target that exists but
+    is not a regular file (a device, a FIFO) is written in place, because
+    replacing it would destroy it.
+    """
+    target = os.path.realpath(path)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    temp = None if in_place else f"{target}.{os.urandom(4).hex()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    except OSError as err:
-        raise OSError(f"cannot write {path}: {err}") from err
+        with open(temp or target, "x" if temp else "w", encoding="utf-8", newline="\n") as handle:
+            write(handle)
+        if temp:
+            os.replace(temp, target)
+    except BaseException as err:
+        if temp:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+        if isinstance(err, OSError):
+            # strerror, not err: err names the temporary file.
+            raise OSError(f"cannot write {path}: {err.strerror or err}") from err
+        raise
 
 
 def write_semantic_map(m: SemanticMap, path: PathLike) -> None:
-    _write_json(_semantic_map_json(m), path)
+    text = json.dumps(_semantic_map_json(m), indent=2, ensure_ascii=True) + "\n"
+    _write_atomically(path, lambda handle: handle.write(text))
+
+
+# Block-map rows as json.dumps(indent=2) lays them out, strings already encoded.
+_BLOCK_ROW = '    {\n      "material": %s,\n      "x": %d,\n      "y": %d,\n      "z": %d\n    }'
+_ENTITY_ROW = '    {\n      "type": %s,\n      "x": %d,\n      "y": %d,\n      "z": %d%s\n    }'
+_EQUIPMENT = ',\n      "equipment": {\n%s\n      }'
+_EQUIPMENT_ITEM = "        %s: %s"
+
+
+def _encode(text: str) -> str:
+    return json.dumps(text, ensure_ascii=True)
+
+
+def _write_list(handle: TextIO, rows: Iterable[str]) -> None:
+    """A list of a top-level key, its rows already laid out, as json.dumps(indent=2) writes it."""
+    separator = "[\n"
+    for row in rows:
+        handle.write(separator + row)
+        separator = ",\n"
+    handle.write("[]" if separator == "[\n" else "\n  ]")
+
+
+def _equipment_json(equipment: tuple[tuple[str, str], ...]) -> str:
+    if not equipment:
+        return ""
+    # Through a dict, as json.dumps would see it: a repeated slot keeps its last item.
+    items = dict(equipment).items()
+    return _EQUIPMENT % ",\n".join(_EQUIPMENT_ITEM % (_encode(slot), _encode(item)) for slot, item in items)
+
+
+def _write_block_map_rows(doc: BlockMapDocument, handle: TextIO) -> None:
+    materials = {material: _encode(material) for material in {b.material for b in doc.blocks}}
+    handle.write('{\n  "schema_version": %s,\n  "blocks": ' % _encode(SCHEMA_VERSION))
+    _write_list(handle, (_BLOCK_ROW % (materials[b.material], b.x, b.y, b.z) for b in doc.blocks))
+    handle.write(',\n  "entities": ')
+    _write_list(handle, (
+        _ENTITY_ROW % (_encode(e.entity_type), e.x, e.y, e.z, _equipment_json(e.equipment)) for e in doc.entities
+    ))
+    handle.write("\n}\n")
 
 
 def write_block_map(doc: BlockMapDocument, path: PathLike) -> None:
-    _write_json(_block_map_json(doc), path)
+    _write_atomically(path, lambda handle: _write_block_map_rows(doc, handle))
 
 
 def write_world(world: WorldModel, grid: BlockGrid, hlr_path: PathLike, llr_path: PathLike) -> None:

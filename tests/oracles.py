@@ -7,11 +7,12 @@ code under test, so a bug cannot hide on both sides of a comparison.
 
 from __future__ import annotations
 
+import json
 import random
-from typing import Optional
+from typing import Any, Optional
 
 from voxgen.geometry import BlockPlacement, BoundingVolume, EntitySpec, Position, WorldModel
-from voxgen.serialization import SemanticMap
+from voxgen.serialization import BlockMapDocument, SemanticMap
 
 Cell = tuple[int, int, int]
 
@@ -71,6 +72,19 @@ def naive_rasterize(world: WorldModel) -> tuple[dict[Cell, str], list[EntitySpec
             for point in box_points(conn.bounds[0].as_tuple(), conn.bounds[1].as_tuple()):
                 cells.pop(point, None)
     return cells, entities
+
+
+def block_map_text(doc: BlockMapDocument) -> str:
+    """The block-map file text, encoded the plain way: one dict per row, then json.dumps(indent=2)."""
+    out: dict[str, Any] = {"schema_version": "1", "blocks": [], "entities": []}
+    for b in doc.blocks:
+        out["blocks"].append({"material": b.material, "x": b.x, "y": b.y, "z": b.z})
+    for e in doc.entities:
+        row: dict[str, Any] = {"type": e.entity_type, "x": e.x, "y": e.y, "z": e.z}
+        if e.equipment:
+            row["equipment"] = dict(e.equipment)
+        out["entities"].append(row)
+    return json.dumps(out, indent=2, ensure_ascii=True) + "\n"
 
 
 def scan_locate(semantic_map: SemanticMap, point: Cell) -> Optional[str]:

@@ -20,6 +20,7 @@ from voxgen.geometry import (
     ObjectSpec,
     Position,
     WorldModel,
+    _lattice_point,
 )
 from voxgen.rng import SeededRng
 
@@ -42,6 +43,14 @@ class TestPosition:
 
     def test_ordering_is_lexicographic(self):
         assert Position(1, 2, 3) < Position(1, 2, 4) < Position(2, 0, 0)
+
+    def test_an_unchecked_lattice_point_is_a_position(self):
+        p = _lattice_point(-(2**63), 0, 2**63 - 1)
+        assert type(p) is Position
+        assert p == Position(-(2**63), 0, 2**63 - 1) and hash(p) == hash(Position(-(2**63), 0, 2**63 - 1))
+        assert p < Position(-(2**63), 1, 0)
+        with pytest.raises(AttributeError):
+            p.x = 1
 
     def test_shift_overflow_is_an_error(self):
         p = Position(2**63 - 1, 0, 0)
@@ -269,3 +278,57 @@ class TestWorldModel:
         v = make_room("dot", (2, 2, 2), (2, 2, 2), "stone")
         assert v.contains(Position(2, 2, 2))
         assert not v.contains(Position(2, 2, 3))
+
+
+class TestIdRegistry:
+    """Add-time duplicate checks read each receiver's id registry; finalize() is the full check."""
+
+    def test_add_volume_rejects_a_nested_id_of_an_earlier_volume(self):
+        house = BoundingVolume("house", volume_type="house")
+        room = make_room("room_1")
+        room.add_entity(EntitySpec("z", "zombie", Position(3, 4, 3)))
+        house.add_child(room)
+        world = WorldModel("w")
+        world.add_volume(house)
+        with pytest.raises(DuplicateIdError, match="room_1"):
+            world.add_volume(make_room("room_1", (20, 3, 20), (25, 7, 25)))
+        other = make_room("room_2", (20, 3, 20), (25, 7, 25))
+        other.add_entity(EntitySpec("z", "zombie", Position(21, 4, 21)))
+        with pytest.raises(DuplicateIdError, match="'z'"):
+            world.add_volume(other)
+
+    @pytest.mark.parametrize("add", [
+        lambda world: world.add_entity(EntitySpec("x", "zombie", Position(-5, 0, 0))),
+        lambda world: world.add_object(ObjectSpec("x", "treasure", BlockPlacement("gold_block", Position(-5, 0, 0)))),
+        lambda world: world.add_connection(ConnectionSpec("x", "door", (Position(1, 3, 1), Position(1, 4, 1)),
+                                                          ("room_1", "room_2"))),
+    ], ids=["entity", "object", "connection"])
+    def test_add_volume_rejects_a_world_level_item_id(self, add):
+        world = WorldModel("w")
+        world.add_volume(make_room("room_1"))
+        add(world)
+        with pytest.raises(DuplicateIdError, match="'x'"):
+            world.add_volume(make_room("x", (20, 3, 20), (25, 7, 25)))
+
+    def test_add_child_rejects_an_id_in_the_parents_subtree(self):
+        house = BoundingVolume("house", volume_type="house")
+        wing = BoundingVolume("wing", volume_type="wing")
+        wing.add_child(make_room("room_1"))
+        house.add_child(wing)
+        house.add_entity(EntitySpec("cat", "ocelot", Position(2, 4, 2)))
+        for taken in ("house", "room_1", "cat"):
+            incoming = BoundingVolume("annex", volume_type="wing")
+            incoming.add_child(make_room(taken, (6, 3, 1), (11, 7, 6)))
+            with pytest.raises(DuplicateIdError, match=taken):
+                house.add_child(incoming)
+        assert [c.id for c in house.children] == ["wing"]
+        assert (house.top_left, house.bottom_right) == (Position(1, 3, 1), Position(6, 7, 6))
+
+    def test_an_id_added_below_a_joined_volume_is_caught_by_finalize(self):
+        world = WorldModel("w")
+        house = BoundingVolume("house", volume_type="house")
+        world.add_volume(house)
+        world.add_volume(make_room("room_1"))
+        house.add_child(make_room("room_1", (20, 3, 20), (25, 7, 25)))  # not in the house's registry
+        with pytest.raises(DuplicateIdError, match="duplicate volume id 'room_1'"):
+            world.finalize()

@@ -11,8 +11,10 @@ import hashlib
 import pytest
 
 from voxgen.cli import run
+from voxgen.geometry import BlockPlacement, BoundingVolume, ConnectionSpec, EntitySpec, ObjectSpec, Position, WorldModel
 from voxgen.query import LocationIndex, write_predicates
-from voxgen.serialization import read_semantic_map
+from voxgen.raster import rasterize
+from voxgen.serialization import read_semantic_map, write_world
 
 DOCUMENTS = {
     ("tutorial",): (
@@ -41,6 +43,14 @@ GRIDWORLD_3_RENDERINGS = {
 }
 
 
+# No generator writes equipment, escaped materials or loose world items; this
+# world, built in code, pins how the writers encode them.
+WORLD_BUILT_IN_CODE = (
+    "effca1392b7fe0845c7dacfa1140c2954352608b7ea3b9030c72bf5d3bf86115",
+    "ad97ada9f2619f9135d6ac5127a01c47fa64ed443b2b90601e7090ee7eefe0e2",
+)
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -66,3 +76,27 @@ def test_gridworld_renderings_are_pinned(tmp_path):
     assert run(["viz", "blueprint", "--hlr", str(hlr), "--llr", str(llr), "--out", str(out["blueprint.svg"])]) == 0
     write_predicates(LocationIndex(read_semantic_map(hlr)).export_predicates(), out["predicates.txt"])
     assert {name: sha256(path) for name, path in out.items()} == GRIDWORLD_3_RENDERINGS
+
+
+def build_world_in_code():
+    world = WorldModel("pinned")
+    hall = BoundingVolume("hall", "room", 'glass "pane"', Position(0, 0, 0), Position(4, 3, 4), has_roof=True)
+    hall.add_block(BlockPlacement("caf\u00e9\\tile\t", Position(2, 0, 2)))
+    hall.add_entity(EntitySpec("guard", "skeleton", Position(2, 1, 2), {"weapon": "bow", "helmet": "\u00e9caille"}))
+    hall.add_entity(EntitySpec("cat", "ocelot", Position(1, 1, 1)))
+    hall.add_object(ObjectSpec("chest", "treasure", BlockPlacement("gold_block", Position(3, 1, 3))))
+    annex = BoundingVolume("annex", "room", "stone", Position(4, 0, 0), Position(7, 3, 4))
+    world.add_volume(hall)
+    world.add_volume(annex)
+    world.add_connection(ConnectionSpec("gap", "door", (Position(4, 1, 2), Position(4, 2, 2)), ("hall", "annex")))
+    world.add_block(BlockPlacement("\u706b", Position(-3, 0, 0)))
+    world.add_entity(EntitySpec("stray", "zombie", Position(-2, 0, 0), {"boots": "iron_boots"}))
+    world.add_object(ObjectSpec("relic", "victim", BlockPlacement("bone\"block", Position(-1, 0, 0))))
+    return world.finalize()
+
+
+def test_world_built_in_code_bytes_are_pinned(tmp_path):
+    world = build_world_in_code()
+    hlr, llr = tmp_path / "semantic_map.json", tmp_path / "block_map.json"
+    write_world(world, rasterize(world), hlr, llr)
+    assert (sha256(hlr), sha256(llr)) == WORLD_BUILT_IN_CODE

@@ -5,7 +5,8 @@ and ``read_trace`` either return or raise ParseError/ValidationError. The
 near-valid strategies draw ids and coordinates from small pools, and in half
 the examples put any JSON value in any field, so that many examples get past
 the shape checks to the document invariants. A document that reads back
-writes and re-reads to the same bytes.
+writes and re-reads to the same bytes, and the streamed block-map writer
+writes the bytes of the plain json.dumps encoding in ``oracles``.
 """
 
 import json
@@ -15,8 +16,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from voxgen.errors import ParseError, ValidationError
+from voxgen.geometry import COORD_MAX, COORD_MIN, EQUIPMENT_SLOTS
 from voxgen.query import read_trace
-from voxgen.serialization import read_block_map, read_semantic_map, write_block_map, write_semantic_map
+from voxgen.serialization import (
+    BlockEntityRecord,
+    BlockMapDocument,
+    BlockRecord,
+    read_block_map,
+    read_semantic_map,
+    write_block_map,
+    write_semantic_map,
+)
+
+from oracles import block_map_text
 
 READERS = [read_semantic_map, read_block_map, read_trace]
 WRITERS = {read_semantic_map: write_semantic_map, read_block_map: write_block_map}
@@ -134,3 +146,27 @@ def test_near_valid_traces_read_within_contract(tmp_path, lines):
     path = tmp_path / "trace.jsonl"
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     read_within_contract(read_trace, path)
+
+
+# Quotes, backslashes, control characters, non-ASCII (astral too) and the
+# characters a format template would trip on, plus any text at all.
+awkward = st.sampled_from('a"\\\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600%{}')
+names = st.text(awkward, min_size=1, max_size=5) | st.text(max_size=4)
+lattice = st.integers(-2, 2) | st.integers(COORD_MIN, COORD_MAX)
+cells = st.tuples(lattice, lattice, lattice)
+equipment = st.lists(st.tuples(st.sampled_from(EQUIPMENT_SLOTS), names), max_size=3).map(tuple)
+documents = st.builds(
+    BlockMapDocument,
+    blocks=st.dictionaries(cells, names, max_size=6).map(
+        lambda by_cell: [BlockRecord(material, *cell) for cell, material in by_cell.items()]
+    ),
+    entities=st.lists(st.builds(BlockEntityRecord, names, lattice, lattice, lattice, equipment), max_size=4),
+)
+
+
+@SETTINGS
+@given(doc=documents)
+def test_block_map_writer_matches_the_plain_json_encoding(tmp_path, doc):
+    path = tmp_path / "block_map.json"
+    write_block_map(doc, path)
+    assert path.read_bytes() == block_map_text(doc).encode("ascii")

@@ -1,12 +1,15 @@
 """Document writing and reading: canonical bytes, validation, round trips."""
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 
 from voxgen.errors import ParseError, ValidationError
 from voxgen.generators import DungeonParams, gen_dungeon, gen_gridworld, gen_zombieworld
-from voxgen.geometry import Position, WorldModel
+from voxgen.geometry import BoundingVolume, EntitySpec, Position, WorldModel
 from voxgen.raster import rasterize
 from voxgen.serialization import (
     BlockEntityRecord,
@@ -330,3 +333,65 @@ def test_block_map_built_in_code_rejects_two_blocks_in_one_cell():
     with pytest.raises(ValidationError, match=r"duplicate block coordinates \(1, 2, 3\)"):
         BlockMapDocument(blocks=[BlockRecord("stone", 1, 2, 3), BlockRecord("log", 0, 0, 0),
                                  BlockRecord("log", 1, 2, 3)])
+
+
+def test_the_callers_equipment_dict_cannot_change_a_finalized_world(tmp_path):
+    equipment = {"weapon": "iron_sword"}
+    world = WorldModel("w")
+    hall = BoundingVolume("hall", "room", "stone", P0, Position(3, 3, 3))
+    hall.add_entity(EntitySpec("guard", "skeleton", P1, equipment))
+    world.add_volume(hall)
+    world.finalize()
+    equipment["weapon"] = ""
+    equipment["hat"] = "straw"
+    hlr, llr = write_tutorial(tmp_path, world, rasterize(world))
+    assert read_semantic_map(hlr).entities[0].equipment == (("weapon", "iron_sword"),)
+    assert read_block_map(llr).entities[0].equipment == (("weapon", "iron_sword"),)
+    assert world.volumes[0].entities[0].equipment == {"weapon": "iron_sword"}
+
+
+def test_a_write_that_fails_part_way_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "block_map.json"
+    write_block_map(BlockMapDocument(blocks=[BlockRecord("log", 0, 0, 0)]), path)
+    before = path.read_bytes()
+    # The entity row is encoded after every block row has been written.
+    rows = [BlockRecord("stone", x, 0, 0) for x in range(1, 5000)]
+    broken = BlockMapDocument(blocks=rows, entities=[BlockEntityRecord(object(), 0, 0, 0)])
+    with pytest.raises(TypeError):
+        write_block_map(broken, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["block_map.json"]
+
+
+def test_written_documents_get_the_mode_of_a_plain_open(tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    world = WorldModel("w").finalize()
+    hlr, llr = write_tutorial(tmp_path, world, rasterize(world))
+    mode = stat.S_IMODE(plain.stat().st_mode)
+    assert stat.S_IMODE(hlr.stat().st_mode) == stat.S_IMODE(llr.stat().st_mode) == mode
+
+
+def test_a_symbolic_link_target_is_written_through(tmp_path):
+    real = tmp_path / "real.json"
+    real.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    write_semantic_map(SemanticMap("w"), link)
+    assert link.is_symlink()
+    assert read_semantic_map(real) == SemanticMap("w")
+
+
+def test_a_fifo_target_is_written_in_place(tmp_path):
+    expected = tmp_path / "regular.json"
+    write_semantic_map(SemanticMap("w"), expected)
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_semantic_map(SemanticMap("w"), fifo)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert received == [expected.read_bytes()]
