@@ -3,7 +3,9 @@
 Generator subcommands write the semantic map (--out-hlr) and block map
 (--out-llr) for one world. ``viz`` renders either file set into an SVG
 blueprint or a DOT graph; ``monitor`` replays a position trace against a
-semantic map and writes location-transition events.
+semantic map and writes location-transition events. Every output file is
+written through ``serialization._write_atomically``, so a failed command
+leaves the previous file as it was.
 
 Exit codes: 0 success, 2 usage error, 1 anything else. All randomness flows
 from the explicit --seed flag, so identical argv means byte-identical output
@@ -20,7 +22,7 @@ from .errors import VoxgenError
 from .generators import DungeonParams, gen_dungeon, gen_gridworld, gen_tutorial_house, gen_zombieworld
 from .query import LocationIndex, read_trace, write_transitions
 from .raster import rasterize
-from .serialization import read_block_map, read_semantic_map, write_world
+from .serialization import _write_atomically, read_block_map, read_semantic_map, write_world
 from .viz import GRAPH_MODES, BlueprintStyle, load_palette, render_blueprint, render_graph
 
 
@@ -73,15 +75,15 @@ def _cmd_viz_blueprint(args: argparse.Namespace) -> int:
     if args.palette:
         style_kwargs["material_palette"] = load_palette(args.palette)
     style = BlueprintStyle(**style_kwargs)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_blueprint(semantic_map, block_map, style))
+    svg = render_blueprint(semantic_map, block_map, style)
+    _write_atomically(args.out, lambda handle: handle.write(svg))
     return 0
 
 
 def _cmd_viz_graph(args: argparse.Namespace) -> int:
     semantic_map = read_semantic_map(args.hlr)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_graph(semantic_map, args.mode))
+    dot = render_graph(semantic_map, args.mode)
+    _write_atomically(args.out, lambda handle: handle.write(dot))
     return 0
 
 

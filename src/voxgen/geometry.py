@@ -92,10 +92,11 @@ _SET_X, _SET_Y, _SET_Z = (Position.__dict__[axis].__set__ for axis in "xyz")
 
 
 def _lattice_point(x: int, y: int, z: int) -> Position:
-    """A Position built without the per-axis checks, at about a third of the cost.
+    """A Position built without the per-axis checks.
 
     Only for int coordinates that lie between those of two Positions, such as
-    a cell of a volume, which are therefore on the lattice already.
+    a cell of a volume or of a connection, which are therefore on the lattice
+    already. It is cheap enough to build one per cell write.
     """
     point = object.__new__(Position)
     _SET_X(point, x)

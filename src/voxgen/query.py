@@ -3,9 +3,11 @@
 LocationIndex is an immutable view over a SemanticMap. ``locate`` resolves a
 point to the most specific named location: the deepest one containing it,
 with ties broken by smaller volume and then by lexicographic id (connections
-are not locations and never match). ``transitions`` replays a position trace
-and reports every location change per player. ``export_predicates`` renders
-the connection and containment structure as planner-style facts.
+are not locations and never match). The index sorts the locations into that
+order once, when it is built, so ``locate`` returns the first location that
+holds the point. ``transitions`` replays a position trace and reports every
+location change per player. ``export_predicates`` renders the connection and
+containment structure as planner-style facts.
 
 Traces are JSON Lines: one object per line with integer millisecond
 ``timestamp``, string ``player_id``, and integer ``x``/``y``/``z``.
@@ -22,6 +24,7 @@ from .errors import NonMonotonicTraceError, ValidationError
 from .geometry import Position
 from .serialization import (
     _PARSE_FAILURES, LocationRecord, PathLike, SemanticMap, _parse_error, _read_coord, _read_int, _read_str,
+    _write_atomically,
 )
 
 
@@ -59,25 +62,22 @@ class LocationIndex:
 
     def __init__(self, semantic_map: SemanticMap):
         self.map = semantic_map
-        self.depth = semantic_map.depths
-        self.volume = {loc.id: _volume_of(loc) for loc in semantic_map.locations}
+        depths = semantic_map.depths
+        # locate's preference order: deepest, then smallest, then first by id.
+        self._candidates = tuple(
+            sorted(semantic_map.locations, key=lambda loc: (-depths[loc.id], _volume_of(loc), loc.id))
+        )
 
     def locate(self, p: Position) -> Optional[str]:
         """Id of the deepest (then smallest, then first-by-id) location holding p."""
-        best: Optional[str] = None
-        best_key: Optional[tuple[int, int, str]] = None
-        for loc in self.map.locations:
-            if not (
+        for loc in self._candidates:
+            if (
                 loc.top_left.x <= p.x <= loc.bottom_right.x
                 and loc.top_left.y <= p.y <= loc.bottom_right.y
                 and loc.top_left.z <= p.z <= loc.bottom_right.z
             ):
-                continue
-            key = (-self.depth[loc.id], self.volume[loc.id], loc.id)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = loc.id
-        return best
+                return loc.id
+        return None
 
     def transitions(self, trace: Iterable[TraceEvent]) -> list[Transition]:
         """One event per change of located position per player, in trace order."""
@@ -149,23 +149,10 @@ def read_trace(path: PathLike) -> list[TraceEvent]:
 
 def write_transitions(events: Iterable[Transition], path: PathLike) -> None:
     """Write transition events as JSON Lines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for event in events:
-            handle.write(
-                json.dumps(
-                    {
-                        "timestamp": event.timestamp,
-                        "player_id": event.player_id,
-                        "from": event.from_id,
-                        "to": event.to_id,
-                    }
-                )
-                + "\n"
-            )
+    rows = ({"timestamp": e.timestamp, "player_id": e.player_id, "from": e.from_id, "to": e.to_id} for e in events)
+    _write_atomically(path, lambda handle: handle.writelines(json.dumps(row) + "\n" for row in rows))
 
 
 def write_predicates(facts: Iterable[str], path: PathLike) -> None:
     """Write predicate facts as plain text, one per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for fact in facts:
-            handle.write(fact + "\n")
+    _write_atomically(path, lambda handle: handle.writelines(fact + "\n" for fact in facts))

@@ -18,31 +18,22 @@ thing they emit).
 Entities do not write cells; they are collected in the same traversal order.
 Nothing is validated here: ``WorldModel.finalize()`` already has.
 
-Cell keys are ``Position`` objects, and a ``Position`` costs far more to build
-than a write. A block or an object keys its cell with the ``Position`` it
-already carries. A shell is one ring of (x, z) columns, each corner once,
-written at every y layer; a roof is the footprint's columns at one layer.
-Their keys come from a table local to one ``rasterize`` call that builds a
-``Position`` only the first time a cell is met, so a wall two rooms share is
-written twice but gets one key. The cell lies inside a finalized volume, so
-the key skips the coordinate checks (``geometry._lattice_point``).
+Cell keys are ``Position`` objects. A block or an object keys its cell with
+the ``Position`` it already carries. Shell, roof and carve cells lie inside a
+finalized volume or connection, so each write builds its key without the
+coordinate checks (``geometry._lattice_point``); that costs less than looking
+up a key built earlier, so no key is cached between writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Optional
 
 from .geometry import BLANK, BoundingVolume, EntitySpec, Position, WorldModel, _lattice_point
 
 CARVING_CONNECTION_TYPES = ("door", "opening")
-
-# A column is (key, x, z); the key packs (x, z) into one int, unique on the
-# 64-bit lattice. Unlike a tuple, an int is not tracked by the garbage
-# collector, so the key table of a large world does not set off extra
-# full collections.
-_SPAN = 2**64
-Column = tuple[int, int, int]
 
 
 @dataclass
@@ -53,17 +44,11 @@ class BlockGrid:
     entities: list[EntitySpec] = field(default_factory=list)
 
 
-def _columns(xs: Iterable[int], zs: Iterable[int]) -> list[Column]:
-    return [(x * _SPAN + z, x, z) for x in xs for z in zs]
-
-
-def _ring(v: BoundingVolume) -> list[Column]:
-    """The columns of the perimeter walls, each corner once."""
+def _ring(v: BoundingVolume) -> list[tuple[int, int]]:
+    """The (x, z) columns of the perimeter walls, each corner once."""
     tl, br = v.top_left, v.bottom_right
     xs, zs = range(tl.x, br.x + 1), range(tl.z, br.z + 1)
-    return list(dict.fromkeys(
-        _columns(xs, (tl.z, br.z)) + _columns((tl.x, br.x), zs)
-    ))
+    return list(dict.fromkeys([*product(xs, (tl.z, br.z)), *product((tl.x, br.x), zs)]))
 
 
 def _write_items(holder: BoundingVolume | WorldModel, grid: BlockGrid) -> None:
@@ -81,23 +66,18 @@ def rasterize(world: WorldModel) -> BlockGrid:
         raise ValueError(f"world {world.id} must be finalized before rasterizing")
     grid = BlockGrid()
     cells = grid.cells
-    layers: dict[int, dict[int, Position]] = {}  # y -> column key -> the one Position of that cell
 
-    def fill(columns: list[Column], ys: Iterable[int], material: str) -> None:
+    def fill(columns: list[tuple[int, int]], ys: Iterable[int], material: str) -> None:
         for y in ys:
-            layer = layers.setdefault(y, {})
-            for column, x, z in columns:
-                key = layer.get(column)
-                if key is None:
-                    key = layer[column] = _lattice_point(x, y, z)
-                cells[key] = material
+            for x, z in columns:
+                cells[_lattice_point(x, y, z)] = material
 
     for v in world.walk_volumes():
         tl, br = v.top_left, v.bottom_right
         if v.material != BLANK:
             fill(_ring(v), range(tl.y, br.y + 1), v.material)
         if v.has_roof:
-            fill(_columns(range(tl.x, br.x + 1), range(tl.z, br.z + 1)), (br.y,), v.material)
+            fill(list(product(range(tl.x, br.x + 1), range(tl.z, br.z + 1))), (br.y,), v.material)
         _write_items(v, grid)
     _write_items(world, grid)
 
@@ -105,11 +85,8 @@ def rasterize(world: WorldModel) -> BlockGrid:
         if conn.connection_type not in CARVING_CONNECTION_TYPES:
             continue
         tl, br = conn.bounds
-        for x in range(tl.x, br.x + 1):
-            for y in range(tl.y, br.y + 1):
-                for z in range(tl.z, br.z + 1):
-                    # A cell no shell or roof wrote can still hold a block, keyed by its own Position.
-                    cells.pop(layers.get(y, {}).get(x * _SPAN + z) or Position(x, y, z), None)
+        for x, y, z in product(range(tl.x, br.x + 1), range(tl.y, br.y + 1), range(tl.z, br.z + 1)):
+            cells.pop(_lattice_point(x, y, z), None)
     return grid
 
 

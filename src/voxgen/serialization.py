@@ -7,8 +7,9 @@ of every list (records by id, id lists and equipment sorted, block and entity
 rows by coordinates) and raises ValidationError unless its ids are unique,
 child_ids form a forest, every reference names a declared location, no two
 blocks share a cell, bounds corners are in order and every equipment slot is
-one of EQUIPMENT_SLOTS. Writers only encode: keys in a fixed order, "\n"
-line endings, ASCII output. Writing what you just read reproduces the file.
+one of EQUIPMENT_SLOTS and named at most once per entity. Writers only encode:
+keys in a fixed order, "\n" line endings, ASCII output. Writing what you just
+read reproduces the file.
 
 The format is what ``json.dumps(indent=2, ensure_ascii=True)`` lays out. The
 semantic map is small and goes through ``json.dumps``. The block map, one row
@@ -54,8 +55,11 @@ def _check_bounds(top_left: Position, bottom_right: Position, context: str) -> N
 
 
 def _check_equipment(equipment: tuple[tuple[str, str], ...], context: str) -> None:
+    seen: set[str] = set()
     for slot, _ in equipment:
         _require(slot in EQUIPMENT_SLOTS, f"{context}: unknown equipment slot {slot!r}")
+        _require(slot not in seen, f"{context}: repeated equipment slot {slot!r}")
+        seen.add(slot)
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,7 @@ class BlockMapDocument:
     entities: tuple[BlockEntityRecord, ...] = ()
 
     def __post_init__(self) -> None:
-        blocks = sorted(self.blocks, key=lambda b: (b.x, b.y, b.z, b.material))
+        blocks = sorted(self.blocks, key=lambda b: (b.x, b.y, b.z))
         for a, b in itertools.pairwise(blocks):
             if a.x == b.x and a.y == b.y and a.z == b.z:
                 raise ValidationError(f"duplicate block coordinates {(a.x, a.y, a.z)}")
@@ -367,9 +371,7 @@ def _write_list(handle: TextIO, rows: Iterable[str]) -> None:
 def _equipment_json(equipment: tuple[tuple[str, str], ...]) -> str:
     if not equipment:
         return ""
-    # Through a dict, as json.dumps would see it: a repeated slot keeps its last item.
-    items = dict(equipment).items()
-    return _EQUIPMENT % ",\n".join(_EQUIPMENT_ITEM % (_encode(slot), _encode(item)) for slot, item in items)
+    return _EQUIPMENT % ",\n".join(_EQUIPMENT_ITEM % (_encode(slot), _encode(item)) for slot, item in equipment)
 
 
 def _write_block_map_rows(doc: BlockMapDocument, handle: TextIO) -> None:

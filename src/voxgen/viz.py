@@ -4,18 +4,22 @@
 voxel is ``voxel_pixel_scale`` pixels, so a rectangle's SVG coordinates are
 exactly its location bounds times the scale. Leaf locations (no children) are
 drawn as labeled outlines; when a block map is supplied, each occupied (x, z)
-column is painted with the palette color of its topmost block.
+column is painted with the palette color of its topmost block: the block map
+keeps its blocks in (x, y, z) order, so a column's last block is its topmost.
+Ids and colors are XML-escaped.
 
 ``render_graph`` emits Graphviz DOT text: hierarchy mode is a digraph with one
 edge per parent-child pair, topology mode an undirected graph with one edge
 per connected pair. Both list every location as a node, sorted by id, so
 output is stable. Node and edge order come from the document's canonical
-order: locations by id, child ids sorted.
+order: locations by id, child ids sorted. Ids are written as DOT quoted
+strings, with ``"`` and ``\\`` escaped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Optional
 
 from .errors import ValidationError
@@ -69,19 +73,9 @@ def load_palette(path: PathLike) -> dict[str, str]:
     return palette
 
 
-def _map_extent(semantic_map: SemanticMap, block_map: Optional[BlockMapDocument]):
-    xs: list[int] = []
-    zs: list[int] = []
-    for loc in semantic_map.locations:
-        xs.extend((loc.top_left.x, loc.bottom_right.x))
-        zs.extend((loc.top_left.z, loc.bottom_right.z))
-    if block_map is not None:
-        for b in block_map.blocks:
-            xs.append(b.x)
-            zs.append(b.z)
-    if not xs:
-        return 0, 0, 0, 0
-    return min(xs), max(xs), min(zs), max(zs)
+def _xml_escape(text: str) -> str:
+    """Text safe in SVG element content and in a double-quoted attribute."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
 
 def render_blueprint(
@@ -92,7 +86,13 @@ def render_blueprint(
     """Render the top-down blueprint as an SVG document string."""
     style = style or BlueprintStyle()
     s = style.voxel_pixel_scale
-    min_x, max_x, min_z, max_z = _map_extent(semantic_map, block_map)
+    columns: dict[tuple[int, int], str] = {}  # (x, z) -> material of the topmost block
+    for b in block_map.blocks if block_map is not None else ():
+        columns[b.x, b.z] = b.material
+    corners = [(c.x, c.z) for loc in semantic_map.locations for c in (loc.top_left, loc.bottom_right)]
+    xs = [x for x, _ in chain(columns, corners)] or [0]
+    zs = [z for _, z in chain(columns, corners)] or [0]
+    min_x, max_x, min_z, max_z = min(xs), max(xs), min(zs), max(zs)
     # One voxel of padding keeps strokes and edge labels inside the canvas.
     view_x = (min_x - 1) * s
     view_z = (min_z - 1) * s
@@ -107,17 +107,9 @@ def render_blueprint(
         f'fill="#ffffff" stroke="#000000" stroke-width="2"/>',
     ]
 
-    if block_map is not None:
-        topmost: dict[tuple[int, int], tuple[int, str]] = {}
-        for b in block_map.blocks:
-            key = (b.x, b.z)
-            if key not in topmost or b.y >= topmost[key][0]:
-                topmost[key] = (b.y, b.material)
-        for (x, z) in sorted(topmost):
-            color = style.color(topmost[(x, z)][1])
-            lines.append(
-                f'<rect x="{x * s}" y="{z * s}" width="{s}" height="{s}" fill="{color}"/>'
-            )
+    fills = {material: _xml_escape(style.color(material)) for material in set(columns.values())}
+    for (x, z), material in sorted(columns.items()):
+        lines.append(f'<rect x="{x * s}" y="{z * s}" width="{s}" height="{s}" fill="{fills[material]}"/>')
 
     leaves = [loc for loc in semantic_map.locations if not loc.child_ids]
     for loc in leaves:
@@ -132,7 +124,7 @@ def render_blueprint(
         if style.show_labels:
             lines.append(
                 f'<text x="{x + s // 2}" y="{z + s}" font-family="monospace" '
-                f'font-size="{s}">{loc.id}</text>'
+                f'font-size="{s}">{_xml_escape(loc.id)}</text>'
             )
 
     lines.append("</svg>")
@@ -140,6 +132,10 @@ def render_blueprint(
 
 
 GRAPH_MODES = ("hierarchy", "topology")
+
+
+def _dot_id(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def render_graph(semantic_map: SemanticMap, mode: str = "hierarchy") -> str:
@@ -161,8 +157,8 @@ def render_graph(semantic_map: SemanticMap, mode: str = "hierarchy") -> str:
         edges = semantic_map.connected_pairs()
 
     for loc in semantic_map.locations:
-        lines.append(f'  "{loc.id}";')
+        lines.append(f"  {_dot_id(loc.id)};")
     for a, b in edges:
-        lines.append(f'  "{a}" {edge_op} "{b}";')
+        lines.append(f"  {_dot_id(a)} {edge_op} {_dot_id(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,6 +7,8 @@ the examples put any JSON value in any field, so that many examples get past
 the shape checks to the document invariants. A document that reads back
 writes and re-reads to the same bytes, and the streamed block-map writer
 writes the bytes of the plain json.dumps encoding in ``oracles``.
+``LocationIndex.locate`` agrees with the ``oracles.scan_locate`` scan on
+random location forests.
 """
 
 import json
@@ -16,19 +18,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from voxgen.errors import ParseError, ValidationError
-from voxgen.geometry import COORD_MAX, COORD_MIN, EQUIPMENT_SLOTS
-from voxgen.query import read_trace
+from voxgen.geometry import COORD_MAX, COORD_MIN, EQUIPMENT_SLOTS, Position
+from voxgen.query import LocationIndex, read_trace
 from voxgen.serialization import (
     BlockEntityRecord,
     BlockMapDocument,
     BlockRecord,
+    LocationRecord,
+    SemanticMap,
     read_block_map,
     read_semantic_map,
     write_block_map,
     write_semantic_map,
 )
 
-from oracles import block_map_text
+from oracles import block_map_text, scan_locate
 
 READERS = [read_semantic_map, read_block_map, read_trace]
 WRITERS = {read_semantic_map: write_semantic_map, read_block_map: write_block_map}
@@ -154,7 +158,10 @@ awkward = st.sampled_from('a"\\\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600%{}')
 names = st.text(awkward, min_size=1, max_size=5) | st.text(max_size=4)
 lattice = st.integers(-2, 2) | st.integers(COORD_MIN, COORD_MAX)
 cells = st.tuples(lattice, lattice, lattice)
-equipment = st.lists(st.tuples(st.sampled_from(EQUIPMENT_SLOTS), names), max_size=3).map(tuple)
+# Each slot at most once, as the record requires, in any order.
+equipment = st.lists(
+    st.tuples(st.sampled_from(EQUIPMENT_SLOTS), names), max_size=3, unique_by=lambda item: item[0]
+).map(tuple)
 documents = st.builds(
     BlockMapDocument,
     blocks=st.dictionaries(cells, names, max_size=6).map(
@@ -170,3 +177,54 @@ def test_block_map_writer_matches_the_plain_json_encoding(tmp_path, doc):
     path = tmp_path / "block_map.json"
     write_block_map(doc, path)
     assert path.read_bytes() == block_map_text(doc).encode("ascii")
+
+
+@st.composite
+def location_forests(draw):
+    """A semantic map of up to 8 locations. A child's box lies inside its
+    parent's; siblings may overlap, and a box may be one cell or repeat its
+    parent's (or, at the root, the whole space's) box exactly, so depth, volume
+    and id each decide some ties."""
+    count = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=2), min_size=count, max_size=count, unique=True))
+    boxes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    children: list[list[str]] = []
+    for i in range(count):
+        parent = draw(st.none() | st.integers(0, i - 1)) if i else None
+        lo, hi = boxes[parent] if parent is not None else ((-3, -3, -3), (3, 3, 3))
+        shape = draw(st.sampled_from(["box", "cell", "same"]))
+        if shape == "same":
+            tl, br = lo, hi
+        elif shape == "cell":
+            tl = br = tuple(draw(st.integers(a, b)) for a, b in zip(lo, hi))
+        else:
+            spans = [sorted(draw(st.lists(st.integers(a, b), min_size=2, max_size=2))) for a, b in zip(lo, hi)]
+            tl, br = tuple(s[0] for s in spans), tuple(s[1] for s in spans)
+        boxes.append((tl, br))
+        children.append([])
+        if parent is not None:
+            children[parent].append(ids[i])
+    return SemanticMap("w", tuple(
+        LocationRecord(ids[i], "room", "stone", Position(*tl), Position(*br), tuple(children[i]))
+        for i, (tl, br) in enumerate(boxes)
+    ))
+
+
+def probes(tl, br):
+    """Corners, plus along each axis through the box's middle: one voxel
+    outside each face, on each face, and the middle itself."""
+    middle = [(a + b) // 2 for a, b in zip(tl, br)]
+    points = {tuple(tl), tuple(br)}
+    for axis in range(3):
+        for value in (tl[axis] - 1, tl[axis], middle[axis], br[axis], br[axis] + 1):
+            points.add(tuple(value if i == axis else middle[i] for i in range(3)))
+    return points
+
+
+@SETTINGS
+@given(semantic_map=location_forests())
+def test_locate_agrees_with_the_scan_oracle(semantic_map):
+    index = LocationIndex(semantic_map)
+    for loc in semantic_map.locations:
+        for point in probes(loc.top_left.as_tuple(), loc.bottom_right.as_tuple()):
+            assert index.locate(Position(*point)) == scan_locate(semantic_map, point)

@@ -1,5 +1,6 @@
 """Point location, transition monitoring, and predicate export."""
 
+import os
 import random
 
 import pytest
@@ -136,6 +137,20 @@ class TestTraceFiles:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert '"from": "room_1", "to": "room_2"' in lines[1]
+
+    def test_a_failed_event_stream_leaves_the_previous_file(self, tmp_path):
+        out = tmp_path / "events.jsonl"
+        write_transitions([Transition(0, "p1", None, "room_1")], out)
+        before = out.read_bytes()
+
+        def events():
+            yield Transition(5, "p1", "room_1", "room_2")
+            raise RuntimeError("trace ended early")
+
+        with pytest.raises(RuntimeError, match="trace ended early"):
+            write_transitions(events(), out)
+        assert out.read_bytes() == before
+        assert os.listdir(tmp_path) == ["events.jsonl"]
 
     def test_malformed_line_raises_parse_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -313,6 +313,16 @@ def test_records_built_in_code_check_bounds_and_slots(build, match):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: EntityRecord("e", "zombie", P0, None, (("weapon", "a"), ("weapon", "b"))),
+    lambda: BlockEntityRecord("zombie", 0, 0, 0, (("weapon", "a"), ("helmet", "c"), ("weapon", "b"))),
+], ids=["semantic-map-entity", "block-map-entity"])
+def test_records_built_in_code_reject_a_repeated_equipment_slot(build):
+    # One item per slot is all a file can hold, so a second one would be lost on writing.
+    with pytest.raises(ValidationError, match="repeated equipment slot 'weapon'"):
+        build()
+
+
 def test_semantic_map_records_depths_without_comparing_them():
     m = SemanticMap("w", (room("c"), room("a", "b"), room("b", "c")))
     assert m.depths == {"a": 0, "b": 1, "c": 2}

@@ -1,15 +1,25 @@
 """Blueprint SVG and DOT graph rendering."""
 
 import json
+import random
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from voxgen.generators import gen_gridworld
-from voxgen.geometry import WorldModel
+from voxgen.geometry import Position, WorldModel
 from voxgen.raster import rasterize
-from voxgen.serialization import block_map_from_grid, semantic_map_from_world
+from voxgen.serialization import (
+    BlockMapDocument,
+    BlockRecord,
+    LocationRecord,
+    SemanticMap,
+    block_map_from_grid,
+    read_semantic_map,
+    semantic_map_from_world,
+    write_semantic_map,
+)
 from voxgen.viz import BlueprintStyle, load_palette, render_blueprint, render_graph
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -65,6 +75,49 @@ def test_block_columns_use_topmost_material_color():
     svg = render_blueprint(m, doc, BlueprintStyle(voxel_pixel_scale=2, show_labels=False))
     style = BlueprintStyle()
     assert style.color("stone") in svg
+
+
+def test_each_column_takes_the_color_of_its_highest_block():
+    # Materials stacked bottom to top, with gaps and negative heights; the
+    # topmost material of each column sorts before the ones below it.
+    stacks = {
+        (0, 0): [(-2, "water"), (0, "stone"), (3, "glass")],
+        (0, 1): [(1, "stone"), (2, "log")],
+        (1, 0): [(5, "water"), (6, "planks"), (7, "lava")],
+        (2, -1): [(-4, "stone"), (-3, "cobblestone")],
+        (-1, 3): [(0, "gold_block")],
+    }
+    rows = [BlockRecord(material, x, y, z) for (x, z), stack in stacks.items() for y, material in stack]
+    random.Random(7).shuffle(rows)
+    style = BlueprintStyle(voxel_pixel_scale=3, show_labels=False)
+    svg = render_blueprint(SemanticMap("w"), BlockMapDocument(blocks=rows), style)
+    painted = {
+        (int(r.get("x")) // 3, int(r.get("y")) // 3): r.get("fill")
+        for r in svg_rects(svg)[1:]  # after the frame
+    }
+    assert painted == {column: style.color(stack[-1][1]) for column, stack in stacks.items()}
+
+
+def test_ids_and_colors_are_escaped_in_svg_and_dot(tmp_path):
+    leaf, parent = 'a&b<"x">', "back\\slash"
+    path = tmp_path / "semantic_map.json"
+    write_semantic_map(SemanticMap("w", (
+        LocationRecord(parent, "house", "stone", Position(0, 0, 0), Position(4, 2, 2), (leaf,)),
+        LocationRecord(leaf, "room", "stone", Position(1, 1, 1), Position(1, 1, 1), ()),
+    )), path)
+    m = read_semantic_map(path)
+    blocks = BlockMapDocument(blocks=[BlockRecord("quoted", 0, 0, 0)])
+    style = BlueprintStyle(material_palette={"quoted": '#fff" onload="x'})
+    root = ET.fromstring(render_blueprint(m, blocks, style))
+    assert [t.text for t in root.findall(f"{SVG_NS}text")] == [leaf]
+    assert root.findall(f"{SVG_NS}rect")[1].get("fill") == '#fff" onload="x'
+
+    assert render_graph(m, "hierarchy").splitlines()[1:] == [
+        '  "a&b<\\"x\\">";',
+        '  "back\\\\slash";',
+        '  "back\\\\slash" -> "a&b<\\"x\\">";',
+        "}",
+    ]
 
 
 def test_unknown_material_gets_fallback_color():
