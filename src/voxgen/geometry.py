@@ -4,7 +4,10 @@ Everything lives on the 3D integer lattice; one unit is one voxel edge. The
 y axis is vertical. A bounding volume is an axis-aligned cuboid named by two
 opposite corners: ``top_left`` is the corner with the lowest x, y and z,
 ``bottom_right`` the corner with the highest. Both corners are inclusive, so
-a volume with equal corners contains exactly one lattice point.
+a volume with equal corners contains exactly one lattice point. A point is a
+``Position``, the tuple ``(x, y, z)`` with named fields: it hashes, compares
+and sorts as that tuple does, in C, so it is the key of a cell everywhere,
+from the raster's grid to the block map's rows.
 
 Volumes nest: translating a volume translates its whole subtree (children,
 blocks, entities, objects) in one move. Connections are the deliberate
@@ -25,6 +28,7 @@ and is the one full check.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
@@ -68,27 +72,31 @@ def _check_name(value: object, what: str) -> None:
         raise ValueError(f"{what} must be a nonempty str, got {value!r}")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Position:
-    """A point on the 3D integer lattice. Ordering is lexicographic (x, y, z)."""
+class Position(namedtuple("Position", "x y z")):
+    """A point on the 3D integer lattice: the tuple (x, y, z) with named fields.
 
-    x: int
-    y: int
-    z: int
+    Hashing, equality and ordering are the tuple's, so a Position is equal to
+    the plain tuple with the same coordinates, hashes like it, and orders
+    lexicographically by (x, y, z). Each coordinate is an int (not a bool) on
+    the signed 64-bit lattice.
+    """
 
-    def __post_init__(self) -> None:
-        _check_coord(self.x, "x")
-        _check_coord(self.y, "y")
-        _check_coord(self.z, "z")
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int, z: int) -> "Position":
+        return tuple.__new__(cls, (_check_coord(x, "x"), _check_coord(y, "y"), _check_coord(z, "z")))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "Position":
+        # namedtuple's _make and _replace would skip the checks in __new__.
+        return cls(*iterable)
 
     def shifted(self, dx: int, dy: int, dz: int) -> "Position":
-        return Position(self.x + dx, self.y + dy, self.z + dz)
+        x, y, z = self
+        return Position(x + dx, y + dy, z + dz)
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
-
-
-_SET_X, _SET_Y, _SET_Z = (Position.__dict__[axis].__set__ for axis in "xyz")
+        return tuple(self)
 
 
 def _lattice_point(x: int, y: int, z: int) -> Position:
@@ -98,11 +106,7 @@ def _lattice_point(x: int, y: int, z: int) -> Position:
     a cell of a volume or of a connection, which are therefore on the lattice
     already. It is cheap enough to build one per cell write.
     """
-    point = object.__new__(Position)
-    _SET_X(point, x)
-    _SET_Y(point, y)
-    _SET_Z(point, z)
-    return point
+    return tuple.__new__(Position, (x, y, z))
 
 
 @dataclass(frozen=True, slots=True)
@@ -367,16 +371,8 @@ class BoundingVolume(_ItemHolder):
                 self.top_left = child.top_left
                 self.bottom_right = child.bottom_right
             else:
-                self.top_left = Position(
-                    min(self.top_left.x, child.top_left.x),
-                    min(self.top_left.y, child.top_left.y),
-                    min(self.top_left.z, child.top_left.z),
-                )
-                self.bottom_right = Position(
-                    max(self.bottom_right.x, child.bottom_right.x),
-                    max(self.bottom_right.y, child.bottom_right.y),
-                    max(self.bottom_right.z, child.bottom_right.z),
-                )
+                self.top_left = Position(*map(min, self.top_left, child.top_left))
+                self.bottom_right = Position(*map(max, self.bottom_right, child.bottom_right))
         elif not self.contains_box(child.top_left, child.bottom_right):
             raise OutOfBoundsError(
                 f"child {child.id} {child.top_left.as_tuple()}..{child.bottom_right.as_tuple()} "

@@ -4,10 +4,11 @@ LocationIndex is an immutable view over a SemanticMap. ``locate`` resolves a
 point to the most specific named location: the deepest one containing it,
 with ties broken by smaller volume and then by lexicographic id (connections
 are not locations and never match). The index sorts the locations into that
-order once, when it is built, so ``locate`` returns the first location that
-holds the point. ``transitions`` replays a position trace and reports every
-location change per player. ``export_predicates`` renders the connection and
-containment structure as planner-style facts.
+order once, when it is built, and keeps each as a flat tuple of its bounds
+per axis and its id. ``locate`` unpacks the point's ``(x, y, z)`` once and
+returns the first location that holds it. ``transitions`` replays a position
+trace and reports every location change per player. ``export_predicates``
+renders the connection and containment structure as planner-style facts.
 
 Traces are JSON Lines: one object per line with integer millisecond
 ``timestamp``, string ``player_id``, and integer ``x``/``y``/``z``.
@@ -17,6 +18,7 @@ Transition events are written in the same framing with ``from``/``to``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -28,7 +30,7 @@ from .serialization import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     timestamp: int
     player_id: str
@@ -41,7 +43,7 @@ class TraceEvent:
             raise ValueError("player_id must be nonempty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     timestamp: int
     player_id: str
@@ -50,11 +52,7 @@ class Transition:
 
 
 def _volume_of(loc: LocationRecord) -> int:
-    return (
-        (loc.bottom_right.x - loc.top_left.x + 1)
-        * (loc.bottom_right.y - loc.top_left.y + 1)
-        * (loc.bottom_right.z - loc.top_left.z + 1)
-    )
+    return math.prod(high - low + 1 for low, high in zip(loc.top_left, loc.bottom_right))
 
 
 class LocationIndex:
@@ -64,19 +62,22 @@ class LocationIndex:
         self.map = semantic_map
         depths = semantic_map.depths
         # locate's preference order: deepest, then smallest, then first by id.
+        ordered = sorted(semantic_map.locations, key=lambda loc: (-depths[loc.id], _volume_of(loc), loc.id))
+        # Each as a plain (x0, x1, y0, y1, z0, z1, id): indexing a plain tuple is
+        # cheaper than reading a Position's fields, and a location that fails its
+        # first compare costs two reads, not an unpacking of all seven.
         self._candidates = tuple(
-            sorted(semantic_map.locations, key=lambda loc: (-depths[loc.id], _volume_of(loc), loc.id))
+            (loc.top_left.x, loc.bottom_right.x, loc.top_left.y, loc.bottom_right.y,
+             loc.top_left.z, loc.bottom_right.z, loc.id)
+            for loc in ordered
         )
 
     def locate(self, p: Position) -> Optional[str]:
         """Id of the deepest (then smallest, then first-by-id) location holding p."""
-        for loc in self._candidates:
-            if (
-                loc.top_left.x <= p.x <= loc.bottom_right.x
-                and loc.top_left.y <= p.y <= loc.bottom_right.y
-                and loc.top_left.z <= p.z <= loc.bottom_right.z
-            ):
-                return loc.id
+        x, y, z = p
+        for c in self._candidates:
+            if c[0] <= x <= c[1] and c[2] <= y <= c[3] and c[4] <= z <= c[5]:
+                return c[6]
         return None
 
     def transitions(self, trace: Iterable[TraceEvent]) -> list[Transition]:

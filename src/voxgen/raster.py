@@ -18,11 +18,12 @@ thing they emit).
 Entities do not write cells; they are collected in the same traversal order.
 Nothing is validated here: ``WorldModel.finalize()`` already has.
 
-Cell keys are ``Position`` objects. A block or an object keys its cell with
-the ``Position`` it already carries. Shell, roof and carve cells lie inside a
-finalized volume or connection, so each write builds its key without the
-coordinate checks (``geometry._lattice_point``); that costs less than looking
-up a key built earlier, so no key is cached between writes.
+Cell keys are ``Position`` tuples, which hash and compare in C; a plain
+``(x, y, z)`` tuple finds the same cell. A block or an object keys its cell
+with the ``Position`` it already carries. Shell, roof and carve cells lie
+inside a finalized volume or connection, so each write builds its key without
+the coordinate checks (``geometry._lattice_point``); that costs less than
+looking up a key built earlier, so no key is cached between writes.
 """
 
 from __future__ import annotations

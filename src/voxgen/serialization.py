@@ -12,15 +12,20 @@ keys in a fixed order, "\n" line endings, ASCII output. Writing what you just
 read reproduces the file.
 
 The format is what ``json.dumps(indent=2, ensure_ascii=True)`` lays out. The
-semantic map is small and goes through ``json.dumps``. The block map, one row
-per cell, is streamed: each row fills a fixed template, with every distinct
-string encoded once by ``json.dumps``, and no per-row dict or whole-document
-string is built. Both writers replace the target only once the new file is
-complete, so a failure part-way leaves the previous file as it was.
+semantic map goes through ``json.dump``, which writes the text as it encodes
+it instead of joining it into one string first. The block map, one row per
+cell, is held as sorted plain ``(x, y, z, material)`` tuples and streamed:
+each row fills a fixed template, with every distinct string encoded once by
+``json.dumps``, and no per-row object or whole-document string is built.
+Both writers replace the target only once the new file is complete, so a
+failure part-way leaves the previous file as it was.
 
-Readers only parse: they check shapes, types and coordinate range, then
-construct the document. They raise ParseError (undecodable or malformed
-JSON, naming the line where known) or ValidationError.
+Readers only parse: they check shapes, types, coordinate range and that
+each string can be written back as UTF-8, then construct the document. The
+block-map reader checks its rows a column at a time and reads them one
+field at a time only to name the first bad one. Readers raise ParseError
+(undecodable or malformed JSON, naming the line where known) or
+ValidationError.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -191,21 +197,44 @@ class BlockEntityRecord:
         object.__setattr__(self, "equipment", tuple(sorted(self.equipment)))
 
 
-@dataclass(frozen=True)
+# A block as the block map stores it: its cell, then its material.
+BlockRow = tuple[int, int, int, str]
+
+_CELL = operator.itemgetter(0, 1, 2)
+
+
+@dataclass(frozen=True, init=False)
 class BlockMapDocument:
-    """The low-level document: every block and entity in the flattened world, one block per cell."""
+    """The low-level document: every block and entity in the flattened world, one block per cell.
 
-    blocks: tuple[BlockRecord, ...] = ()
-    entities: tuple[BlockEntityRecord, ...] = ()
+    The blocks are kept as ``rows``, plain ``(x, y, z, material)`` tuples
+    sorted as tuples, which is (x, y, z) order because no two share a cell.
+    They can be given as rows, as BlockRecords (``blocks``) or both.
+    """
 
-    def __post_init__(self) -> None:
-        blocks = sorted(self.blocks, key=lambda b: (b.x, b.y, b.z))
-        for a, b in itertools.pairwise(blocks):
-            if a.x == b.x and a.y == b.y and a.z == b.z:
-                raise ValidationError(f"duplicate block coordinates {(a.x, a.y, a.z)}")
-        object.__setattr__(self, "blocks", tuple(blocks))
-        entities = sorted(self.entities, key=lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment))
+    rows: tuple[BlockRow, ...]
+    entities: tuple[BlockEntityRecord, ...]
+
+    def __init__(
+        self,
+        blocks: Iterable[BlockRecord] = (),
+        entities: Iterable[BlockEntityRecord] = (),
+        *,
+        rows: Iterable[BlockRow] = (),
+    ) -> None:
+        rows = sorted(itertools.chain(rows, ((b.x, b.y, b.z, b.material) for b in blocks)))
+        same_cell = map(operator.eq, map(_CELL, rows), map(_CELL, itertools.islice(rows, 1, None)))
+        duplicate = next(itertools.compress(rows, same_cell), None)
+        if duplicate is not None:
+            raise ValidationError(f"duplicate block coordinates {_CELL(duplicate)}")
+        object.__setattr__(self, "rows", tuple(rows))
+        entities = sorted(entities, key=lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment))
         object.__setattr__(self, "entities", tuple(entities))
+
+    @property
+    def blocks(self) -> tuple[BlockRecord, ...]:
+        """The blocks as BlockRecords, in (x, y, z) order, built on each access."""
+        return tuple(BlockRecord(material, x, y, z) for x, y, z, material in self.rows)
 
 
 # -- building documents from in-memory worlds -------------------------------
@@ -254,19 +283,14 @@ def semantic_map_from_world(world: WorldModel) -> SemanticMap:
 
 def block_map_from_grid(grid: BlockGrid) -> BlockMapDocument:
     """Project a block grid onto its block-map document."""
-    blocks = [BlockRecord(material, p.x, p.y, p.z) for p, material in grid.cells.items()]
+    rows = [(x, y, z, material) for (x, y, z), material in grid.cells.items()]
     entities = [
-        BlockEntityRecord(e.entity_type, e.position.x, e.position.y, e.position.z, _equipment_items(e.equipment))
-        for e in grid.entities
+        BlockEntityRecord(e.entity_type, *e.position, _equipment_items(e.equipment)) for e in grid.entities
     ]
-    return BlockMapDocument(blocks=blocks, entities=entities)
+    return BlockMapDocument(rows=rows, entities=entities)
 
 
 # -- canonical JSON writing --------------------------------------------------
-
-
-def _pos_json(p: Position) -> list[int]:
-    return [p.x, p.y, p.z]
 
 
 def _semantic_map_json(m: SemanticMap) -> dict[str, Any]:
@@ -278,7 +302,7 @@ def _semantic_map_json(m: SemanticMap) -> dict[str, Any]:
                 "id": r.id,
                 "type": r.location_type,
                 "material": r.material,
-                "bounds": {"top_left": _pos_json(r.top_left), "bottom_right": _pos_json(r.bottom_right)},
+                "bounds": {"top_left": list(r.top_left), "bottom_right": list(r.bottom_right)},
                 "child_ids": list(r.child_ids),
             }
             for r in m.locations
@@ -287,7 +311,7 @@ def _semantic_map_json(m: SemanticMap) -> dict[str, Any]:
             {
                 "id": r.id,
                 "type": r.connection_type,
-                "bounds": {"top_left": _pos_json(r.top_left), "bottom_right": _pos_json(r.bottom_right)},
+                "bounds": {"top_left": list(r.top_left), "bottom_right": list(r.bottom_right)},
                 "connected_ids": list(r.connected_ids),
             }
             for r in m.connections
@@ -296,7 +320,7 @@ def _semantic_map_json(m: SemanticMap) -> dict[str, Any]:
             {
                 "id": r.id,
                 "type": r.entity_type,
-                "position": _pos_json(r.position),
+                "position": list(r.position),
                 "location_id": r.location_id,
                 "equipment": dict(r.equipment),
             }
@@ -307,7 +331,7 @@ def _semantic_map_json(m: SemanticMap) -> dict[str, Any]:
                 "id": r.id,
                 "type": r.object_type,
                 "material": r.material,
-                "position": _pos_json(r.position),
+                "position": list(r.position),
                 "location_id": r.location_id,
             }
             for r in m.objects
@@ -344,8 +368,13 @@ def _write_atomically(path: PathLike, write: Callable[[TextIO], None]) -> None:
 
 
 def write_semantic_map(m: SemanticMap, path: PathLike) -> None:
-    text = json.dumps(_semantic_map_json(m), indent=2, ensure_ascii=True) + "\n"
-    _write_atomically(path, lambda handle: handle.write(text))
+    doc = _semantic_map_json(m)
+
+    def write(handle: TextIO) -> None:
+        json.dump(doc, handle, indent=2, ensure_ascii=True)
+        handle.write("\n")
+
+    _write_atomically(path, write)
 
 
 # Block-map rows as json.dumps(indent=2) lays them out, strings already encoded.
@@ -375,9 +404,9 @@ def _equipment_json(equipment: tuple[tuple[str, str], ...]) -> str:
 
 
 def _write_block_map_rows(doc: BlockMapDocument, handle: TextIO) -> None:
-    materials = {material: _encode(material) for material in {b.material for b in doc.blocks}}
+    materials = {material: _encode(material) for material in set(map(operator.itemgetter(3), doc.rows))}
     handle.write('{\n  "schema_version": %s,\n  "blocks": ' % _encode(SCHEMA_VERSION))
-    _write_list(handle, (_BLOCK_ROW % (materials[b.material], b.x, b.y, b.z) for b in doc.blocks))
+    _write_list(handle, (_BLOCK_ROW % (materials[material], x, y, z) for x, y, z, material in doc.rows))
     handle.write(',\n  "entities": ')
     _write_list(handle, (
         _ENTITY_ROW % (_encode(e.entity_type), e.x, e.y, e.z, _equipment_json(e.equipment)) for e in doc.entities
@@ -432,7 +461,16 @@ def _load_json(path: PathLike) -> Any:
         raise _parse_error(path, err) from err
 
 
-# The per-value readers run once per block-map field: they format a message only on failure.
+def _is_utf8(text: str) -> bool:
+    """False for a string UTF-8 cannot encode: one with a lone surrogate, which a JSON \\u escape can spell."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+# The per-value readers format a message only on failure.
 def _read_int(value: Any, context: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"{context}: expected integer, got {value!r}")
@@ -447,8 +485,11 @@ def _read_coord(value: Any, context: str) -> int:
 
 
 def _read_str(value: Any, context: str) -> str:
+    """A nonempty string that can be written back out as UTF-8."""
     if not isinstance(value, str) or value == "":
         raise ValidationError(f"{context}: expected nonempty string, got {value!r}")
+    if not value.isascii() and not _is_utf8(value):
+        raise ValidationError(f"{context}: expected a string UTF-8 can encode, got {value!r}")
     return value
 
 
@@ -560,20 +601,50 @@ def read_semantic_map(path: PathLike) -> SemanticMap:
     return SemanticMap(map_id, tuple(locations), tuple(connections), tuple(entities), tuple(objects))
 
 
+def _is_coord_column(column: list) -> bool:
+    """Whether every value is what _read_coord accepts."""
+    return (
+        set(map(type, column)) <= {int}
+        and COORD_MIN <= min(column, default=0)
+        and max(column, default=0) <= COORD_MAX
+    )
+
+
+def _read_block_rows(value: Any, context: str) -> list[BlockRow]:
+    """The (x, y, z, material) rows of a block map's blocks list.
+
+    The rows are checked a column at a time, in C: the rows' types, each
+    coordinate column's types and range, the material column's types, and
+    each distinct material once. Only when a check fails are the rows read
+    again one field at a time, which raises the message naming the first bad
+    field: rows that are not objects first, then per row its material, x, y, z.
+    """
+    _require(isinstance(value, list), f"{context}: expected a list, got {type(value).__name__}")
+    if set(map(type, value)) <= {dict}:
+        xs, ys, zs, materials = (
+            list(map(dict.get, value, itertools.repeat(key))) for key in ("x", "y", "z", "material")
+        )
+        if all(map(_is_coord_column, (xs, ys, zs))) and set(map(type, materials)) <= {str}:
+            names = set(materials)
+            if "" not in names and all(map(_is_utf8, names)):
+                return list(zip(xs, ys, zs, materials))
+    rows = []
+    for raw in _read_list(value, context, _read_object):
+        material = _read_str(raw.get("material"), "block material")
+        rows.append((
+            _read_coord(raw.get("x"), "block x"),
+            _read_coord(raw.get("y"), "block y"),
+            _read_coord(raw.get("z"), "block z"),
+            material,
+        ))
+    return rows
+
+
 def read_block_map(path: PathLike) -> BlockMapDocument:
     """Parse a block-map file. Input order is free; the document sorts and checks."""
     data = _load_json(path)
     _check_schema_version(data, path)
-
-    blocks = []
-    for raw in _read_list(data.get("blocks", []), f"{path}: blocks", _read_object):
-        material = _read_str(raw.get("material"), "block material")
-        cell = (
-            _read_coord(raw.get("x"), "block x"),
-            _read_coord(raw.get("y"), "block y"),
-            _read_coord(raw.get("z"), "block z"),
-        )
-        blocks.append(BlockRecord(material, *cell))
+    rows = _read_block_rows(data.get("blocks", []), f"{path}: blocks")
 
     entities = []
     for raw in _read_list(data.get("entities", []), f"{path}: entities", _read_object):
@@ -587,7 +658,7 @@ def read_block_map(path: PathLike) -> BlockMapDocument:
                 _read_equipment(raw.get("equipment"), f"entity {entity_type}: equipment"),
             )
         )
-    # Free the parsed JSON before the document sorts the rows: the sort keys
-    # then reuse its memory instead of raising the peak.
+    # Free the parsed JSON before the document sorts the rows: the sorted
+    # copy then reuses its memory instead of raising the peak.
     del data
-    return BlockMapDocument(blocks=blocks, entities=entities)
+    return BlockMapDocument(rows=rows, entities=entities)

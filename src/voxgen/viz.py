@@ -6,7 +6,8 @@ exactly its location bounds times the scale. Leaf locations (no children) are
 drawn as labeled outlines; when a block map is supplied, each occupied (x, z)
 column is painted with the palette color of its topmost block: the block map
 keeps its blocks in (x, y, z) order, so a column's last block is its topmost.
-Ids and colors are XML-escaped.
+Ids and colors are XML-escaped, and the control characters XML 1.0 forbids
+become U+FFFD.
 
 ``render_graph`` emits Graphviz DOT text: hierarchy mode is a digraph with one
 edge per parent-child pair, topology mode an undirected graph with one edge
@@ -23,7 +24,7 @@ from itertools import chain
 from typing import Mapping, Optional
 
 from .errors import ValidationError
-from .serialization import BlockMapDocument, PathLike, SemanticMap, _load_json
+from .serialization import BlockMapDocument, PathLike, SemanticMap, _is_utf8, _load_json
 
 DEFAULT_PALETTE: dict[str, str] = {
     "cobblestone": "#7a7a7a",
@@ -65,7 +66,7 @@ def load_palette(path: PathLike) -> dict[str, str]:
     """
     raw = _load_json(path)
     if not isinstance(raw, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in raw.items()
+        isinstance(k, str) and isinstance(v, str) and _is_utf8(k) and _is_utf8(v) for k, v in raw.items()
     ):
         raise ValidationError(f"{path}: palette must map material names to color strings")
     palette = dict(DEFAULT_PALETTE)
@@ -73,9 +74,17 @@ def load_palette(path: PathLike) -> dict[str, str]:
     return palette
 
 
+# XML 1.0 cannot spell the C0 controls other than tab, LF and CR, not even as
+# character references, so they become U+FFFD.
+_XML_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    **{chr(code): "\ufffd" for code in range(0x20) if chr(code) not in "\t\n\r"},
+})
+
+
 def _xml_escape(text: str) -> str:
     """Text safe in SVG element content and in a double-quoted attribute."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+    return text.translate(_XML_ESCAPES)
 
 
 def render_blueprint(
@@ -86,9 +95,8 @@ def render_blueprint(
     """Render the top-down blueprint as an SVG document string."""
     style = style or BlueprintStyle()
     s = style.voxel_pixel_scale
-    columns: dict[tuple[int, int], str] = {}  # (x, z) -> material of the topmost block
-    for b in block_map.blocks if block_map is not None else ():
-        columns[b.x, b.z] = b.material
+    # (x, z) -> material of the topmost block, the column's last in (x, y, z) order
+    columns = {(x, z): material for x, _, z, material in block_map.rows} if block_map is not None else {}
     corners = [(c.x, c.z) for loc in semantic_map.locations for c in (loc.top_left, loc.bottom_right)]
     xs = [x for x, _ in chain(columns, corners)] or [0]
     zs = [z for _, z in chain(columns, corners)] or [0]

@@ -11,6 +11,7 @@ import json
 import random
 from typing import Any, Optional
 
+from voxgen.errors import ValidationError
 from voxgen.geometry import BlockPlacement, BoundingVolume, EntitySpec, Position, WorldModel
 from voxgen.serialization import BlockMapDocument, SemanticMap
 
@@ -85,6 +86,44 @@ def block_map_text(doc: BlockMapDocument) -> str:
             row["equipment"] = dict(e.equipment)
         out["entities"].append(row)
     return json.dumps(out, indent=2, ensure_ascii=True) + "\n"
+
+
+def read_block_rows(path) -> list[tuple[int, int, int, str]]:
+    """The (x, y, z, material) rows of a block-map file, sorted, read the plain way.
+
+    Checks one row and one field at a time, in file order: every row is an
+    object, then per row its material, x, y and z; then no two rows share a
+    cell. Raises ValidationError with the message ``read_block_map`` gives
+    for the first failure. The file's entities are not read.
+    """
+    with open(path, encoding="utf-8") as handle:
+        raw_blocks = json.load(handle).get("blocks", [])
+    if not isinstance(raw_blocks, list):
+        raise ValidationError(f"{path}: blocks: expected a list, got {type(raw_blocks).__name__}")
+    for raw in raw_blocks:
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path}: blocks: expected an object, got {type(raw).__name__}")
+    rows = []
+    for raw in raw_blocks:
+        material = raw.get("material")
+        if not isinstance(material, str) or material == "":
+            raise ValidationError(f"block material: expected nonempty string, got {material!r}")
+        try:
+            material.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"block material: expected a string UTF-8 can encode, got {material!r}") from None
+        cell = []
+        for axis in "xyz":
+            value = raw.get(axis)
+            if type(value) is not int or not -(2**63) <= value < 2**63:
+                raise ValidationError(f"block {axis}: expected signed 64-bit integer, got {value!r}")
+            cell.append(value)
+        rows.append((*cell, material))
+    rows.sort()
+    for a, b in zip(rows, rows[1:]):
+        if a[:3] == b[:3]:
+            raise ValidationError(f"duplicate block coordinates {a[:3]}")
+    return rows
 
 
 def scan_locate(semantic_map: SemanticMap, point: Cell) -> Optional[str]:

@@ -137,6 +137,36 @@ def test_malformed_input_exits_1_with_one_line_error(tmp_path, capsys, data, arg
     assert len(err.strip().splitlines()) == 1
 
 
+LONE_SURROGATE_HLR = {"schema_version": "1", "id": "w", "locations": [{
+    "id": "a\ud800b", "type": "room", "material": "stone",
+    "bounds": {"top_left": [0, 0, 0], "bottom_right": [2, 2, 2]}, "child_ids": [],
+}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["viz", "blueprint", "--hlr", "{input}", "--out", "{dir}/o.svg"],
+    ["viz", "graph", "--hlr", "{input}", "--out", "{dir}/o.dot"],
+    ["viz", "blueprint", "--hlr", "{hlr}", "--llr", "{llr}", "--out", "{dir}/o.svg"],
+    ["monitor", "--hlr", "{hlr}", "--trace", "{trace}", "--out", "{dir}/o.jsonl"],
+], ids=["blueprint", "graph", "blueprint-material", "trace-player-id"])
+def test_lone_surrogates_exit_1_with_one_line_error(tmp_path, capsys, argv):
+    # Each input is valid JSON; the \ud800 escape decodes to a string UTF-8 cannot encode.
+    _, hlr, llr = run_gen(tmp_path, "tutorial")
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps(LONE_SURROGATE_HLR))
+    blocks = json.loads(llr.read_text())
+    blocks["blocks"][-1]["material"] = "\udfff"
+    llr.write_text(json.dumps(blocks))
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"timestamp": 0, "player_id": "p\ud800", "x": 2, "y": 4, "z": 3}) + "\n")
+    capsys.readouterr()
+    assert run([arg.format(input=source, hlr=hlr, llr=llr, trace=trace, dir=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError: ") and "expected a string UTF-8 can encode" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not any(tmp_path.glob("o.*"))
+
+
 @pytest.mark.parametrize("out_llr", ["same.json", "./same.json"])
 def test_identical_output_paths_exit_1_before_writing(tmp_path, capsys, monkeypatch, out_llr):
     monkeypatch.chdir(tmp_path)

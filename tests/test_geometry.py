@@ -52,6 +52,30 @@ class TestPosition:
         with pytest.raises(AttributeError):
             p.x = 1
 
+    def test_a_position_is_its_coordinate_tuple(self):
+        p = Position(1, 2, 3)
+        assert isinstance(p, tuple) and p == (1, 2, 3) and hash(p) == hash((1, 2, 3))
+        x, y, z = p
+        assert (x, y, z) == (p.x, p.y, p.z) == (1, 2, 3)
+        assert repr(p) == "Position(x=1, y=2, z=3)"
+        assert {(1, 2, 3): "log"}[p] == "log" and {p: "log"}[(1, 2, 3)] == "log"
+
+    @pytest.mark.parametrize("build", [
+        lambda: Position(True, 0, 0),
+        lambda: Position(0, 0, 1.0),
+        lambda: Position(0, 0, 0)._replace(y=False),
+        lambda: Position._make((0, "1", 0)),
+    ], ids=["bool-x", "float-z", "replace", "make"])
+    def test_every_constructor_checks_types(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_every_constructor_checks_the_range(self):
+        with pytest.raises(CoordinateOverflowError):
+            Position(0, 0, 0)._replace(z=2**63)
+        with pytest.raises(CoordinateOverflowError):
+            Position(0, -(2**63) - 1, 0)
+
     def test_shift_overflow_is_an_error(self):
         p = Position(2**63 - 1, 0, 0)
         with pytest.raises(CoordinateOverflowError):

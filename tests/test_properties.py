@@ -7,6 +7,8 @@ the examples put any JSON value in any field, so that many examples get past
 the shape checks to the document invariants. A document that reads back
 writes and re-reads to the same bytes, and the streamed block-map writer
 writes the bytes of the plain json.dumps encoding in ``oracles``.
+``read_block_map`` agrees with the row-by-row ``oracles.read_block_rows`` on
+near-valid block maps: the same rows, or the same error message.
 ``LocationIndex.locate`` agrees with the ``oracles.scan_locate`` scan on
 random location forests.
 """
@@ -32,7 +34,7 @@ from voxgen.serialization import (
     write_semantic_map,
 )
 
-from oracles import block_map_text, scan_locate
+from oracles import block_map_text, read_block_rows, scan_locate
 
 READERS = [read_semantic_map, read_block_map, read_trace]
 WRITERS = {read_semantic_map: write_semantic_map, read_block_map: write_block_map}
@@ -177,6 +179,37 @@ def test_block_map_writer_matches_the_plain_json_encoding(tmp_path, doc):
     path = tmp_path / "block_map.json"
     write_block_map(doc, path)
     assert path.read_bytes() == block_map_text(doc).encode("ascii")
+
+
+MISSING = object()
+
+
+def mostly(valid, near_misses):
+    """valid, or one time in eight one of near_misses (MISSING drops the key)."""
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(near_misses) if i == 0 else valid)
+
+
+block_fields = st.fixed_dictionaries({
+    "material": mostly(st.sampled_from(["log", "stone"]), ["", "a\ud800b", 5, None, ["log"], MISSING]),
+    **{axis: mostly(coords, [True, False, 1.5, 2**63, -(2**63) - 1, COORD_MIN, COORD_MAX, None, "1", MISSING])
+       for axis in "xyz"},
+}).map(lambda row: {key: value for key, value in row.items() if value is not MISSING})
+near_valid_blocks = mostly(st.lists(mostly(block_fields, [[1, 2, 3], "row", None, 7]), max_size=5), [{}, "blocks", 5])
+
+
+@SETTINGS
+@given(blocks=near_valid_blocks)
+def test_block_map_reader_agrees_with_the_row_by_row_oracle(tmp_path, blocks):
+    path = tmp_path / "block_map.json"
+    path.write_text(json.dumps({"schema_version": "1", "blocks": blocks}))
+    try:
+        expected = read_block_rows(path)
+    except ValidationError as err:
+        with pytest.raises(ValidationError) as got:
+            read_block_map(path)
+        assert str(got.value) == str(err)
+    else:
+        assert [(b.x, b.y, b.z, b.material) for b in read_block_map(path).blocks] == expected
 
 
 @st.composite

@@ -42,6 +42,13 @@ def test_bare_tutorial_room_is_100_log_cells():
     assert {p.as_tuple() for p in grid.cells} == brute_shell_cells((1, 3, 1), (6, 7, 6))
 
 
+def test_grid_cells_are_keyed_by_position():
+    grid = rasterize(world_of(make_room()))
+    assert all(type(p) is Position for p in grid.cells)
+    assert grid.cells[Position(1, 3, 1)] == grid.cells[1, 3, 1] == "log"
+    assert Position(3, 4, 3) not in grid.cells and (3, 4, 3) not in grid.cells
+
+
 def test_full_tutorial_room_matches_oracle_partition():
     room = make_room(has_roof=True)
     room.generate_box("planks", (1, 1, 0, 4, 1, 1))

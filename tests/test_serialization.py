@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from voxgen import serialization
 from voxgen.errors import ParseError, ValidationError
 from voxgen.generators import DungeonParams, gen_dungeon, gen_gridworld, gen_zombieworld
 from voxgen.geometry import BoundingVolume, EntitySpec, Position, WorldModel
@@ -159,6 +160,15 @@ ROOM = {"type": "room", "material": "log", "bounds": {"top_left": [0, 0, 0], "bo
                          "entities": [{"id": "e", "type": "zombie", "position": [0, 0, 0],
                                        "location_id": ["a"]}]},
      "unknown location"),
+    # Lone surrogates: valid JSON escapes that UTF-8 cannot encode.
+    (read_block_map, {"schema_version": "1", "blocks": [{"material": "log", "x": 0, "y": 0, "z": 0},
+                                                        {"material": "a\ud800b", "x": 1, "y": 0, "z": 0}]},
+     "block material: expected a string UTF-8 can encode"),
+    (read_block_map, {"schema_version": "1", "entities": [{"type": "a\udc00", "x": 0, "y": 0, "z": 0}]},
+     "entity type: expected a string UTF-8 can encode"),
+    (read_block_map, {"schema_version": "1", "entities": [{"type": "zombie", "x": 0, "y": 0, "z": 0,
+                                                           "equipment": {"helmet": "\ud83d"}}]},
+     "equipment.helmet: expected a string UTF-8 can encode"),
 ])
 def test_malformed_shapes_rejected(tmp_path, reader, document, match):
     path = tmp_path / "bad.json"
@@ -339,10 +349,71 @@ def test_block_map_document_is_frozen():
     assert doc.blocks == (BlockRecord("log", 5, 0, 0),)
 
 
+ROW = {"material": "log", "x": 1, "y": 2, "z": 3}
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([dict(ROW, x=True)], "block x: expected signed 64-bit integer, got True"),
+    ([dict(ROW, y=1.5)], "block y: expected signed 64-bit integer, got 1.5"),
+    ([dict(ROW, z=2**63)], "block z: expected signed 64-bit integer, got 9223372036854775808"),
+    ([dict(ROW, material="")], "block material: expected nonempty string, got ''"),
+    ([{"material": "log", "x": 1, "z": 3}], "block y: expected signed 64-bit integer, got None"),
+    ([ROW, [1, 2, 3]], "{path}: blocks: expected an object, got list"),
+    ([ROW, dict(ROW, x=2, y="7"), dict(ROW, x=3, material=5)], "block y: expected signed 64-bit integer, got '7'"),
+], ids=["bool-x", "float-y", "z-2**63", "empty-material", "missing-key", "non-object-row", "row-2-of-3"])
+def test_block_map_reader_errors_keep_their_wording(tmp_path, blocks, message):
+    # The messages as the row-by-row reader gave them before the reader checked whole columns.
+    path = tmp_path / "block_map.json"
+    path.write_text(json.dumps({"schema_version": "1", "blocks": blocks}))
+    with pytest.raises(ValidationError) as err:
+        read_block_map(path)
+    assert str(err.value) == message.format(path=path)
+
+
+def test_block_map_rows_are_sorted_cell_tuples_and_blocks_is_a_read_only_view():
+    doc = BlockMapDocument(
+        blocks=[BlockRecord("log", 1, 0, 0), BlockRecord("stone", 0, 5, 0)],
+        rows=[(0, 0, 9, "glass"), (1, -1, 0, "web")],
+    )
+    assert doc.rows == ((0, 0, 9, "glass"), (0, 5, 0, "stone"), (1, -1, 0, "web"), (1, 0, 0, "log"))
+    assert doc.blocks == (
+        BlockRecord("glass", 0, 0, 9), BlockRecord("stone", 0, 5, 0),
+        BlockRecord("web", 1, -1, 0), BlockRecord("log", 1, 0, 0),
+    )
+    assert all(type(b) is BlockRecord for b in doc.blocks)
+    with pytest.raises(AttributeError):
+        doc.blocks.append(BlockRecord("log", 2, 0, 0))
+    with pytest.raises(AttributeError):
+        doc.blocks = ()
+    with pytest.raises(AttributeError):
+        doc.rows = ()
+    assert doc == BlockMapDocument(rows=reversed(doc.rows)) == BlockMapDocument(blocks=doc.blocks[::-1])
+    assert doc != BlockMapDocument(rows=doc.rows[1:])
+
+
+def test_projecting_and_reading_a_block_map_build_no_block_record(tmp_path, monkeypatch, tutorial_grid):
+    built = []
+
+    class CountedBlockRecord(BlockRecord):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(serialization, "BlockRecord", CountedBlockRecord)
+    path = tmp_path / "block_map.json"
+    doc = block_map_from_grid(tutorial_grid)
+    write_block_map(doc, path)
+    assert read_block_map(path) == doc
+    assert built == []
+    assert len(doc.blocks) == len(built) == len(tutorial_grid.cells)  # the view does build them
+
+
 def test_block_map_built_in_code_rejects_two_blocks_in_one_cell():
     with pytest.raises(ValidationError, match=r"duplicate block coordinates \(1, 2, 3\)"):
         BlockMapDocument(blocks=[BlockRecord("stone", 1, 2, 3), BlockRecord("log", 0, 0, 0),
                                  BlockRecord("log", 1, 2, 3)])
+    with pytest.raises(ValidationError, match=r"duplicate block coordinates \(0, 0, 0\)"):
+        BlockMapDocument(blocks=[BlockRecord("log", 0, 0, 0)], rows=[(0, 0, 0, "log")])
 
 
 def test_the_callers_equipment_dict_cannot_change_a_finalized_world(tmp_path):

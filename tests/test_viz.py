@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from voxgen.errors import ValidationError
 from voxgen.generators import gen_gridworld
 from voxgen.geometry import Position, WorldModel
 from voxgen.raster import rasterize
@@ -120,6 +121,19 @@ def test_ids_and_colors_are_escaped_in_svg_and_dot(tmp_path):
     ]
 
 
+def test_control_characters_become_replacement_characters_in_svg(tmp_path):
+    leaves = ["a\u0001b", "keep\ttab", "z\x1f\x7f"]
+    path = tmp_path / "semantic_map.json"
+    write_semantic_map(SemanticMap("w", tuple(
+        LocationRecord(leaf, "room", "stone", Position(i, 0, 0), Position(i, 0, 0), ()) for i, leaf in enumerate(leaves)
+    )), path)
+    m = read_semantic_map(path)
+    style = BlueprintStyle(material_palette={"log": "#00\x0b00"})
+    root = ET.fromstring(render_blueprint(m, BlockMapDocument(rows=[(0, 0, 0, "log")]), style))
+    assert [t.text for t in root.findall(f"{SVG_NS}text")] == ["a\ufffdb", "keep\ttab", "z\ufffd\x7f"]
+    assert root.findall(f"{SVG_NS}rect")[1].get("fill") == "#00\ufffd00"
+
+
 def test_unknown_material_gets_fallback_color():
     style = BlueprintStyle()
     assert style.color("no_such_material") == style.fallback_color
@@ -131,6 +145,14 @@ def test_palette_override(tmp_path):
     palette = load_palette(path)
     assert palette["stone"] == "#123456"
     assert palette["log"]  # defaults preserved
+
+
+@pytest.mark.parametrize("palette", [{"stone": "#12\ud80034"}, {"st\udc00ne": "#123456"}])
+def test_palette_strings_must_be_utf8_encodable(tmp_path, palette):
+    path = tmp_path / "palette.json"
+    path.write_text(json.dumps(palette))
+    with pytest.raises(ValidationError, match="palette must map material names to color strings"):
+        load_palette(path)
 
 
 def test_scale_must_be_positive():
