@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     CoordinateOverflowError,
@@ -102,9 +102,10 @@ class Position(namedtuple("Position", "x y z")):
 def _lattice_point(x: int, y: int, z: int) -> Position:
     """A Position built without the per-axis checks.
 
-    Only for int coordinates that lie between those of two Positions, such as
-    a cell of a volume or of a connection, which are therefore on the lattice
-    already. It is cheap enough to build one per cell write.
+    Only for coordinates known to pass those checks: ints that lie between
+    those of two Positions, such as a cell of a volume or of a connection, or
+    values that a reader has already checked the same way. It is cheap enough
+    to build one per cell write.
     """
     return tuple.__new__(Position, (x, y, z))
 
@@ -224,14 +225,24 @@ class _ItemHolder:
         """The world has no bounds, so it contains every position; a volume overrides this."""
         return True
 
+    def _contains_all(self, positions: Sequence[Position]) -> bool:
+        """Whether every one of positions is inside; a volume overrides this with a check per axis."""
+        return True
+
     def _check_mutable(self) -> None:
         if self.finalized:
             raise FrozenWorldError(f"{type(self).__name__} {self.id!r} is finalized")
 
-    def _check_inside(self, kind: str, items: Iterable) -> None:
-        """Raise OutOfBoundsError for the first of items ("block", "entity" or "object" by kind) outside this holder."""
-        for item in items:
-            position = item.block.position if kind == "object" else item.position
+    def _check_inside(self, kind: str, items: Sequence) -> None:
+        """Raise OutOfBoundsError for the first of items ("block", "entity" or "object" by kind) outside this holder.
+
+        All items are checked at once, by their least and greatest coordinate
+        per axis; they are looked at one by one only to name the first outside.
+        """
+        positions = [item.block.position for item in items] if kind == "object" else [item.position for item in items]
+        if not positions or self._contains_all(positions):
+            return
+        for item, position in zip(items, positions):
             if not self.contains(position):
                 what = kind if kind == "block" else f"{kind} {item.id}"
                 raise OutOfBoundsError(f"{what} at {position.as_tuple()} outside volume {self.id}")
@@ -337,6 +348,13 @@ class BoundingVolume(_ItemHolder):
             and self.top_left.y <= p.y <= self.bottom_right.y
             and self.top_left.z <= p.z <= self.bottom_right.z
         )
+
+    def _contains_all(self, positions: Sequence[Position]) -> bool:
+        (x0, y0, z0), (x1, y1, z1) = self.top_left, self.bottom_right
+        # Per axis, the distinct values first: a volume's items share few
+        # coordinates, and hashing an int is cheaper than comparing it.
+        xs, ys, zs = map(set, zip(*positions))
+        return x0 <= min(xs) and max(xs) <= x1 and y0 <= min(ys) and max(ys) <= y1 and z0 <= min(zs) and max(zs) <= z1
 
     def contains_box(self, top_left: Position, bottom_right: Position) -> bool:
         return self.contains(top_left) and self.contains(bottom_right)

@@ -4,9 +4,11 @@ LocationIndex is an immutable view over a SemanticMap. ``locate`` resolves a
 point to the most specific named location: the deepest one containing it,
 with ties broken by smaller volume and then by lexicographic id (connections
 are not locations and never match). The index sorts the locations into that
-order once, when it is built, and keeps each as a flat tuple of its bounds
-per axis and its id. ``locate`` unpacks the point's ``(x, y, z)`` once and
-returns the first location that holds it. ``transitions`` replays a position
+order once, when it is built, keeps each as a flat tuple of its bounds per
+axis and its id, and files them in a grid of buckets over x and z. A bucket
+lists, in that order, every location whose box overlaps it, so ``locate``
+finds the point's bucket with one binary search per axis and returns the
+first location there that holds the point. ``transitions`` replays a position
 trace and reports every location change per player. ``export_predicates``
 renders the connection and containment structure as planner-style facts.
 
@@ -19,11 +21,12 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import NonMonotonicTraceError, ValidationError
-from .geometry import Position
+from .geometry import Position, _lattice_point
 from .serialization import (
     _PARSE_FAILURES, LocationRecord, PathLike, SemanticMap, _parse_error, _read_coord, _read_int, _read_str,
     _write_atomically,
@@ -55,8 +58,27 @@ def _volume_of(loc: LocationRecord) -> int:
     return math.prod(high - low + 1 for low, high in zip(loc.top_left, loc.bottom_right))
 
 
+def _cuts(lows: Iterable[int], highs: Iterable[int], limit: int) -> list[int]:
+    """Sorted, distinct bucket boundaries along one axis: where a box starts
+    (low) and where it stops (high + 1), every k-th kept if there are more
+    than limit of them."""
+    cuts = sorted({*lows, *(high + 1 for high in highs)})
+    if len(cuts) > limit:
+        cuts = cuts[::-(-len(cuts) // limit)]
+    return cuts
+
+
 class LocationIndex:
-    """Precomputed location lookup over a semantic map."""
+    """Precomputed location lookup over a semantic map.
+
+    The cuts of each of x and z split that axis into intervals: interval i is
+    the coordinates with i cuts at or below them. A bucket is one x interval
+    by one z interval, and holds every location whose box overlaps it. The
+    cuts are the boxes' own starts and ends, thinned to at most
+    ``2 * isqrt(n) + 2`` per axis for n locations, so there are O(n) buckets
+    whatever the coordinates' size. A thinned bucket may hold a location that
+    misses part of it, so ``locate`` still checks each box in full.
+    """
 
     def __init__(self, semantic_map: SemanticMap):
         self.map = semantic_map
@@ -66,16 +88,27 @@ class LocationIndex:
         # Each as a plain (x0, x1, y0, y1, z0, z1, id): indexing a plain tuple is
         # cheaper than reading a Position's fields, and a location that fails its
         # first compare costs two reads, not an unpacking of all seven.
-        self._candidates = tuple(
+        candidates = [
             (loc.top_left.x, loc.bottom_right.x, loc.top_left.y, loc.bottom_right.y,
              loc.top_left.z, loc.bottom_right.z, loc.id)
             for loc in ordered
-        )
+        ]
+        limit = 2 * math.isqrt(len(candidates)) + 2
+        self._x_cuts = x_cuts = _cuts((c[0] for c in candidates), (c[1] for c in candidates), limit)
+        self._z_cuts = z_cuts = _cuts((c[4] for c in candidates), (c[5] for c in candidates), limit)
+        self._width = width = len(z_cuts) + 1
+        buckets: list[list[tuple]] = [[] for _ in range((len(x_cuts) + 1) * width)]
+        for c in candidates:
+            z_first, z_last = bisect_right(z_cuts, c[4]), bisect_right(z_cuts, c[5])
+            for i in range(bisect_right(x_cuts, c[0]), bisect_right(x_cuts, c[1]) + 1):
+                for j in range(z_first, z_last + 1):
+                    buckets[i * width + j].append(c)
+        self._buckets = [tuple(bucket) for bucket in buckets]
 
     def locate(self, p: Position) -> Optional[str]:
         """Id of the deepest (then smallest, then first-by-id) location holding p."""
         x, y, z = p
-        for c in self._candidates:
+        for c in self._buckets[bisect_right(self._x_cuts, x) * self._width + bisect_right(self._z_cuts, z)]:
             if c[0] <= x <= c[1] and c[2] <= y <= c[3] and c[4] <= z <= c[5]:
                 return c[6]
         return None
@@ -134,7 +167,8 @@ def read_trace(path: PathLike) -> list[TraceEvent]:
                         TraceEvent(
                             timestamp=_read_int(raw.get("timestamp"), "timestamp"),
                             player_id=_read_str(raw.get("player_id"), "player_id"),
-                            position=Position(
+                            # _read_coord makes Position's checks, so they do not run twice.
+                            position=_lattice_point(
                                 _read_coord(raw.get("x"), "x"),
                                 _read_coord(raw.get("y"), "y"),
                                 _read_coord(raw.get("z"), "z"),

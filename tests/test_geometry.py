@@ -290,6 +290,30 @@ class TestWorldModel:
         with pytest.raises(FrozenWorldError):
             world.add_block(BlockPlacement("stone", Position(2, 4, 2)))
 
+    @pytest.mark.parametrize("outside", [[0], [12], [25], [12, 26]], ids=["first", "middle", "last", "two"])
+    @pytest.mark.parametrize("kind", ["block", "entity", "object"])
+    def test_finalize_names_the_first_item_outside_its_volume(self, kind, outside):
+        # Items put in a volume's lists directly, not through add_*, are checked
+        # at finalize. Of 25 items inside, the ones at the indexes in outside are
+        # moved out; the message names the first of them.
+        positions = [Position(x, 4, z) for x in range(1, 6) for z in range(1, 6)]
+        for index, p in zip(outside, [Position(0, 4, 2), Position(3, 9, 3)]):
+            positions.insert(index, p)
+        room = make_room("room_1")
+        for i, p in enumerate(positions):
+            if kind == "block":
+                room.blocks.append(BlockPlacement("stone", p))
+            elif kind == "entity":
+                room.entities.append(EntitySpec(f"item{i}", "zombie", p))
+            else:
+                room.objects.append(ObjectSpec(f"item{i}", "chest", BlockPlacement("log", p)))
+        world = WorldModel("w")
+        world.add_volume(room)
+        with pytest.raises(OutOfBoundsError) as exc:
+            world.finalize()
+        what = "block" if kind == "block" else f"{kind} item{outside[0]}"
+        assert str(exc.value) == f"{what} at (0, 4, 2) outside volume room_1"
+
     def test_finalizing_keeps_equality(self):
         def build():
             world = WorldModel("w")

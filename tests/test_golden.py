@@ -4,9 +4,12 @@ The other tests compare runs with each other, so a change that altered the
 output the same way on every run would pass them. These hashes pin the bytes
 themselves. The tutorial and zombieworld seed 0 document hashes equal the
 ``tutorial`` and ``zombieworld-s0`` pins of the benchmark (perfbench/pins.json).
+The ``monitor`` pin covers ``LocationIndex.locate`` on every cell of a plane
+through a gridworld, shared walls and the space around it included.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -34,6 +37,8 @@ DOCUMENTS = {
         "14b6347964a725ba651fceb54d25b59d13caf745ac14751ab7ba26ac2ea0e61c",
     ),
 }
+
+GRIDWORLD_6_MONITOR_EVENTS = "3eed206817f4e0c1bddae68400a406c92bb2040cae9568ee2471ba4c50afe4c0"
 
 GRIDWORLD_3_RENDERINGS = {
     "hierarchy.dot": "647dda5bc7a1835fb655b22c91b70adca3ef4f169c4c3f658a0146238080f73a",
@@ -100,3 +105,33 @@ def test_world_built_in_code_bytes_are_pinned(tmp_path):
     hlr, llr = tmp_path / "semantic_map.json", tmp_path / "block_map.json"
     write_world(world, rasterize(world), hlr, llr)
     assert (sha256(hlr), sha256(llr)) == WORLD_BUILT_IN_CODE
+
+
+def walking_trace(semantic_map, margin=2):
+    """JSON Lines of three players who each visit every cell of the plane one
+    voxel above the rooms' floor, over the map's x/z extent and margin voxels
+    beyond it on every side: by rows, by columns, and by rows backwards. The
+    players take turns, one sample each, 10 ms apart."""
+    locations = semantic_map.locations
+    floor = min(loc.top_left.y for loc in locations)
+    xs = range(min(loc.top_left.x for loc in locations) - margin, max(loc.bottom_right.x for loc in locations) + margin + 1)
+    zs = range(min(loc.top_left.z for loc in locations) - margin, max(loc.bottom_right.z for loc in locations) + margin + 1)
+    walks = {
+        "rows": [(x, z) for z in zs for x in xs],
+        "columns": [(x, z) for x in xs for z in zs],
+        "back": [(x, z) for z in reversed(zs) for x in reversed(xs)],
+    }
+    lines = []
+    for step, cells in enumerate(zip(*walks.values())):
+        for turn, (player, (x, z)) in enumerate(zip(walks, cells)):
+            sample = {"timestamp": (step * len(walks) + turn) * 10, "player_id": player, "x": x, "y": floor + 1, "z": z}
+            lines.append(json.dumps(sample) + "\n")
+    return "".join(lines)
+
+
+def test_monitor_events_are_pinned(tmp_path):
+    hlr, _ = generate(tmp_path, ("gridworld", "--n", "6"))
+    trace, events = tmp_path / "trace.jsonl", tmp_path / "events.jsonl"
+    trace.write_text(walking_trace(read_semantic_map(hlr)))
+    assert run(["monitor", "--hlr", str(hlr), "--trace", str(trace), "--out", str(events)]) == 0
+    assert sha256(events) == GRIDWORLD_6_MONITOR_EVENTS

@@ -10,10 +10,14 @@ writes the bytes of the plain json.dumps encoding in ``oracles``.
 ``read_block_map`` agrees with the row-by-row ``oracles.read_block_rows`` on
 near-valid block maps: the same rows, or the same error message.
 ``LocationIndex.locate`` agrees with the ``oracles.scan_locate`` scan on
-random location forests.
+random location forests, on wide maps of side-by-side roots, crossing strips
+and boxes that reach the lattice's ends, and on a map with more distinct
+bounds than the index keeps as bucket boundaries.
 """
 
 import json
+import random
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -261,3 +265,94 @@ def test_locate_agrees_with_the_scan_oracle(semantic_map):
     for loc in semantic_map.locations:
         for point in probes(loc.top_left.as_tuple(), loc.bottom_right.as_tuple()):
             assert index.locate(Position(*point)) == scan_locate(semantic_map, point)
+
+
+# Small values, and the ends of the lattice, which a box may reach.
+reach = st.sampled_from([*range(-4, 41), COORD_MIN, COORD_MAX])
+# One location: its parent (taken modulo the number of locations before it),
+# the shape of a root, and six numbers from which its box is made.
+location_plans = st.tuples(
+    st.none() | st.integers(0, 39), st.sampled_from(["side", "x-strip", "z-strip", "edge"]),
+    st.tuples(*[reach] * 6),
+)
+
+
+def pair(a, b):
+    return sorted((a, b))
+
+
+@st.composite
+def spread_location_maps(draw):
+    """A semantic map of up to 40 locations. Roots stand side by side along x,
+    sharing walls or leaving gaps; thin strips, one voxel wide in x or in z,
+    cross the roots and each other; an edge box may run to COORD_MIN or
+    COORD_MAX on any axis. A child's box lies inside its parent's."""
+    count = draw(st.integers(1, 40))
+    plans = draw(st.lists(location_plans, min_size=count, max_size=count))
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=4), min_size=count, max_size=count, unique=True))
+    boxes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    children: list[list[str]] = [[] for _ in plans]
+    for i, (parent, shape, (a, b, c, d, e, f)) in enumerate(plans):
+        y, at = pair(e % 7 - 2, f % 7 - 2), a % 45 - 4
+        if i and parent is not None:
+            parent %= i
+            children[parent].append(ids[i])
+            spans = [pair(lo + u % (hi - lo + 1), lo + v % (hi - lo + 1)) for (lo, hi), u, v in
+                     zip(zip(*boxes[parent]), (a, c, e), (b, d, f))]
+        elif shape == "side":
+            x0, z0 = 5 * i + a % 3 - 1, b % 5 - 2
+            spans = [[x0, x0 + c % 7], y, [z0, z0 + d % 7]]
+        elif shape == "x-strip":
+            spans = [[at, at], y, pair(c, d)]
+        elif shape == "z-strip":
+            spans = [pair(c, d), y, [at, at]]
+        else:
+            spans = [pair(a, b), pair(c, d), pair(e, f)]
+        boxes.append((tuple(s[0] for s in spans), tuple(s[1] for s in spans)))
+    return SemanticMap("w", tuple(
+        LocationRecord(ids[i], "room", "stone", Position(*tl), Position(*br), tuple(children[i]))
+        for i, (tl, br) in enumerate(boxes)
+    ))
+
+
+def on_lattice(points):
+    return {p for p in points if all(COORD_MIN <= v <= COORD_MAX for v in p)}
+
+
+@SETTINGS
+@given(semantic_map=spread_location_maps())
+def test_locate_agrees_with_the_scan_oracle_on_spread_maps(semantic_map):
+    """Each box probed as in probes, plus the corners of the map's extent one
+    voxel beyond it and the corners of the lattice."""
+    index = LocationIndex(semantic_map)
+    points = set(product(*[(COORD_MIN, COORD_MAX)] * 3))
+    low = [min(loc.top_left[a] for loc in semantic_map.locations) - 1 for a in range(3)]
+    high = [max(loc.bottom_right[a] for loc in semantic_map.locations) + 1 for a in range(3)]
+    points.update(product(*zip(low, high)))
+    for loc in semantic_map.locations:
+        points.update(probes(loc.top_left.as_tuple(), loc.bottom_right.as_tuple()))
+    for point in on_lattice(points):
+        assert index.locate(Position(*point)) == scan_locate(semantic_map, point)
+
+
+def test_locate_agrees_with_the_scan_oracle_past_the_bucket_limit():
+    """300 strips along z and 300 along x, one voxel wide and crossing, inside
+    one box over the whole lattice: about 600 distinct bounds per axis, where
+    the index keeps at most 2 * isqrt(601) + 2 = 50. The bucket count stays a
+    small multiple of the location count."""
+    strips = [((3 * i, 0, -5), (3 * i, 2, 900)) for i in range(300)]
+    strips += [((-5, 1, 3 * i), (900, 3, 3 * i)) for i in range(300)]
+    ids = [f"strip_{i:03}" for i in range(len(strips))]
+    semantic_map = SemanticMap("w", (
+        LocationRecord("all", "room", "stone", Position(COORD_MIN, COORD_MIN, COORD_MIN),
+                       Position(COORD_MAX, COORD_MAX, COORD_MAX), tuple(ids)),
+        *(LocationRecord(i, "room", "stone", Position(*tl), Position(*br), ()) for i, (tl, br) in zip(ids, strips)),
+    ))
+    index = LocationIndex(semantic_map)
+    assert len(index._buckets) <= 5 * len(semantic_map.locations)
+    rng = random.Random(0)
+    points = [(rng.randint(-8, 905), rng.randint(-1, 4), rng.randint(-8, 905)) for _ in range(400)]
+    points += [(3 * rng.randint(0, 299), rng.randint(0, 3), 3 * rng.randint(0, 299)) for _ in range(100)]
+    points += list(product(*[(COORD_MIN, COORD_MAX)] * 3))
+    for point in points:
+        assert index.locate(Position(*point)) == scan_locate(semantic_map, point)

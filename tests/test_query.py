@@ -9,7 +9,7 @@ from voxgen.errors import NonMonotonicTraceError, ParseError, ValidationError
 from voxgen.generators import gen_gridworld
 from voxgen.geometry import Position
 from voxgen.query import LocationIndex, TraceEvent, Transition, read_trace, write_predicates, write_transitions
-from voxgen.serialization import semantic_map_from_world
+from voxgen.serialization import SemanticMap, semantic_map_from_world
 
 from oracles import scan_locate
 
@@ -30,6 +30,9 @@ class TestLocate:
     def test_shared_wall_breaks_ties_lexicographically(self, tutorial_index):
         # x=6 sits in both rooms; equal depth and volume, so room_1 wins
         assert tutorial_index.locate(Position(6, 4, 3)) == "room_1"
+
+    def test_a_map_without_locations_locates_nothing(self):
+        assert LocationIndex(SemanticMap("w", ())).locate(Position(0, 0, 0)) is None
 
     def test_agrees_with_brute_force_scan(self, tutorial_map, tutorial_index):
         rng = random.Random(0)
@@ -176,6 +179,25 @@ class TestTraceFiles:
         path.write_text('{"timestamp": 0, "player_id": "p", "x": 9223372036854775808, "y": 2, "z": 3}\n')
         with pytest.raises(ValidationError, match="line 1: x: expected signed 64-bit integer"):
             read_trace(path)
+
+    # Messages as read_trace words them when it checks each coordinate before
+    # building the Position.
+    @pytest.mark.parametrize("fields, message", [
+        ('"x": true, "y": 2, "z": 3', "x: expected signed 64-bit integer, got True"),
+        ('"x": 1, "y": false, "z": 3', "y: expected signed 64-bit integer, got False"),
+        ('"x": 1, "y": 2, "z": 9223372036854775808', "z: expected signed 64-bit integer, got 9223372036854775808"),
+        ('"x": 1, "y": 2, "z": -9223372036854775809', "z: expected signed 64-bit integer, got -9223372036854775809"),
+        ('"y": 2, "z": 3', "x: expected signed 64-bit integer, got None"),
+    ], ids=["bool-x", "bool-y", "z-2**63", "z-below-range", "missing-x"])
+    def test_bad_coordinates_are_named(self, tmp_path, fields, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"timestamp": 0, "player_id": "p", "x": 1, "y": 2, "z": 3}\n'
+            f'{{"timestamp": 0, "player_id": "p", {fields}}}\n'
+        )
+        with pytest.raises(ValidationError) as exc:
+            read_trace(path)
+        assert str(exc.value) == f"{path}: line 2: {message}"
 
     def test_predicates_file(self, tmp_path, tutorial_index):
         path = tmp_path / "facts.txt"
