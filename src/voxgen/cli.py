@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .errors import VoxgenError
 from .generators import DungeonParams, gen_dungeon, gen_gridworld, gen_tutorial_house, gen_zombieworld
@@ -68,6 +68,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+# A text file encodes each write whole, so one write of a large SVG would hold
+# an encoded copy of all of it at once; writes of this many characters do not.
+_WRITE_SLICE = 1 << 20
+
+
 def _cmd_viz_blueprint(args: argparse.Namespace) -> int:
     semantic_map = read_semantic_map(args.hlr)
     block_map = read_block_map(args.llr) if args.llr else None
@@ -76,7 +81,12 @@ def _cmd_viz_blueprint(args: argparse.Namespace) -> int:
         style_kwargs["material_palette"] = load_palette(args.palette)
     style = BlueprintStyle(**style_kwargs)
     svg = render_blueprint(semantic_map, block_map, style)
-    _write_atomically(args.out, lambda handle: handle.write(svg))
+
+    def write(handle: TextIO) -> None:
+        for start in range(0, len(svg), _WRITE_SLICE):
+            handle.write(svg[start:start + _WRITE_SLICE])
+
+    _write_atomically(args.out, write)
     return 0
 
 

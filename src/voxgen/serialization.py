@@ -22,9 +22,11 @@ failure part-way leaves the previous file as it was.
 
 Readers only parse: they check shapes, types, coordinate range and that
 each string can be written back as UTF-8, then construct the document. The
-block-map reader checks its rows a column at a time and reads them one
-field at a time only to name the first bad one. Readers raise ParseError
-(undecodable or malformed JSON, naming the line where known) or
+block-map reader builds each block's row while the file is parsed, so the
+parsed document never holds one object per block, and then checks the rows a
+column at a time. A file that fails that way is parsed again as plain JSON
+and read one field at a time, which names the first bad field. Readers raise
+ParseError (undecodable or malformed JSON, naming the line where known) or
 ValidationError.
 """
 
@@ -40,7 +42,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, TextIO, Union
 
 from .errors import ParseError, ValidationError, VoxgenError
-from .geometry import COORD_MAX, COORD_MIN, EQUIPMENT_SLOTS, Position, WorldModel
+from .geometry import COORD_MAX, COORD_MIN, EQUIPMENT_SLOTS, Position, WorldModel, _lattice_point
 from .raster import BlockGrid
 
 SCHEMA_VERSION = "1"
@@ -453,10 +455,10 @@ def _parse_error(path: PathLike, err: Exception, line: int = 0) -> ParseError:
     return ParseError(f"{path}: {where}{reason}", path=str(path), line=line, column=column)
 
 
-def _load_json(path: PathLike) -> Any:
+def _load_json(path: PathLike, object_pairs_hook: Optional[Callable[[list], Any]] = None) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=object_pairs_hook)
     except _PARSE_FAILURES as err:
         raise _parse_error(path, err) from err
 
@@ -509,7 +511,8 @@ def _read_list(value: Any, context: str, read_item: Callable[[Any, str], Any]) -
 
 def _read_position(value: Any, context: str) -> Position:
     _require(isinstance(value, list) and len(value) == 3, f"{context}: expected [x, y, z], got {value!r}")
-    return Position(*(_read_coord(v, context) for v in value))
+    # _read_coord makes Position's checks, so they do not run twice.
+    return _lattice_point(*(_read_coord(v, context) for v in value))
 
 
 def _read_bounds(value: Any, context: str) -> tuple[Position, Position]:
@@ -601,6 +604,20 @@ def read_semantic_map(path: PathLike) -> SemanticMap:
     return SemanticMap(map_id, tuple(locations), tuple(connections), tuple(entities), tuple(objects))
 
 
+def _block_row(pairs: list[tuple[str, Any]]) -> Any:
+    """The block-map reader's object_pairs_hook: a block's row as soon as it is parsed.
+
+    Only an object whose keys are material, x, y, z in that order, as the
+    writer lays out a block, becomes an (x, y, z, material) tuple; any other
+    object becomes the dict json would give. JSON itself never gives a tuple.
+    """
+    if len(pairs) == 4:
+        (k0, material), (k1, x), (k2, y), (k3, z) = pairs
+        if k0 == "material" and k1 == "x" and k2 == "y" and k3 == "z":
+            return (x, y, z, material)
+    return dict(pairs)
+
+
 def _is_coord_column(column: list) -> bool:
     """Whether every value is what _read_coord accepts."""
     return (
@@ -610,24 +627,31 @@ def _is_coord_column(column: list) -> bool:
     )
 
 
-def _read_block_rows(value: Any, context: str) -> list[BlockRow]:
-    """The (x, y, z, material) rows of a block map's blocks list.
+def _parsed_block_rows(value: Any, context: str) -> list[BlockRow]:
+    """value itself, a blocks list parsed with _block_row, once its rows pass the checks.
 
-    The rows are checked a column at a time, in C: the rows' types, each
-    coordinate column's types and range, the material column's types, and
-    each distinct material once. Only when a check fails are the rows read
-    again one field at a time, which raises the message naming the first bad
-    field: rows that are not objects first, then per row its material, x, y, z.
+    The checks run a column at a time, in C: every block became a row, then
+    each coordinate column's types and range, the material column's types,
+    and each distinct material once. A failure raises a ValidationError that
+    names no field; read_block_map then reads the file the plain way.
     """
-    _require(isinstance(value, list), f"{context}: expected a list, got {type(value).__name__}")
-    if set(map(type, value)) <= {dict}:
-        xs, ys, zs, materials = (
-            list(map(dict.get, value, itertools.repeat(key))) for key in ("x", "y", "z", "material")
-        )
-        if all(map(_is_coord_column, (xs, ys, zs))) and set(map(type, materials)) <= {str}:
-            names = set(materials)
-            if "" not in names and all(map(_is_utf8, names)):
-                return list(zip(xs, ys, zs, materials))
+    failed = f"{context}: not the rows of valid blocks"
+    _require(type(value) is list and set(map(type, value)) <= {tuple}, failed)
+    for column in range(3):
+        _require(_is_coord_column(list(map(operator.itemgetter(column), value))), failed)
+    materials = list(map(operator.itemgetter(3), value))
+    _require(set(map(type, materials)) <= {str}, failed)
+    names = set(materials)
+    _require("" not in names and all(map(_is_utf8, names)), failed)
+    return value
+
+
+def _read_block_rows(value: Any, context: str) -> list[BlockRow]:
+    """The (x, y, z, material) rows of a plainly parsed blocks list, read one field at a time.
+
+    Raises the message naming the first bad field: rows that are not objects
+    first, then per row its material, x, y, z.
+    """
     rows = []
     for raw in _read_list(value, context, _read_object):
         material = _read_str(raw.get("material"), "block material")
@@ -640,12 +664,12 @@ def _read_block_rows(value: Any, context: str) -> list[BlockRow]:
     return rows
 
 
-def read_block_map(path: PathLike) -> BlockMapDocument:
-    """Parse a block-map file. Input order is free; the document sorts and checks."""
-    data = _load_json(path)
+def _read_block_map_fields(
+    data: Any, path: PathLike, read_rows: Callable[[Any, str], list[BlockRow]]
+) -> tuple[list[BlockRow], list[BlockEntityRecord]]:
+    """The block rows, read by read_rows, and the entity records of a parsed block map."""
     _check_schema_version(data, path)
-    rows = _read_block_rows(data.get("blocks", []), f"{path}: blocks")
-
+    rows = read_rows(data.get("blocks", []), f"{path}: blocks")
     entities = []
     for raw in _read_list(data.get("entities", []), f"{path}: entities", _read_object):
         entity_type = _read_str(raw.get("type"), "entity type")
@@ -658,7 +682,23 @@ def read_block_map(path: PathLike) -> BlockMapDocument:
                 _read_equipment(raw.get("equipment"), f"entity {entity_type}: equipment"),
             )
         )
-    # Free the parsed JSON before the document sorts the rows: the sorted
-    # copy then reuses its memory instead of raising the peak.
-    del data
+    return rows, entities
+
+
+def read_block_map(path: PathLike) -> BlockMapDocument:
+    """Parse a block-map file. Input order is free; the document sorts and checks.
+
+    The file is parsed with _block_row and its rows checked a column at a
+    time. If anything fails that way (a malformed file, or blocks laid out
+    otherwise than the writer lays them out), the file is parsed again as
+    plain JSON and read one field at a time, so the result or message is the
+    one a plain parse gives and no tuple reaches a message.
+    """
+    try:
+        fields = _read_block_map_fields(_load_json(path, _block_row), path, _parsed_block_rows)
+    except VoxgenError:
+        fields = None
+    # The parsed JSON is gone once the fields are read: the document's sorted
+    # copy of the rows then reuses its memory instead of raising the peak.
+    rows, entities = fields or _read_block_map_fields(_load_json(path), path, _read_block_rows)
     return BlockMapDocument(rows=rows, entities=entities)

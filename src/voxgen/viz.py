@@ -4,10 +4,12 @@
 voxel is ``voxel_pixel_scale`` pixels, so a rectangle's SVG coordinates are
 exactly its location bounds times the scale. Leaf locations (no children) are
 drawn as labeled outlines; when a block map is supplied, each occupied (x, z)
-column is painted with the palette color of its topmost block: the block map
-keeps its blocks in (x, y, z) order, so a column's last block is its topmost.
-Ids and colors are XML-escaped, and the control characters XML 1.0 forbids
-become U+FFFD.
+column is painted with the palette color of its topmost block. The block map
+keeps its rows in (x, y, z) order, so the rows of one x form a contiguous
+slab, and within a slab a column's last row is its topmost block. The
+columns are drawn in one pass per x-slab, and no table of all columns is
+built. Ids and colors are XML-escaped, and the control characters XML 1.0
+forbids become U+FFFD.
 
 ``render_graph`` emits Graphviz DOT text: hierarchy mode is a digraph with one
 edge per parent-child pair, topology mode an undirected graph with one edge
@@ -19,8 +21,9 @@ strings, with ``"`` and ``\\`` escaped.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from .errors import ValidationError
@@ -95,29 +98,40 @@ def render_blueprint(
     """Render the top-down blueprint as an SVG document string."""
     style = style or BlueprintStyle()
     s = style.voxel_pixel_scale
-    # (x, z) -> material of the topmost block, the column's last in (x, y, z) order
-    columns = {(x, z): material for x, _, z, material in block_map.rows} if block_map is not None else {}
+    rows = block_map.rows if block_map is not None else ()
     corners = [(c.x, c.z) for loc in semantic_map.locations for c in (loc.top_left, loc.bottom_right)]
-    xs = [x for x, _ in chain(columns, corners)] or [0]
-    zs = [z for _, z in chain(columns, corners)] or [0]
-    min_x, max_x, min_z, max_z = min(xs), max(xs), min(zs), max(zs)
+    xs = [x for x, _ in corners]
+    zs = [z for _, z in corners]
+    if rows:
+        xs += (rows[0][0], rows[-1][0])
+        zs += (min(map(itemgetter(2), rows)), max(map(itemgetter(2), rows)))
+    min_x, max_x, min_z, max_z = min(xs, default=0), max(xs, default=0), min(zs, default=0), max(zs, default=0)
     # One voxel of padding keeps strokes and edge labels inside the canvas.
     view_x = (min_x - 1) * s
     view_z = (min_z - 1) * s
     view_w = (max_x - min_x + 3) * s
     view_h = (max_z - min_z + 3) * s
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view_x} {view_z} {view_w} {view_h}" '
-        f'width="{view_w}" height="{view_h}">',
+        f'width="{view_w}" height="{view_h}">\n'
         f'<rect x="{view_x}" y="{view_z}" width="{view_w}" height="{view_h}" '
-        f'fill="#ffffff" stroke="#000000" stroke-width="2"/>',
+        f'fill="#ffffff" stroke="#000000" stroke-width="2"/>\n'
     ]
-
-    fills = {material: _xml_escape(style.color(material)) for material in set(columns.values())}
-    for (x, z), material in sorted(columns.items()):
-        lines.append(f'<rect x="{x * s}" y="{z * s}" width="{s}" height="{s}" fill="{fills[material]}"/>')
+    # Each material's rect ending, from its color.
+    tail = f'" width="{s}" height="{s}" fill="'
+    ends = {material: f'{tail}{_xml_escape(style.color(material))}"/>\n' for material in set(map(itemgetter(3), rows))}
+    start = 0
+    while start < len(rows):
+        # One x-slab of rows; dict(zip(zs, materials)) keeps each z's last row, its topmost block.
+        x = rows[start][0]
+        end = bisect_left(rows, (x + 1,), start)
+        slab = rows[start:end]
+        top = dict(zip(map(itemgetter(2), slab), map(itemgetter(3), slab)))
+        head = f'<rect x="{x * s}" y="'
+        parts.append("".join([f"{head}{z * s}{ends[top[z]]}" for z in sorted(top)]))
+        start = end
 
     leaves = [loc for loc in semantic_map.locations if not loc.child_ids]
     for loc in leaves:
@@ -125,18 +139,18 @@ def render_blueprint(
         z = loc.top_left.z * s
         w = (loc.bottom_right.x - loc.top_left.x + 1) * s
         h = (loc.bottom_right.z - loc.top_left.z + 1) * s
-        lines.append(
+        parts.append(
             f'<rect x="{x}" y="{z}" width="{w}" height="{h}" '
-            f'fill="none" stroke="#202020" stroke-width="1"/>'
+            f'fill="none" stroke="#202020" stroke-width="1"/>\n'
         )
         if style.show_labels:
-            lines.append(
+            parts.append(
                 f'<text x="{x + s // 2}" y="{z + s}" font-family="monospace" '
-                f'font-size="{s}">{_xml_escape(loc.id)}</text>'
+                f'font-size="{s}">{_xml_escape(loc.id)}</text>\n'
             )
 
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    parts.append("</svg>\n")
+    return "".join(parts)
 
 
 GRAPH_MODES = ("hierarchy", "topology")

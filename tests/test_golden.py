@@ -5,7 +5,11 @@ output the same way on every run would pass them. These hashes pin the bytes
 themselves. The tutorial and zombieworld seed 0 document hashes equal the
 ``tutorial`` and ``zombieworld-s0`` pins of the benchmark (perfbench/pins.json).
 The ``monitor`` pin covers ``LocationIndex.locate`` on every cell of a plane
-through a gridworld, shared walls and the space around it included.
+through a gridworld, shared walls and the space around it included. The
+dungeon blueprint pin covers a block map with several materials per x-slab:
+that dungeon has a nether room whose lava replaces floor blocks, and gold and
+diamond treasures standing on the floor, which are their columns' topmost
+blocks.
 """
 
 import hashlib
@@ -37,6 +41,8 @@ DOCUMENTS = {
         "14b6347964a725ba651fceb54d25b59d13caf745ac14751ab7ba26ac2ea0e61c",
     ),
 }
+
+DUNGEON_4_BLUEPRINT = "01a0491a6115bb17cf3c578d55d1428f0e3b5ec59fd0e4a2c2be304d1de9648e"
 
 GRIDWORLD_6_MONITOR_EVENTS = "3eed206817f4e0c1bddae68400a406c92bb2040cae9568ee2471ba4c50afe4c0"
 
@@ -81,6 +87,13 @@ def test_gridworld_renderings_are_pinned(tmp_path):
     assert run(["viz", "blueprint", "--hlr", str(hlr), "--llr", str(llr), "--out", str(out["blueprint.svg"])]) == 0
     write_predicates(LocationIndex(read_semantic_map(hlr)).export_predicates(), out["predicates.txt"])
     assert {name: sha256(path) for name, path in out.items()} == GRIDWORLD_3_RENDERINGS
+
+
+def test_dungeon_blueprint_is_pinned(tmp_path):
+    hlr, llr = generate(tmp_path, ("dungeon", "--n", "4", "--seed", "1"))
+    svg = tmp_path / "blueprint.svg"
+    assert run(["viz", "blueprint", "--hlr", str(hlr), "--llr", str(llr), "--out", str(svg)]) == 0
+    assert sha256(svg) == DUNGEON_4_BLUEPRINT
 
 
 def build_world_in_code():

@@ -1,0 +1,77 @@
+"""Peak memory of the block-map reader and of the blueprint renderer.
+
+Both are measured with ``tracemalloc`` on the block map of ``dungeon --n 6
+--cell-footprint 20 --seed 3`` (10,114 rows in 0.92 MB) and its semantic map.
+A reader that keeps one dict per block while parsing peaks near four times
+the file's size; one that builds each row as the parser finishes its object
+stays under three. A renderer that keeps a column table, its sorted copy and a
+list of lines peaks at five to six times the SVG's length; one that draws an
+x-slab at a time stays under three.
+
+The module needs no pytest: ``python tests/test_memory.py`` runs the checks
+and prints each peak as a multiple of its base.
+"""
+
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+from voxgen.cli import run
+from voxgen.serialization import read_block_map, read_semantic_map
+from voxgen.viz import render_blueprint
+
+DUNGEON = ["dungeon", "--n", "6", "--cell-footprint", "20", "--seed", "3"]
+DUNGEON_ROWS = 10_114
+
+
+def generate(tmp_path):
+    hlr, llr = tmp_path / "semantic_map.json", tmp_path / "block_map.json"
+    assert run([*DUNGEON, "--out-hlr", str(hlr), "--out-llr", str(llr)]) == 0
+    return hlr, llr
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the most memory that Python allocations held while it ran, in bytes.
+
+    The peak counts only what was allocated after tracing started, so the
+    arguments are not part of it and the result is.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def read_ratio(llr):
+    doc, peak = traced_peak(read_block_map, llr)
+    assert len(doc.rows) == DUNGEON_ROWS
+    return peak / llr.stat().st_size
+
+
+def render_ratio(hlr, llr):
+    semantic_map, block_map = read_semantic_map(hlr), read_block_map(llr)
+    svg, peak = traced_peak(render_blueprint, semantic_map, block_map)
+    return peak / len(svg)
+
+
+def test_reading_a_block_map_peaks_under_three_times_its_size(tmp_path):
+    _, llr = generate(tmp_path)
+    assert read_ratio(llr) < 3
+
+
+def test_rendering_a_blueprint_peaks_under_three_times_its_length(tmp_path):
+    hlr, llr = generate(tmp_path)
+    assert render_ratio(hlr, llr) < 3
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        hlr, llr = generate(Path(scratch))
+        ratios = {"read_block_map / file size": read_ratio(llr), "render_blueprint / SVG length": render_ratio(hlr, llr)}
+    for name, ratio in ratios.items():
+        print(f"{sys.version.split()[0]}  {name}: {ratio:.2f} (limit 3)")
+    sys.exit(any(ratio >= 3 for ratio in ratios.values()))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import threading
 
@@ -144,6 +145,8 @@ def test_documents_sort_a_copy_of_the_callers_lists():
 
 SEMANTIC_ROOT = {"schema_version": "1", "id": "w", "connections": [], "entities": [], "objects": []}
 ROOM = {"type": "room", "material": "log", "bounds": {"top_left": [0, 0, 0], "bottom_right": [1, 1, 1]}}
+# An object with exactly a block's keys, in the order the block-map writer uses.
+BLOCK_SHAPED = {"material": "log", "x": 0, "y": 0, "z": 0}
 
 
 @pytest.mark.parametrize("reader, document, match", [
@@ -169,6 +172,21 @@ ROOM = {"type": "room", "material": "log", "bounds": {"top_left": [0, 0, 0], "bo
     (read_block_map, {"schema_version": "1", "entities": [{"type": "zombie", "x": 0, "y": 0, "z": 0,
                                                            "equipment": {"helmet": "\ud83d"}}]},
      "equipment.helmet: expected a string UTF-8 can encode"),
+    # Block-shaped objects where no block belongs, and one inside a block: the
+    # messages a plain parse gives, recorded before the reader built rows while
+    # parsing. A dict's repr in a message shows that no tuple reached it.
+    (read_block_map, BLOCK_SHAPED, "unsupported schema_version None"),
+    (read_block_map, {"schema_version": "1", "entities": [BLOCK_SHAPED]},
+     "^entity type: expected nonempty string, got None$"),
+    (read_block_map, {"schema_version": "1", "entities": [{"type": "zombie", "x": 0, "y": 0, "z": 0,
+                                                           "equipment": BLOCK_SHAPED}]},
+     "^entity zombie: equipment.x: expected nonempty string, got 0$"),
+    (read_block_map, {"schema_version": "1", "entities": [{"type": "zombie", "x": 0, "y": 0, "z": 0,
+                                                           "equipment": {"helmet": BLOCK_SHAPED}}]},
+     re.escape("entity zombie: equipment.helmet: expected nonempty string, got "
+               "{'material': 'log', 'x': 0, 'y': 0, 'z': 0}") + "$"),
+    (read_block_map, {"schema_version": "1", "blocks": [{"material": BLOCK_SHAPED, "x": 5, "y": 0, "z": 0}]},
+     re.escape("block material: expected nonempty string, got {'material': 'log', 'x': 0, 'y': 0, 'z': 0}") + "$"),
 ])
 def test_malformed_shapes_rejected(tmp_path, reader, document, match):
     path = tmp_path / "bad.json"
@@ -368,6 +386,46 @@ def test_block_map_reader_errors_keep_their_wording(tmp_path, blocks, message):
     with pytest.raises(ValidationError) as err:
         read_block_map(path)
     assert str(err.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize("row", [
+    {"material": "stone", "x": 0, "y": 0, "z": 0, "note": "extra"},
+    {"x": 0, "y": 0, "z": 0, "material": "stone"},
+], ids=["extra-key", "other-key-order"])
+def test_block_rows_laid_out_otherwise_than_the_writer_lays_them_out_are_read(tmp_path, row):
+    # The documents a plain parse gives, recorded before the reader built rows while parsing.
+    path = tmp_path / "block_map.json"
+    path.write_text(json.dumps({"schema_version": "1", "blocks": [ROW, row], "entities": [
+        {"type": "zombie", "x": 0, "y": 0, "z": 0}, {"type": "blaze", "x": 1, "y": 0, "z": 0, "equipment": {}},
+    ]}))
+    assert read_block_map(path) == BlockMapDocument(
+        rows=[(0, 0, 0, "stone"), (1, 2, 3, "log")],
+        entities=[BlockEntityRecord("zombie", 0, 0, 0), BlockEntityRecord("blaze", 1, 0, 0)],
+    )
+
+
+BOUNDS = {"top_left": [0, 0, 0], "bottom_right": [1, 1, 1]}
+
+
+@pytest.mark.parametrize("location_bounds, entity_position, message", [
+    (dict(BOUNDS, top_left=[0, True, 0]), [0, 0, 0],
+     "location a: bounds.top_left: expected signed 64-bit integer, got True"),
+    (dict(BOUNDS, top_left=[0, 0, 2**63]), [0, 0, 0],
+     "location a: bounds.top_left: expected signed 64-bit integer, got 9223372036854775808"),
+    (BOUNDS, [False, 0, 0], "entity e: position: expected signed 64-bit integer, got False"),
+    (BOUNDS, [2**63, 0, 0], "entity e: position: expected signed 64-bit integer, got 9223372036854775808"),
+], ids=["bool-top-left", "top-left-2**63", "bool-position", "position-2**63"])
+def test_semantic_map_coordinate_errors_keep_their_wording(tmp_path, location_bounds, entity_position, message):
+    # The messages recorded before positions were built without Position's own checks.
+    path = tmp_path / "semantic_map.json"
+    path.write_text(json.dumps({
+        **SEMANTIC_ROOT,
+        "locations": [{"id": "a", **ROOM, "bounds": location_bounds, "child_ids": []}],
+        "entities": [{"id": "e", "type": "zombie", "position": entity_position, "location_id": None}],
+    }))
+    with pytest.raises(ValidationError) as err:
+        read_semantic_map(path)
+    assert str(err.value) == message
 
 
 def test_block_map_rows_are_sorted_cell_tuples_and_blocks_is_a_read_only_view():
