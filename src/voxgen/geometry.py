@@ -66,10 +66,19 @@ def _check_coord(value: int, name: str) -> int:
     return value
 
 
+def _is_utf8(text: str) -> bool:
+    """False for a string UTF-8 cannot encode: one with a lone surrogate, which a JSON \\u escape can spell."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _check_name(value: object, what: str) -> None:
-    """Ids, types, materials and equipment items are nonempty strings, as the document readers require."""
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"{what} must be a nonempty str, got {value!r}")
+    """Ids, types, materials and equipment items are nonempty strings UTF-8 can encode, as the readers require."""
+    if not isinstance(value, str) or not value or not (value.isascii() or _is_utf8(value)):
+        raise ValueError(f"{what} must be a nonempty str that UTF-8 can encode, got {value!r}")
 
 
 class Position(namedtuple("Position", "x y z")):

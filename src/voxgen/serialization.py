@@ -14,20 +14,21 @@ read reproduces the file.
 The format is what ``json.dumps(indent=2, ensure_ascii=True)`` lays out. The
 semantic map goes through ``json.dump``, which writes the text as it encodes
 it instead of joining it into one string first. The block map, one row per
-cell, is held as sorted plain ``(x, y, z, material)`` tuples and streamed:
-each row fills a fixed template, with every distinct string encoded once by
-``json.dumps``, and no per-row object or whole-document string is built.
+cell, is held as sorted plain ``(x, y, z, material)`` tuples, the only form a
+block takes here, and streamed: each row fills a fixed template, with every
+distinct string encoded once by ``json.dumps``, and no per-row object or
+whole-document string is built.
 Both writers replace the target only once the new file is complete, so a
 failure part-way leaves the previous file as it was.
 
 Readers only parse: they check shapes, types, coordinate range and that
 each string can be written back as UTF-8, then construct the document. The
-block-map reader builds each block's row while the file is parsed, so the
-parsed document never holds one object per block, and then checks the rows a
-column at a time. A file that fails that way is parsed again as plain JSON
-and read one field at a time, which names the first bad field. Readers raise
-ParseError (undecodable or malformed JSON, naming the line where known) or
-ValidationError.
+block-map reader builds each block's row while the file is parsed, whatever
+the order of its keys, so the parsed document never holds one object per
+block, and then checks the rows a column at a time. A file that fails that
+way is parsed again as plain JSON and read one field at a time, which names
+the first bad field. Readers raise ParseError (undecodable or malformed
+JSON, naming the line where known) or ValidationError.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, TextIO, Union
 
 from .errors import ParseError, ValidationError, VoxgenError
-from .geometry import COORD_MAX, COORD_MIN, EQUIPMENT_SLOTS, Position, WorldModel, _lattice_point
+from .geometry import COORD_MAX, COORD_MIN, EQUIPMENT_SLOTS, Position, WorldModel, _is_utf8, _lattice_point
 from .raster import BlockGrid
 
 SCHEMA_VERSION = "1"
@@ -179,14 +180,6 @@ class SemanticMap:
 
 
 @dataclass(frozen=True)
-class BlockRecord:
-    material: str
-    x: int
-    y: int
-    z: int
-
-
-@dataclass(frozen=True)
 class BlockEntityRecord:
     entity_type: str
     x: int
@@ -205,38 +198,27 @@ BlockRow = tuple[int, int, int, str]
 _CELL = operator.itemgetter(0, 1, 2)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BlockMapDocument:
     """The low-level document: every block and entity in the flattened world, one block per cell.
 
-    The blocks are kept as ``rows``, plain ``(x, y, z, material)`` tuples
-    sorted as tuples, which is (x, y, z) order because no two share a cell.
-    They can be given as rows, as BlockRecords (``blocks``) or both.
+    The blocks are ``rows``, plain ``(x, y, z, material)`` tuples, given in
+    any order and kept sorted as tuples, which is (x, y, z) order because no
+    two share a cell.
     """
 
-    rows: tuple[BlockRow, ...]
-    entities: tuple[BlockEntityRecord, ...]
+    rows: tuple[BlockRow, ...] = ()
+    entities: tuple[BlockEntityRecord, ...] = ()
 
-    def __init__(
-        self,
-        blocks: Iterable[BlockRecord] = (),
-        entities: Iterable[BlockEntityRecord] = (),
-        *,
-        rows: Iterable[BlockRow] = (),
-    ) -> None:
-        rows = sorted(itertools.chain(rows, ((b.x, b.y, b.z, b.material) for b in blocks)))
+    def __post_init__(self) -> None:
+        rows = sorted(self.rows)
         same_cell = map(operator.eq, map(_CELL, rows), map(_CELL, itertools.islice(rows, 1, None)))
         duplicate = next(itertools.compress(rows, same_cell), None)
         if duplicate is not None:
             raise ValidationError(f"duplicate block coordinates {_CELL(duplicate)}")
         object.__setattr__(self, "rows", tuple(rows))
-        entities = sorted(entities, key=lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment))
+        entities = sorted(self.entities, key=lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment))
         object.__setattr__(self, "entities", tuple(entities))
-
-    @property
-    def blocks(self) -> tuple[BlockRecord, ...]:
-        """The blocks as BlockRecords, in (x, y, z) order, built on each access."""
-        return tuple(BlockRecord(material, x, y, z) for x, y, z, material in self.rows)
 
 
 # -- building documents from in-memory worlds -------------------------------
@@ -463,15 +445,6 @@ def _load_json(path: PathLike, object_pairs_hook: Optional[Callable[[list], Any]
         raise _parse_error(path, err) from err
 
 
-def _is_utf8(text: str) -> bool:
-    """False for a string UTF-8 cannot encode: one with a lone surrogate, which a JSON \\u escape can spell."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 # The per-value readers format a message only on failure.
 def _read_int(value: Any, context: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
@@ -604,17 +577,25 @@ def read_semantic_map(path: PathLike) -> SemanticMap:
     return SemanticMap(map_id, tuple(locations), tuple(connections), tuple(entities), tuple(objects))
 
 
+_BLOCK_KEYS = {"material", "x", "y", "z"}
+
+
 def _block_row(pairs: list[tuple[str, Any]]) -> Any:
     """The block-map reader's object_pairs_hook: a block's row as soon as it is parsed.
 
-    Only an object whose keys are material, x, y, z in that order, as the
-    writer lays out a block, becomes an (x, y, z, material) tuple; any other
-    object becomes the dict json would give. JSON itself never gives a tuple.
+    An object whose keys are exactly material, x, y and z, in any order,
+    becomes an (x, y, z, material) tuple; any other object becomes the dict
+    json would give. JSON itself never gives a tuple. The writer's key order
+    is tested first, without building the dict.
     """
     if len(pairs) == 4:
         (k0, material), (k1, x), (k2, y), (k3, z) = pairs
         if k0 == "material" and k1 == "x" and k2 == "y" and k3 == "z":
             return (x, y, z, material)
+        block = dict(pairs)
+        if block.keys() == _BLOCK_KEYS:
+            return (block["x"], block["y"], block["z"], block["material"])
+        return block
     return dict(pairs)
 
 
@@ -689,10 +670,10 @@ def read_block_map(path: PathLike) -> BlockMapDocument:
     """Parse a block-map file. Input order is free; the document sorts and checks.
 
     The file is parsed with _block_row and its rows checked a column at a
-    time. If anything fails that way (a malformed file, or blocks laid out
-    otherwise than the writer lays them out), the file is parsed again as
-    plain JSON and read one field at a time, so the result or message is the
-    one a plain parse gives and no tuple reaches a message.
+    time. If anything fails that way (a malformed file, or a block with keys
+    other than material, x, y and z), the file is parsed again as plain JSON
+    and read one field at a time, so the result or message is the one a plain
+    parse gives and no tuple reaches a message.
     """
     try:
         fields = _read_block_map_fields(_load_json(path, _block_row), path, _parsed_block_rows)

@@ -27,7 +27,8 @@ from operator import itemgetter
 from typing import Mapping, Optional
 
 from .errors import ValidationError
-from .serialization import BlockMapDocument, PathLike, SemanticMap, _is_utf8, _load_json
+from .geometry import _is_utf8
+from .serialization import BlockMapDocument, PathLike, SemanticMap, _load_json
 
 DEFAULT_PALETTE: dict[str, str] = {
     "cobblestone": "#7a7a7a",

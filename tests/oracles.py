@@ -78,8 +78,8 @@ def naive_rasterize(world: WorldModel) -> tuple[dict[Cell, str], list[EntitySpec
 def block_map_text(doc: BlockMapDocument) -> str:
     """The block-map file text, encoded the plain way: one dict per row, then json.dumps(indent=2)."""
     out: dict[str, Any] = {"schema_version": "1", "blocks": [], "entities": []}
-    for b in doc.blocks:
-        out["blocks"].append({"material": b.material, "x": b.x, "y": b.y, "z": b.z})
+    for x, y, z, material in doc.rows:
+        out["blocks"].append({"material": material, "x": x, "y": y, "z": z})
     for e in doc.entities:
         row: dict[str, Any] = {"type": e.entity_type, "x": e.x, "y": e.y, "z": e.z}
         if e.equipment:

@@ -135,7 +135,7 @@ def test_criterion_05_lockstep_consistency():
         for world in worlds:
             hlr = semantic_map_from_world(world)
             llr = block_map_from_grid(rasterize(world))
-            blocks = {(b.x, b.y, b.z): b.material for b in llr.blocks}
+            blocks = {(x, y, z): material for x, y, z, material in llr.rows}
             entity_cells = {(e.x, e.y, e.z, e.entity_type) for e in llr.entities}
             for e in hlr.entities:
                 if (e.position.x, e.position.y, e.position.z, e.entity_type) not in entity_cells:

@@ -197,5 +197,5 @@ def test_generated_worlds_rasterize_like_the_oracle():
 
 def test_block_map_lists_are_sorted():
     doc = block_map_from_grid(rasterize(gen_dungeon(DungeonParams(n=4, seed=0))))
-    keys = [(b.x, b.y, b.z, b.material) for b in doc.blocks]
+    keys = list(doc.rows)
     assert keys == sorted(keys)

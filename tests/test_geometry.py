@@ -251,8 +251,14 @@ class TestContainers:
         lambda: EntitySpec("z", "zombie", Position(0, 0, 0), equipment={"weapon": ""}),
         lambda: EntitySpec("z", "zombie", Position(0, 0, 0), equipment={"weapon": 5}),
         lambda: WorldModel(""),
+        lambda: WorldModel("w\ud800"),
+        lambda: BoundingVolume("r", "room", "st\udc00one", Position(0, 0, 0), Position(1, 1, 1)),
+        lambda: BlockPlacement("\udfff", Position(0, 0, 0)),
+        lambda: EntitySpec("z", "zombie", Position(0, 0, 0), equipment={"weapon": "iron\ud83d"}),
     ], ids=["empty-volume-type", "int-volume-type", "int-volume-material", "int-block-material",
-            "int-entity-type", "empty-equipment-item", "int-equipment-item", "empty-world-id"])
+            "int-entity-type", "empty-equipment-item", "int-equipment-item", "empty-world-id",
+            "surrogate-world-id", "surrogate-volume-material", "surrogate-block-material",
+            "surrogate-equipment-item"])
     def test_names_must_be_nonempty_strings(self, build):
         with pytest.raises(ValueError, match="must be a nonempty str"):
             build()

@@ -5,10 +5,10 @@ import os
 import re
 import stat
 import threading
+from unittest import mock
 
 import pytest
 
-from voxgen import serialization
 from voxgen.errors import ParseError, ValidationError
 from voxgen.generators import DungeonParams, gen_dungeon, gen_gridworld, gen_zombieworld
 from voxgen.geometry import BoundingVolume, EntitySpec, Position, WorldModel
@@ -16,7 +16,6 @@ from voxgen.raster import rasterize
 from voxgen.serialization import (
     BlockEntityRecord,
     BlockMapDocument,
-    BlockRecord,
     ConnectionRecord,
     EntityRecord,
     LocationRecord,
@@ -46,7 +45,7 @@ def test_empty_world_round_trips(tmp_path):
     assert m.id == "empty"
     assert m.locations == () and m.connections == () and m.entities == () and m.objects == ()
     doc = read_block_map(llr)
-    assert doc.blocks == () and doc.entities == ()
+    assert doc.rows == () and doc.entities == ()
 
 
 def test_write_twice_is_byte_identical(tmp_path, tutorial_world, tutorial_grid):
@@ -136,11 +135,11 @@ def test_unsorted_ids_are_canonicalized_on_write(tmp_path):
 
 def test_documents_sort_a_copy_of_the_callers_lists():
     child_ids = ["b", "a"]
-    blocks = [BlockRecord("log", 5, 0, 0), BlockRecord("log", 1, 0, 0)]
+    rows = [(5, 0, 0, "log"), (1, 0, 0, "log")]
     record = LocationRecord("p", "house", "blank", Position(0, 0, 0), Position(1, 1, 1), child_ids)
-    doc = BlockMapDocument(blocks=blocks)
+    doc = BlockMapDocument(rows=rows)
     assert record.child_ids == ("a", "b") and child_ids == ["b", "a"]
-    assert [b.x for b in doc.blocks] == [1, 5] and [b.x for b in blocks] == [5, 1]
+    assert [x for x, _, _, _ in doc.rows] == [1, 5] and [x for x, _, _, _ in rows] == [5, 1]
 
 
 SEMANTIC_ROOT = {"schema_version": "1", "id": "w", "connections": [], "entities": [], "objects": []}
@@ -292,7 +291,7 @@ def test_lockstep_entities_and_objects(tmp_path):
     grid = rasterize(world)
     hlr = semantic_map_from_world(world)
     llr = block_map_from_grid(grid)
-    blocks = {(b.x, b.y, b.z): b.material for b in llr.blocks}
+    blocks = {(x, y, z): material for x, y, z, material in llr.rows}
     entity_cells = {(e.x, e.y, e.z, e.entity_type) for e in llr.entities}
     for e in hlr.entities:
         assert (e.position.x, e.position.y, e.position.z, e.entity_type) in entity_cells
@@ -359,12 +358,12 @@ def test_semantic_map_records_depths_without_comparing_them():
 
 
 def test_block_map_document_is_frozen():
-    doc = BlockMapDocument(blocks=[BlockRecord("log", 5, 0, 0)])
+    doc = BlockMapDocument(rows=[(5, 0, 0, "log")])
     with pytest.raises(AttributeError):
-        doc.blocks.append(BlockRecord("log", 1, 0, 0))
+        doc.rows.append((1, 0, 0, "log"))
     with pytest.raises(AttributeError):
-        doc.blocks = [BlockRecord("log", 1, 0, 0)]
-    assert doc.blocks == (BlockRecord("log", 5, 0, 0),)
+        doc.rows = [(1, 0, 0, "log")]
+    assert doc.rows == ((5, 0, 0, "log"),)
 
 
 ROW = {"material": "log", "x": 1, "y": 2, "z": 3}
@@ -378,7 +377,9 @@ ROW = {"material": "log", "x": 1, "y": 2, "z": 3}
     ([{"material": "log", "x": 1, "z": 3}], "block y: expected signed 64-bit integer, got None"),
     ([ROW, [1, 2, 3]], "{path}: blocks: expected an object, got list"),
     ([ROW, dict(ROW, x=2, y="7"), dict(ROW, x=3, material=5)], "block y: expected signed 64-bit integer, got '7'"),
-], ids=["bool-x", "float-y", "z-2**63", "empty-material", "missing-key", "non-object-row", "row-2-of-3"])
+    ([{"x": True, "y": 2, "z": 3, "material": "log"}], "block x: expected signed 64-bit integer, got True"),
+], ids=["bool-x", "float-y", "z-2**63", "empty-material", "missing-key", "non-object-row", "row-2-of-3",
+        "other-key-order-bool-x"])
 def test_block_map_reader_errors_keep_their_wording(tmp_path, blocks, message):
     # The messages as the row-by-row reader gave them before the reader checked whole columns.
     path = tmp_path / "block_map.json"
@@ -388,20 +389,23 @@ def test_block_map_reader_errors_keep_their_wording(tmp_path, blocks, message):
     assert str(err.value) == message.format(path=path)
 
 
-@pytest.mark.parametrize("row", [
-    {"material": "stone", "x": 0, "y": 0, "z": 0, "note": "extra"},
-    {"x": 0, "y": 0, "z": 0, "material": "stone"},
+@pytest.mark.parametrize("row, parses", [
+    ({"material": "stone", "x": 0, "y": 0, "z": 0, "note": "extra"}, 2),
+    ({"x": 0, "y": 0, "z": 0, "material": "stone"}, 1),
 ], ids=["extra-key", "other-key-order"])
-def test_block_rows_laid_out_otherwise_than_the_writer_lays_them_out_are_read(tmp_path, row):
+def test_block_rows_laid_out_otherwise_than_the_writer_lays_them_out_are_read(tmp_path, monkeypatch, row, parses):
     # The documents a plain parse gives, recorded before the reader built rows while parsing.
     path = tmp_path / "block_map.json"
     path.write_text(json.dumps({"schema_version": "1", "blocks": [ROW, row], "entities": [
         {"type": "zombie", "x": 0, "y": 0, "z": 0}, {"type": "blaze", "x": 1, "y": 0, "z": 0, "equipment": {}},
     ]}))
+    load = mock.Mock(wraps=json.load)
+    monkeypatch.setattr(json, "load", load)
     assert read_block_map(path) == BlockMapDocument(
         rows=[(0, 0, 0, "stone"), (1, 2, 3, "log")],
         entities=[BlockEntityRecord("zombie", 0, 0, 0), BlockEntityRecord("blaze", 1, 0, 0)],
     )
+    assert load.call_count == parses
 
 
 BOUNDS = {"top_left": [0, 0, 0], "bottom_right": [1, 1, 1]}
@@ -428,50 +432,23 @@ def test_semantic_map_coordinate_errors_keep_their_wording(tmp_path, location_bo
     assert str(err.value) == message
 
 
-def test_block_map_rows_are_sorted_cell_tuples_and_blocks_is_a_read_only_view():
-    doc = BlockMapDocument(
-        blocks=[BlockRecord("log", 1, 0, 0), BlockRecord("stone", 0, 5, 0)],
-        rows=[(0, 0, 9, "glass"), (1, -1, 0, "web")],
-    )
+def test_block_map_rows_are_sorted_read_only_cell_tuples():
+    doc = BlockMapDocument(rows=[(1, 0, 0, "log"), (0, 5, 0, "stone"), (0, 0, 9, "glass"), (1, -1, 0, "web")])
     assert doc.rows == ((0, 0, 9, "glass"), (0, 5, 0, "stone"), (1, -1, 0, "web"), (1, 0, 0, "log"))
-    assert doc.blocks == (
-        BlockRecord("glass", 0, 0, 9), BlockRecord("stone", 0, 5, 0),
-        BlockRecord("web", 1, -1, 0), BlockRecord("log", 1, 0, 0),
-    )
-    assert all(type(b) is BlockRecord for b in doc.blocks)
+    assert all(type(row) is tuple for row in doc.rows)
     with pytest.raises(AttributeError):
-        doc.blocks.append(BlockRecord("log", 2, 0, 0))
-    with pytest.raises(AttributeError):
-        doc.blocks = ()
+        doc.rows.append((2, 0, 0, "log"))
     with pytest.raises(AttributeError):
         doc.rows = ()
-    assert doc == BlockMapDocument(rows=reversed(doc.rows)) == BlockMapDocument(blocks=doc.blocks[::-1])
+    assert doc == BlockMapDocument(rows=reversed(doc.rows)) == BlockMapDocument(doc.rows[::-1])
     assert doc != BlockMapDocument(rows=doc.rows[1:])
-
-
-def test_projecting_and_reading_a_block_map_build_no_block_record(tmp_path, monkeypatch, tutorial_grid):
-    built = []
-
-    class CountedBlockRecord(BlockRecord):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(serialization, "BlockRecord", CountedBlockRecord)
-    path = tmp_path / "block_map.json"
-    doc = block_map_from_grid(tutorial_grid)
-    write_block_map(doc, path)
-    assert read_block_map(path) == doc
-    assert built == []
-    assert len(doc.blocks) == len(built) == len(tutorial_grid.cells)  # the view does build them
 
 
 def test_block_map_built_in_code_rejects_two_blocks_in_one_cell():
     with pytest.raises(ValidationError, match=r"duplicate block coordinates \(1, 2, 3\)"):
-        BlockMapDocument(blocks=[BlockRecord("stone", 1, 2, 3), BlockRecord("log", 0, 0, 0),
-                                 BlockRecord("log", 1, 2, 3)])
+        BlockMapDocument(rows=[(1, 2, 3, "stone"), (0, 0, 0, "log"), (1, 2, 3, "log")])
     with pytest.raises(ValidationError, match=r"duplicate block coordinates \(0, 0, 0\)"):
-        BlockMapDocument(blocks=[BlockRecord("log", 0, 0, 0)], rows=[(0, 0, 0, "log")])
+        BlockMapDocument(rows=[(0, 0, 0, "log"), (0, 0, 0, "log")])
 
 
 def test_the_callers_equipment_dict_cannot_change_a_finalized_world(tmp_path):
@@ -491,11 +468,11 @@ def test_the_callers_equipment_dict_cannot_change_a_finalized_world(tmp_path):
 
 def test_a_write_that_fails_part_way_leaves_the_previous_file(tmp_path):
     path = tmp_path / "block_map.json"
-    write_block_map(BlockMapDocument(blocks=[BlockRecord("log", 0, 0, 0)]), path)
+    write_block_map(BlockMapDocument(rows=[(0, 0, 0, "log")]), path)
     before = path.read_bytes()
     # The entity row is encoded after every block row has been written.
-    rows = [BlockRecord("stone", x, 0, 0) for x in range(1, 5000)]
-    broken = BlockMapDocument(blocks=rows, entities=[BlockEntityRecord(object(), 0, 0, 0)])
+    rows = [(x, 0, 0, "stone") for x in range(1, 5000)]
+    broken = BlockMapDocument(rows=rows, entities=[BlockEntityRecord(object(), 0, 0, 0)])
     with pytest.raises(TypeError):
         write_block_map(broken, path)
     assert path.read_bytes() == before

@@ -13,7 +13,6 @@ from voxgen.geometry import Position, WorldModel
 from voxgen.raster import rasterize
 from voxgen.serialization import (
     BlockMapDocument,
-    BlockRecord,
     LocationRecord,
     SemanticMap,
     block_map_from_grid,
@@ -88,10 +87,10 @@ def test_each_column_takes_the_color_of_its_highest_block():
         (2, -1): [(-4, "stone"), (-3, "cobblestone")],
         (-1, 3): [(0, "gold_block")],
     }
-    rows = [BlockRecord(material, x, y, z) for (x, z), stack in stacks.items() for y, material in stack]
+    rows = [(x, y, z, material) for (x, z), stack in stacks.items() for y, material in stack]
     random.Random(7).shuffle(rows)
     style = BlueprintStyle(voxel_pixel_scale=3, show_labels=False)
-    svg = render_blueprint(SemanticMap("w"), BlockMapDocument(blocks=rows), style)
+    svg = render_blueprint(SemanticMap("w"), BlockMapDocument(rows=rows), style)
     painted = {
         (int(r.get("x")) // 3, int(r.get("y")) // 3): r.get("fill")
         for r in svg_rects(svg)[1:]  # after the frame
@@ -107,7 +106,7 @@ def test_ids_and_colors_are_escaped_in_svg_and_dot(tmp_path):
         LocationRecord(leaf, "room", "stone", Position(1, 1, 1), Position(1, 1, 1), ()),
     )), path)
     m = read_semantic_map(path)
-    blocks = BlockMapDocument(blocks=[BlockRecord("quoted", 0, 0, 0)])
+    blocks = BlockMapDocument(rows=[(0, 0, 0, "quoted")])
     style = BlueprintStyle(material_palette={"quoted": '#fff" onload="x'})
     root = ET.fromstring(render_blueprint(m, blocks, style))
     assert [t.text for t in root.findall(f"{SVG_NS}text")] == [leaf]
