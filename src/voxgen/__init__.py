@@ -34,7 +34,7 @@ from .geometry import (
     WorldModel,
 )
 from .query import LocationIndex, TraceEvent, Transition, read_trace, write_predicates, write_transitions
-from .raster import BlockGrid, diff_grids, rasterize
+from .raster import BlockGrid, rasterize
 from .rng import SeededRng
 from .serialization import (
     BlockMapDocument,
@@ -83,7 +83,6 @@ __all__ = [
     "VoxgenError",
     "WorldModel",
     "block_map_from_grid",
-    "diff_grids",
     "gen_dungeon",
     "gen_gridworld",
     "gen_tutorial_house",

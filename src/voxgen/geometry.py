@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import product, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -75,10 +76,10 @@ def _is_utf8(text: str) -> bool:
     return True
 
 
-def _check_name(value: object, what: str) -> None:
+def _check_name(value: object, what: str, error: type[Exception] = ValueError) -> None:
     """Ids, types, materials and equipment items are nonempty strings UTF-8 can encode, as the readers require."""
     if not isinstance(value, str) or not value or not (value.isascii() or _is_utf8(value)):
-        raise ValueError(f"{what} must be a nonempty str that UTF-8 can encode, got {value!r}")
+        raise error(f"{what} must be a nonempty str that UTF-8 can encode, got {value!r}")
 
 
 class Position(namedtuple("Position", "x y z")):
@@ -112,11 +113,25 @@ def _lattice_point(x: int, y: int, z: int) -> Position:
     """A Position built without the per-axis checks.
 
     Only for coordinates known to pass those checks: ints that lie between
-    those of two Positions, such as a cell of a volume or of a connection, or
-    values that a reader has already checked the same way. It is cheap enough
-    to build one per cell write.
+    those of two Positions, or values that a reader has already checked the
+    same way. A box's cells are built the same way, in bulk, by _box_cells.
     """
     return tuple.__new__(Position, (x, y, z))
+
+
+def _box_cells(top_left: Sequence[int], bottom_right: Sequence[int]) -> Iterator[Position]:
+    """The Position of every cell from corner to corner, both inclusive, in x, then y, then z order.
+
+    Built in C without the per-axis checks, under _lattice_point's condition;
+    corners out of order on some axis give no cells.
+    """
+    (x0, y0, z0), (x1, y1, z1) = top_left, bottom_right
+    return map(tuple.__new__, repeat(Position), product(range(x0, x1 + 1), range(y0, y1 + 1), range(z0, z1 + 1)))
+
+
+def _corners_in_order(top_left: Position, bottom_right: Position) -> bool:
+    """Whether top_left <= bottom_right on each axis, as a box's two corners must be."""
+    return top_left.x <= bottom_right.x and top_left.y <= bottom_right.y and top_left.z <= bottom_right.z
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,7 +200,7 @@ class ConnectionSpec:
         _check_name(self.id, "connection id")
         _check_name(self.connection_type, "connection type")
         tl, br = self.bounds
-        if not (tl.x <= br.x and tl.y <= br.y and tl.z <= br.z):
+        if not _corners_in_order(tl, br):
             raise ValueError(f"connection {self.id}: bounds corners out of order")
         ids = tuple(self.connected_ids)
         if len(ids) < 2:
@@ -200,7 +215,7 @@ def _inset(top_left: Position, bottom_right: Position, margins: Margins) -> tupl
     xl, xh, yl, yh, zl, zh = margins
     tl = Position(top_left.x + xl, top_left.y + yl, top_left.z + zl)
     br = Position(bottom_right.x - xh, bottom_right.y - yh, bottom_right.z - zh)
-    if tl.x > br.x or tl.y > br.y or tl.z > br.z:
+    if not _corners_in_order(tl, br):
         raise EmptyBoxError(
             f"margins {margins} leave no cells inside "
             f"{top_left.as_tuple()}..{bottom_right.as_tuple()}"
@@ -341,7 +356,7 @@ class BoundingVolume(_ItemHolder):
         self.auto_expand = top_left is None
         if top_left is None or bottom_right is None:
             top_left = bottom_right = Position(0, 0, 0)
-        if not (top_left.x <= bottom_right.x and top_left.y <= bottom_right.y and top_left.z <= bottom_right.z):
+        if not _corners_in_order(top_left, bottom_right):
             raise ValueError(f"volume {id}: top_left must be <= bottom_right per axis")
         self.top_left = top_left
         self.bottom_right = bottom_right
@@ -412,15 +427,12 @@ class BoundingVolume(_ItemHolder):
         """Fill the inset box left by the margins with blocks of one material.
 
         Margins are per-face insets from this volume's corners, in the order
-        (x_low, x_high, y_low, y_high, z_low, z_high). Blocks are appended in
-        x, then y, then z order.
+        (x_low, x_high, y_low, y_high, z_low, z_high). One BlockPlacement per
+        cell is appended, in x, then y, then z order (_box_cells).
         """
         self._check_mutable()
         tl, br = _inset(self.top_left, self.bottom_right, margins)
-        for x in range(tl.x, br.x + 1):
-            for y in range(tl.y, br.y + 1):
-                for z in range(tl.z, br.z + 1):
-                    self.blocks.append(BlockPlacement(material, _lattice_point(x, y, z)))
+        self.blocks.extend(map(BlockPlacement, repeat(material), _box_cells(tl, br)))
 
     def random_pos(self, rng: SeededRng, margins: Margins) -> Position:
         """Uniform position inside the inset box.

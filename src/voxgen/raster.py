@@ -20,19 +20,19 @@ Nothing is validated here: ``WorldModel.finalize()`` already has.
 
 Cell keys are ``Position`` tuples, which hash and compare in C; a plain
 ``(x, y, z)`` tuple finds the same cell. A block or an object keys its cell
-with the ``Position`` it already carries. Shell, roof and carve cells lie
-inside a finalized volume or connection, so each write builds its key without
-the coordinate checks (``geometry._lattice_point``); that costs less than
-looking up a key built earlier, so no key is cached between writes.
+with the ``Position`` it already carries. Shell, roof and carve cells fill
+boxes inside a finalized volume or connection: ``geometry._box_cells`` builds
+their keys in C without the coordinate checks, and one ``dict.update`` (or
+``pop``) per box writes them, so no Python frame runs per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterable, Optional
+from itertools import repeat
+from operator import attrgetter
 
-from .geometry import BLANK, BoundingVolume, EntitySpec, Position, WorldModel, _lattice_point
+from .geometry import BLANK, BoundingVolume, EntitySpec, Position, WorldModel, _box_cells
 
 CARVING_CONNECTION_TYPES = ("door", "opening")
 
@@ -45,19 +45,15 @@ class BlockGrid:
     entities: list[EntitySpec] = field(default_factory=list)
 
 
-def _ring(v: BoundingVolume) -> list[tuple[int, int]]:
-    """The (x, z) columns of the perimeter walls, each corner once."""
-    tl, br = v.top_left, v.bottom_right
-    xs, zs = range(tl.x, br.x + 1), range(tl.z, br.z + 1)
-    return list(dict.fromkeys([*product(xs, (tl.z, br.z)), *product((tl.x, br.x), zs)]))
+# (cell, material) of a block and of an object's block.
+_BLOCK_CELL = attrgetter("position", "material")
+_OBJECT_CELL = attrgetter("block.position", "block.material")
 
 
 def _write_items(holder: BoundingVolume | WorldModel, grid: BlockGrid) -> None:
     """A volume's or the world's own blocks, then its objects' blocks, then its entities."""
-    for block in holder.blocks:
-        grid.cells[block.position] = block.material
-    for obj in holder.objects:
-        grid.cells[obj.block.position] = obj.block.material
+    grid.cells.update(map(_BLOCK_CELL, holder.blocks))
+    grid.cells.update(map(_OBJECT_CELL, holder.objects))
     grid.entities.extend(holder.entities)
 
 
@@ -67,43 +63,22 @@ def rasterize(world: WorldModel) -> BlockGrid:
         raise ValueError(f"world {world.id} must be finalized before rasterizing")
     grid = BlockGrid()
     cells = grid.cells
-
-    def fill(columns: list[tuple[int, int]], ys: Iterable[int], material: str) -> None:
-        for y in ys:
-            for x, z in columns:
-                cells[_lattice_point(x, y, z)] = material
-
     for v in world.walk_volumes():
-        tl, br = v.top_left, v.bottom_right
+        (x0, y0, z0), (x1, y1, z1) = v.top_left, v.bottom_right
+        boxes = []
         if v.material != BLANK:
-            fill(_ring(v), range(tl.y, br.y + 1), v.material)
+            # The shell, each cell once: full-width z walls, then x walls between them.
+            boxes = [((x0, y0, z), (x1, y1, z)) for z in dict.fromkeys((z0, z1))]
+            boxes += [((x, y0, z0 + 1), (x, y1, z1 - 1)) for x in dict.fromkeys((x0, x1))]
         if v.has_roof:
-            fill(list(product(range(tl.x, br.x + 1), range(tl.z, br.z + 1))), (br.y,), v.material)
+            boxes.append(((x0, y1, z0), (x1, y1, z1)))
+        for corners in boxes:
+            cells.update(zip(_box_cells(*corners), repeat(v.material)))
         _write_items(v, grid)
     _write_items(world, grid)
 
     for conn in world.all_connections():
-        if conn.connection_type not in CARVING_CONNECTION_TYPES:
-            continue
-        tl, br = conn.bounds
-        for x, y, z in product(range(tl.x, br.x + 1), range(tl.y, br.y + 1), range(tl.z, br.z + 1)):
-            cells.pop(_lattice_point(x, y, z), None)
+        if conn.connection_type in CARVING_CONNECTION_TYPES:
+            for cell in _box_cells(*conn.bounds):
+                cells.pop(cell, None)
     return grid
-
-
-def diff_grids(
-    a: BlockGrid, b: BlockGrid
-) -> list[tuple[Position, Optional[str], Optional[str]]]:
-    """Per-cell symmetric difference of two grids, sorted by position.
-
-    Each entry is (position, material_in_a, material_in_b) with None standing
-    for "absent". An empty list means the cells are identical.
-    """
-    out = []
-    for p in a.cells.keys() | b.cells.keys():
-        ma = a.cells.get(p)
-        mb = b.cells.get(p)
-        if ma != mb:
-            out.append((p, ma, mb))
-    out.sort(key=lambda entry: entry[0])
-    return out

@@ -4,7 +4,9 @@ Both are UTF-8 JSON with schema_version "1"; the field-by-field contract
 lives in docs/file-formats.md. The document types own their invariants: on
 construction, by a reader or by library code, a document keeps a sorted copy
 of every list (records by id, id lists and equipment sorted, block and entity
-rows by coordinates) and raises ValidationError unless its ids are unique,
+rows by coordinates) and raises ValidationError unless every id, type,
+material and equipment item is a nonempty string UTF-8 can encode (the rule
+of ``geometry._check_name``, which the readers apply too), its ids are unique,
 child_ids form a forest, every reference names a declared location, no two
 blocks share a cell, bounds corners are in order and every equipment slot is
 one of EQUIPMENT_SLOTS and named at most once per entity. Writers only encode:
@@ -43,7 +45,17 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, TextIO, Union
 
 from .errors import ParseError, ValidationError, VoxgenError
-from .geometry import COORD_MAX, COORD_MIN, EQUIPMENT_SLOTS, Position, WorldModel, _is_utf8, _lattice_point
+from .geometry import (
+    COORD_MAX,
+    COORD_MIN,
+    EQUIPMENT_SLOTS,
+    Position,
+    WorldModel,
+    _check_name,
+    _corners_in_order,
+    _is_utf8,
+    _lattice_point,
+)
 from .raster import BlockGrid
 
 SCHEMA_VERSION = "1"
@@ -57,17 +69,21 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _check_bounds(top_left: Position, bottom_right: Position, context: str) -> None:
-    _require(
-        top_left.x <= bottom_right.x and top_left.y <= bottom_right.y and top_left.z <= bottom_right.z,
-        f"{context}: top_left must be <= bottom_right per axis",
-    )
+    _require(_corners_in_order(top_left, bottom_right), f"{context}: top_left must be <= bottom_right per axis")
+
+
+def _check_names(kind: str, **names: object) -> None:
+    """ValidationError unless every value passes geometry's name rule, the one the readers apply."""
+    for field_name, value in names.items():
+        _check_name(value, f"{kind} {field_name}", ValidationError)
 
 
 def _check_equipment(equipment: tuple[tuple[str, str], ...], context: str) -> None:
     seen: set[str] = set()
-    for slot, _ in equipment:
+    for slot, item in equipment:
         _require(slot in EQUIPMENT_SLOTS, f"{context}: unknown equipment slot {slot!r}")
         _require(slot not in seen, f"{context}: repeated equipment slot {slot!r}")
+        _check_name(item, f"{context}: {slot} item", ValidationError)
         seen.add(slot)
 
 
@@ -81,6 +97,7 @@ class LocationRecord:
     child_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        _check_names("location", id=self.id, type=self.location_type, material=self.material)
         _check_bounds(self.top_left, self.bottom_right, f"location {self.id}: bounds")
         object.__setattr__(self, "child_ids", tuple(sorted(self.child_ids)))
 
@@ -94,6 +111,7 @@ class ConnectionRecord:
     connected_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        _check_names("connection", id=self.id, type=self.connection_type)
         _check_bounds(self.top_left, self.bottom_right, f"connection {self.id}: bounds")
         object.__setattr__(self, "connected_ids", tuple(sorted(self.connected_ids)))
 
@@ -107,6 +125,7 @@ class EntityRecord:
     equipment: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
+        _check_names("entity", id=self.id, type=self.entity_type)
         _check_equipment(self.equipment, f"entity {self.id}: equipment")
         object.__setattr__(self, "equipment", tuple(sorted(self.equipment)))
 
@@ -118,6 +137,9 @@ class ObjectRecord:
     material: str
     position: Position
     location_id: Optional[str]
+
+    def __post_init__(self) -> None:
+        _check_names("object", id=self.id, type=self.object_type, material=self.material)
 
 
 @dataclass(frozen=True)
@@ -135,6 +157,7 @@ class SemanticMap:
     depths: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_names("semantic map", id=self.id)
         for name in ("locations", "connections", "entities", "objects"):
             object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=lambda r: r.id)))
         claimed: set[str] = set()
@@ -188,6 +211,7 @@ class BlockEntityRecord:
     equipment: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
+        _check_names("entity", type=self.entity_type)
         _check_equipment(self.equipment, f"entity {self.entity_type}: equipment")
         object.__setattr__(self, "equipment", tuple(sorted(self.equipment)))
 
@@ -196,6 +220,7 @@ class BlockEntityRecord:
 BlockRow = tuple[int, int, int, str]
 
 _CELL = operator.itemgetter(0, 1, 2)
+_MATERIAL = operator.itemgetter(3)
 
 
 @dataclass(frozen=True)
@@ -212,6 +237,9 @@ class BlockMapDocument:
 
     def __post_init__(self) -> None:
         rows = sorted(self.rows)
+        # Each distinct material once, in row order, so the first bad one is named.
+        for material in dict.fromkeys(map(_MATERIAL, rows)):
+            _check_name(material, "block material", ValidationError)
         same_cell = map(operator.eq, map(_CELL, rows), map(_CELL, itertools.islice(rows, 1, None)))
         duplicate = next(itertools.compress(rows, same_cell), None)
         if duplicate is not None:
@@ -388,7 +416,7 @@ def _equipment_json(equipment: tuple[tuple[str, str], ...]) -> str:
 
 
 def _write_block_map_rows(doc: BlockMapDocument, handle: TextIO) -> None:
-    materials = {material: _encode(material) for material in set(map(operator.itemgetter(3), doc.rows))}
+    materials = {material: _encode(material) for material in set(map(_MATERIAL, doc.rows))}
     handle.write('{\n  "schema_version": %s,\n  "blocks": ' % _encode(SCHEMA_VERSION))
     _write_list(handle, (_BLOCK_ROW % (materials[material], x, y, z) for x, y, z, material in doc.rows))
     handle.write(',\n  "entities": ')
@@ -612,18 +640,16 @@ def _parsed_block_rows(value: Any, context: str) -> list[BlockRow]:
     """value itself, a blocks list parsed with _block_row, once its rows pass the checks.
 
     The checks run a column at a time, in C: every block became a row, then
-    each coordinate column's types and range, the material column's types,
-    and each distinct material once. A failure raises a ValidationError that
-    names no field; read_block_map then reads the file the plain way.
+    each coordinate column's types and range, and the material column's
+    types; the document then checks each distinct material once. A failure
+    raises a ValidationError that names no field; read_block_map then reads
+    the file the plain way.
     """
     failed = f"{context}: not the rows of valid blocks"
     _require(type(value) is list and set(map(type, value)) <= {tuple}, failed)
     for column in range(3):
         _require(_is_coord_column(list(map(operator.itemgetter(column), value))), failed)
-    materials = list(map(operator.itemgetter(3), value))
-    _require(set(map(type, materials)) <= {str}, failed)
-    names = set(materials)
-    _require("" not in names and all(map(_is_utf8, names)), failed)
+    _require(set(map(type, map(_MATERIAL, value))) <= {str}, failed)
     return value
 
 
@@ -669,17 +695,15 @@ def _read_block_map_fields(
 def read_block_map(path: PathLike) -> BlockMapDocument:
     """Parse a block-map file. Input order is free; the document sorts and checks.
 
-    The file is parsed with _block_row and its rows checked a column at a
-    time. If anything fails that way (a malformed file, or a block with keys
-    other than material, x, y and z), the file is parsed again as plain JSON
-    and read one field at a time, so the result or message is the one a plain
-    parse gives and no tuple reaches a message.
+    The file is parsed with _block_row, its rows checked a column at a time
+    and the document built from them. If anything fails that way (a malformed
+    file or document, or a block with keys other than material, x, y and z),
+    the file is parsed again as plain JSON and read one field at a time, so
+    the result or message is the one a plain parse gives and no tuple reaches
+    a message. Either way the parsed JSON is gone once the fields are read,
+    so the document's sorted copy of the rows reuses its memory instead of
+    raising the peak.
     """
-    try:
-        fields = _read_block_map_fields(_load_json(path, _block_row), path, _parsed_block_rows)
-    except VoxgenError:
-        fields = None
-    # The parsed JSON is gone once the fields are read: the document's sorted
-    # copy of the rows then reuses its memory instead of raising the peak.
-    rows, entities = fields or _read_block_map_fields(_load_json(path), path, _read_block_rows)
-    return BlockMapDocument(rows=rows, entities=entities)
+    with contextlib.suppress(VoxgenError):
+        return BlockMapDocument(*_read_block_map_fields(_load_json(path, _block_row), path, _parsed_block_rows))
+    return BlockMapDocument(*_read_block_map_fields(_load_json(path), path, _read_block_rows))

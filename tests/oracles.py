@@ -13,6 +13,7 @@ from typing import Any, Optional
 
 from voxgen.errors import ValidationError
 from voxgen.geometry import BlockPlacement, BoundingVolume, EntitySpec, Position, WorldModel
+from voxgen.raster import BlockGrid
 from voxgen.serialization import BlockMapDocument, SemanticMap
 
 Cell = tuple[int, int, int]
@@ -73,6 +74,22 @@ def naive_rasterize(world: WorldModel) -> tuple[dict[Cell, str], list[EntitySpec
             for point in box_points(conn.bounds[0].as_tuple(), conn.bounds[1].as_tuple()):
                 cells.pop(point, None)
     return cells, entities
+
+
+def diff_grids(a: BlockGrid, b: BlockGrid) -> list[tuple[Cell, Optional[str], Optional[str]]]:
+    """Per-cell symmetric difference of two grids, sorted by position.
+
+    Each entry is (position, material_in_a, material_in_b) with None standing
+    for "absent". An empty list means the cells are identical.
+    """
+    out = []
+    for p in a.cells.keys() | b.cells.keys():
+        ma = a.cells.get(p)
+        mb = b.cells.get(p)
+        if ma != mb:
+            out.append((p, ma, mb))
+    out.sort(key=lambda entry: entry[0])
+    return out
 
 
 def block_map_text(doc: BlockMapDocument) -> str:

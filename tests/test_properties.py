@@ -158,9 +158,10 @@ def test_near_valid_traces_read_within_contract(tmp_path, lines):
 
 
 # Quotes, backslashes, control characters, non-ASCII (astral too) and the
-# characters a format template would trip on, plus any text at all.
+# characters a format template would trip on, plus any name at all: a
+# nonempty text UTF-8 can encode, as the documents require.
 awkward = st.sampled_from('a"\\\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600%{}')
-names = st.text(awkward, min_size=1, max_size=5) | st.text(max_size=4)
+names = st.text(awkward, min_size=1, max_size=5) | st.text(st.characters(codec="utf-8"), min_size=1, max_size=4)
 lattice = st.integers(-2, 2) | st.integers(COORD_MIN, COORD_MAX)
 cells = st.tuples(lattice, lattice, lattice)
 # Each slot at most once, as the record requires, in any order.

@@ -4,9 +4,12 @@ from collections import Counter
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxgen.errors import OutOfBoundsError
 from voxgen.geometry import (
+    BLANK,
     BlockPlacement,
     BoundingVolume,
     ConnectionSpec,
@@ -15,10 +18,10 @@ from voxgen.geometry import (
     Position,
     WorldModel,
 )
-from voxgen.raster import BlockGrid, diff_grids, rasterize
+from voxgen.raster import BlockGrid, rasterize
 from voxgen.serialization import semantic_map_from_world
 
-from oracles import brute_shell_cells, naive_rasterize, random_world
+from oracles import brute_shell_cells, diff_grids, naive_rasterize, random_world
 
 
 def world_of(*volumes, world_id="w"):
@@ -61,6 +64,58 @@ def test_full_tutorial_room_matches_oracle_partition():
     assert {p.as_tuple(): m for p, m in grid.cells.items()} == oracle_cells
     # 100 shell + 16 roof interior - 36 glass overwrites; floor is new cells.
     assert Counter(grid.cells.values()) == {"log": 80, "glass": 36, "planks": 16}
+
+
+def assert_matches_oracle(world):
+    grid = rasterize(world)
+    oracle_cells, oracle_entities = naive_rasterize(world)
+    assert grid.cells == oracle_cells
+    assert all(type(p) is Position for p in grid.cells)
+    assert grid.entities == oracle_entities
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_random_worlds_match_oracle(seed):
+    assert_matches_oracle(random_world(seed))
+
+
+@st.composite
+def sibling_volumes_with_a_door(draw):
+    """Two sibling volumes of 1 to 4 cells per axis, so 1-wide and 1-thick
+    walls occur, each maybe blank, maybe roofed, maybe holding a generate_box
+    fill, and a door (or opening, or corridor) somewhere between them."""
+    materials = st.sampled_from(["stone", "log", BLANK])
+    group = BoundingVolume("house")
+    for i in range(2):
+        tl = [draw(st.integers(-2, 2)) for _ in range(3)]
+        sizes = [draw(st.integers(1, 4)) for _ in range(3)]
+        room = BoundingVolume(
+            f"room{i}", material=draw(materials), has_roof=draw(st.booleans()),
+            top_left=Position(*tl), bottom_right=Position(*(a + n - 1 for a, n in zip(tl, sizes))),
+        )
+        if draw(st.booleans()):
+            margins = []
+            for n in sizes:
+                low = draw(st.integers(0, n - 1))
+                margins += [low, draw(st.integers(0, n - 1 - low))]
+            room.generate_box(draw(st.sampled_from(["planks", "glass"])), tuple(margins))
+        group.add_child(room)
+    door_tl = [draw(st.integers(-2, 5)) for _ in range(3)]
+    door_br = [a + draw(st.integers(0, 2)) for a in door_tl]
+    door = ConnectionSpec(
+        "door", draw(st.sampled_from(["door", "opening", "corridor"])),
+        (Position(*door_tl), Position(*door_br)), ("room0", "room1"),
+    )
+    world = WorldModel("w")
+    world.add_volume(group)
+    world.add_connection(door)
+    return world.finalize()
+
+
+@settings(max_examples=200, deadline=None)
+@given(world=sibling_volumes_with_a_door())
+def test_sibling_volumes_with_a_door_match_oracle(world):
+    assert_matches_oracle(world)
 
 
 def test_world_level_loose_items_follow_the_volume_rules_anywhere():

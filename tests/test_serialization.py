@@ -350,6 +350,26 @@ def test_records_built_in_code_reject_a_repeated_equipment_slot(build):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    # Each of the first three built a document whose file its reader refuses.
+    (lambda: BlockMapDocument(rows=[(1, 0, 0, "log"), (0, 0, 0, "")]), "block material"),
+    (lambda: BlockEntityRecord("", 0, 0, 0), "entity type"),
+    (lambda: SemanticMap("w\ud800"), "semantic map id"),
+    (lambda: LocationRecord("a", "", "log", P0, P0, ()), "location type"),
+    (lambda: LocationRecord("a", "room", "lo\ud800g", P0, P0, ()), "location material"),
+    (lambda: ConnectionRecord("", "door", P0, P0, ("a", "b")), "connection id"),
+    (lambda: EntityRecord("e", "zombie", P0, None, (("helmet", ""),)), "entity e: equipment: helmet item"),
+    (lambda: ObjectRecord("o", "chest", 5, P0, None), "object material"),
+    (lambda: BlockEntityRecord("zombie", 0, 0, 0, (("weapon", "\udc00"),)), "entity zombie: equipment: weapon item"),
+], ids=["block-material", "block-entity-type", "semantic-map-id", "location-type", "location-material",
+        "connection-id", "entity-item", "object-material", "block-entity-item"])
+def test_documents_built_in_code_apply_the_readers_name_rule(build, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value).startswith(f"{message} must be a nonempty str that UTF-8 can encode, got ")
+    assert "\n" not in str(err.value)
+
+
 def test_semantic_map_records_depths_without_comparing_them():
     m = SemanticMap("w", (room("c"), room("a", "b"), room("b", "c")))
     assert m.depths == {"a": 0, "b": 1, "c": 2}
@@ -472,7 +492,10 @@ def test_a_write_that_fails_part_way_leaves_the_previous_file(tmp_path):
     before = path.read_bytes()
     # The entity row is encoded after every block row has been written.
     rows = [(x, 0, 0, "stone") for x in range(1, 5000)]
-    broken = BlockMapDocument(rows=rows, entities=[BlockEntityRecord(object(), 0, 0, 0)])
+    # The record refuses an entity type JSON cannot encode, so it is set past the check.
+    entity = BlockEntityRecord("zombie", 0, 0, 0)
+    object.__setattr__(entity, "entity_type", object())
+    broken = BlockMapDocument(rows=rows, entities=[entity])
     with pytest.raises(TypeError):
         write_block_map(broken, path)
     assert path.read_bytes() == before
