@@ -7,7 +7,11 @@ opposite corners: ``top_left`` is the corner with the lowest x, y and z,
 a volume with equal corners contains exactly one lattice point. A point is a
 ``Position``, the tuple ``(x, y, z)`` with named fields: it hashes, compares
 and sorts as that tuple does, in C, so it is the key of a cell everywhere,
-from the raster's grid to the block map's rows.
+from the raster's grid to the block map's rows. ``Position(...)`` is the one
+way to build a point, and it checks every coordinate; only ``_box_cells``
+builds a box's cells without it, in bulk. A spec or volume given a point as
+anything but a Position (a plain tuple, say) keeps ``Position(*point)``
+instead, so every point a world holds has passed those checks.
 
 Volumes nest: translating a volume translates its whole subtree (children,
 blocks, entities, objects) in one move. Connections are the deliberate
@@ -94,6 +98,10 @@ class Position(namedtuple("Position", "x y z")):
     __slots__ = ()
 
     def __new__(cls, x: int, y: int, z: int) -> "Position":
+        if (type(x) is type(y) is type(z) is int
+                and COORD_MIN <= x <= COORD_MAX and COORD_MIN <= y <= COORD_MAX and COORD_MIN <= z <= COORD_MAX):
+            return tuple.__new__(cls, (x, y, z))
+        # Only a bad coordinate or an int subclass gets here: check axis by axis to name the first bad one.
         return tuple.__new__(cls, (_check_coord(x, "x"), _check_coord(y, "y"), _check_coord(z, "z")))
 
     @classmethod
@@ -109,24 +117,21 @@ class Position(namedtuple("Position", "x y z")):
         return tuple(self)
 
 
-def _lattice_point(x: int, y: int, z: int) -> Position:
-    """A Position built without the per-axis checks.
-
-    Only for coordinates known to pass those checks: ints that lie between
-    those of two Positions, or values that a reader has already checked the
-    same way. A box's cells are built the same way, in bulk, by _box_cells.
-    """
-    return tuple.__new__(Position, (x, y, z))
-
-
 def _box_cells(top_left: Sequence[int], bottom_right: Sequence[int]) -> Iterator[Position]:
     """The Position of every cell from corner to corner, both inclusive, in x, then y, then z order.
 
-    Built in C without the per-axis checks, under _lattice_point's condition;
-    corners out of order on some axis give no cells.
+    The one place a Position is built without Position's checks: in C, in
+    bulk. Every cell lies between the two corners, so each of its coordinates
+    is an int between those of two Positions. Corners out of order on some
+    axis give no cells.
     """
     (x0, y0, z0), (x1, y1, z1) = top_left, bottom_right
     return map(tuple.__new__, repeat(Position), product(range(x0, x1 + 1), range(y0, y1 + 1), range(z0, z1 + 1)))
+
+
+def _as_position(point: Sequence[int]) -> Position:
+    """point itself if it is a Position, else Position(*point), which checks it."""
+    return point if type(point) is Position else Position(*point)
 
 
 def _corners_in_order(top_left: Position, bottom_right: Position) -> bool:
@@ -143,6 +148,9 @@ class BlockPlacement:
 
     def __post_init__(self) -> None:
         _check_name(self.material, "block material")
+        # _as_position's test, inline: generate_box builds one placement per cell.
+        if type(self.position) is not Position:
+            object.__setattr__(self, "position", Position(*self.position))
 
 
 @dataclass(frozen=True)
@@ -161,6 +169,7 @@ class EntitySpec:
     def __post_init__(self) -> None:
         _check_name(self.id, "entity id")
         _check_name(self.entity_type, "entity type")
+        object.__setattr__(self, "position", _as_position(self.position))
         if self.equipment is not None:
             object.__setattr__(self, "equipment", MappingProxyType(dict(self.equipment)))
         for slot, item in (self.equipment or {}).items():
@@ -199,9 +208,10 @@ class ConnectionSpec:
     def __post_init__(self) -> None:
         _check_name(self.id, "connection id")
         _check_name(self.connection_type, "connection type")
-        tl, br = self.bounds
+        tl, br = map(_as_position, self.bounds)
         if not _corners_in_order(tl, br):
             raise ValueError(f"connection {self.id}: bounds corners out of order")
+        object.__setattr__(self, "bounds", (tl, br))
         ids = tuple(self.connected_ids)
         if len(ids) < 2:
             raise ValueError(f"connection {self.id}: needs at least 2 connected ids")
@@ -356,6 +366,7 @@ class BoundingVolume(_ItemHolder):
         self.auto_expand = top_left is None
         if top_left is None or bottom_right is None:
             top_left = bottom_right = Position(0, 0, 0)
+        top_left, bottom_right = _as_position(top_left), _as_position(bottom_right)
         if not _corners_in_order(top_left, bottom_right):
             raise ValueError(f"volume {id}: top_left must be <= bottom_right per axis")
         self.top_left = top_left

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import NonMonotonicTraceError, ValidationError
-from .geometry import Position, _lattice_point
+from .geometry import Position
 from .serialization import (
     _PARSE_FAILURES, LocationRecord, PathLike, SemanticMap, _parse_error, _read_coord, _read_int, _read_str,
     _write_atomically,
@@ -52,6 +53,14 @@ class Transition:
     player_id: str
     from_id: Optional[str]
     to_id: Optional[str]
+
+
+_BARE_ID = re.compile(r"[A-Za-z0-9_]+")
+
+
+def _predicate_arg(id: str) -> str:
+    """An id as a predicate argument: bare if only ASCII letters, digits and _, else JSON-quoted."""
+    return id if _BARE_ID.fullmatch(id) else json.dumps(id)
 
 
 def _volume_of(loc: LocationRecord) -> int:
@@ -136,14 +145,16 @@ class LocationIndex:
         """Sorted, duplicate-free connected(a, b) and contains(parent, child) facts.
 
         Connections are undirected: each unordered pair appears once, with the
-        lexicographically smaller id first.
+        lexicographically smaller id first. An id made of anything but ASCII
+        letters, digits and _ is written as a JSON string, so each fact is one
+        line and its arguments read back unambiguously.
         """
         facts = set()
         for a, b in self.map.connected_pairs():
-            facts.add(f"connected({a}, {b})")
+            facts.add(f"connected({_predicate_arg(a)}, {_predicate_arg(b)})")
         for loc in self.map.locations:
             for child_id in loc.child_ids:
-                facts.add(f"contains({loc.id}, {child_id})")
+                facts.add(f"contains({_predicate_arg(loc.id)}, {_predicate_arg(child_id)})")
         return sorted(facts)
 
 
@@ -151,7 +162,11 @@ class LocationIndex:
 
 
 def read_trace(path: PathLike) -> list[TraceEvent]:
-    """Read a JSON Lines trace file; blank lines are allowed and skipped."""
+    """Read a JSON Lines trace file; blank lines are allowed and skipped.
+
+    Each coordinate goes through _read_coord, which words the message for a
+    bad one, and then the sample's position through Position(...).
+    """
     events = []
     lineno = 0
     try:
@@ -167,8 +182,7 @@ def read_trace(path: PathLike) -> list[TraceEvent]:
                         TraceEvent(
                             timestamp=_read_int(raw.get("timestamp"), "timestamp"),
                             player_id=_read_str(raw.get("player_id"), "player_id"),
-                            # _read_coord makes Position's checks, so they do not run twice.
-                            position=_lattice_point(
+                            position=Position(
                                 _read_coord(raw.get("x"), "x"),
                                 _read_coord(raw.get("y"), "y"),
                                 _read_coord(raw.get("z"), "z"),

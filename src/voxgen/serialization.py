@@ -9,7 +9,10 @@ material and equipment item is a nonempty string UTF-8 can encode (the rule
 of ``geometry._check_name``, which the readers apply too), its ids are unique,
 child_ids form a forest, every reference names a declared location, no two
 blocks share a cell, bounds corners are in order and every equipment slot is
-one of EQUIPMENT_SLOTS and named at most once per entity. Writers only encode:
+one of EQUIPMENT_SLOTS and named at most once per entity. A record keeps each
+of its points as a Position, built with Position(*point) if given otherwise,
+and a block-map entity's x, y and z are signed 64-bit ints. (The coordinates
+of block rows built in code are not checked.) Writers only encode:
 keys in a fixed order, "\n" line endings, ASCII output. Writing what you just
 read reproduces the file.
 
@@ -44,17 +47,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, TextIO, Union
 
-from .errors import ParseError, ValidationError, VoxgenError
+from .errors import CoordinateOverflowError, ParseError, ValidationError, VoxgenError
 from .geometry import (
     COORD_MAX,
     COORD_MIN,
     EQUIPMENT_SLOTS,
     Position,
     WorldModel,
+    _as_position,
     _check_name,
     _corners_in_order,
     _is_utf8,
-    _lattice_point,
 )
 from .raster import BlockGrid
 
@@ -78,6 +81,19 @@ def _check_names(kind: str, **names: object) -> None:
         _check_name(value, f"{kind} {field_name}", ValidationError)
 
 
+def _check_positions(record: Any, kind: str, *fields: str) -> None:
+    """Make each of record's named fields a Position; ValidationError naming record and field if Position refuses it."""
+    for name in fields:
+        value = getattr(record, name)
+        try:
+            position = _as_position(value)
+        except (TypeError, CoordinateOverflowError):
+            raise ValidationError(
+                f"{kind} {record.id}: {name}: expected three signed 64-bit integers, got {value!r}"
+            ) from None
+        object.__setattr__(record, name, position)
+
+
 def _check_equipment(equipment: tuple[tuple[str, str], ...], context: str) -> None:
     seen: set[str] = set()
     for slot, item in equipment:
@@ -98,6 +114,7 @@ class LocationRecord:
 
     def __post_init__(self) -> None:
         _check_names("location", id=self.id, type=self.location_type, material=self.material)
+        _check_positions(self, "location", "top_left", "bottom_right")
         _check_bounds(self.top_left, self.bottom_right, f"location {self.id}: bounds")
         object.__setattr__(self, "child_ids", tuple(sorted(self.child_ids)))
 
@@ -112,6 +129,7 @@ class ConnectionRecord:
 
     def __post_init__(self) -> None:
         _check_names("connection", id=self.id, type=self.connection_type)
+        _check_positions(self, "connection", "top_left", "bottom_right")
         _check_bounds(self.top_left, self.bottom_right, f"connection {self.id}: bounds")
         object.__setattr__(self, "connected_ids", tuple(sorted(self.connected_ids)))
 
@@ -126,6 +144,7 @@ class EntityRecord:
 
     def __post_init__(self) -> None:
         _check_names("entity", id=self.id, type=self.entity_type)
+        _check_positions(self, "entity", "position")
         _check_equipment(self.equipment, f"entity {self.id}: equipment")
         object.__setattr__(self, "equipment", tuple(sorted(self.equipment)))
 
@@ -140,6 +159,7 @@ class ObjectRecord:
 
     def __post_init__(self) -> None:
         _check_names("object", id=self.id, type=self.object_type, material=self.material)
+        _check_positions(self, "object", "position")
 
 
 @dataclass(frozen=True)
@@ -212,6 +232,8 @@ class BlockEntityRecord:
 
     def __post_init__(self) -> None:
         _check_names("entity", type=self.entity_type)
+        for axis in "xyz":
+            _read_coord(getattr(self, axis), f"entity {self.entity_type}: {axis}")
         _check_equipment(self.equipment, f"entity {self.entity_type}: equipment")
         object.__setattr__(self, "equipment", tuple(sorted(self.equipment)))
 
@@ -511,9 +533,9 @@ def _read_list(value: Any, context: str, read_item: Callable[[Any, str], Any]) -
 
 
 def _read_position(value: Any, context: str) -> Position:
+    """The Position of a JSON [x, y, z]; _read_coord words the message for a bad coordinate."""
     _require(isinstance(value, list) and len(value) == 3, f"{context}: expected [x, y, z], got {value!r}")
-    # _read_coord makes Position's checks, so they do not run twice.
-    return _lattice_point(*(_read_coord(v, context) for v in value))
+    return Position(*(_read_coord(v, context) for v in value))
 
 
 def _read_bounds(value: Any, context: str) -> tuple[Position, Position]:
@@ -683,9 +705,9 @@ def _read_block_map_fields(
         entities.append(
             BlockEntityRecord(
                 entity_type,
-                _read_coord(raw.get("x"), f"entity {entity_type}: x"),
-                _read_coord(raw.get("y"), f"entity {entity_type}: y"),
-                _read_coord(raw.get("z"), f"entity {entity_type}: z"),
+                raw.get("x"),
+                raw.get("y"),
+                raw.get("z"),
                 _read_equipment(raw.get("equipment"), f"entity {entity_type}: equipment"),
             )
         )

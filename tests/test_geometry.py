@@ -1,5 +1,6 @@
 """Core geometry: positions, volumes, translation, margins, the world."""
 
+import enum
 import random
 
 import pytest
@@ -20,7 +21,6 @@ from voxgen.geometry import (
     ObjectSpec,
     Position,
     WorldModel,
-    _lattice_point,
 )
 from voxgen.rng import SeededRng
 
@@ -43,14 +43,6 @@ class TestPosition:
 
     def test_ordering_is_lexicographic(self):
         assert Position(1, 2, 3) < Position(1, 2, 4) < Position(2, 0, 0)
-
-    def test_an_unchecked_lattice_point_is_a_position(self):
-        p = _lattice_point(-(2**63), 0, 2**63 - 1)
-        assert type(p) is Position
-        assert p == Position(-(2**63), 0, 2**63 - 1) and hash(p) == hash(Position(-(2**63), 0, 2**63 - 1))
-        assert p < Position(-(2**63), 1, 0)
-        with pytest.raises(AttributeError):
-            p.x = 1
 
     def test_a_position_is_its_coordinate_tuple(self):
         p = Position(1, 2, 3)
@@ -80,6 +72,29 @@ class TestPosition:
         p = Position(2**63 - 1, 0, 0)
         with pytest.raises(CoordinateOverflowError):
             p.shifted(1, 0, 0)
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Position(True, 0, 0), TypeError, "x must be an int, got bool"),
+        (lambda: Position(0, 0, 1.5), TypeError, "z must be an int, got float"),
+        (lambda: Position(0, "1", 0), TypeError, "y must be an int, got str"),
+        (lambda: Position(0, 2**63, 0), CoordinateOverflowError, "y=9223372036854775808 outside signed 64-bit range"),
+        (lambda: Position(0, 0, -(2**63) - 1), CoordinateOverflowError,
+         "z=-9223372036854775809 outside signed 64-bit range"),
+        (lambda: Position(0, 0, 0)._replace(x=2**64), CoordinateOverflowError,
+         "x=18446744073709551616 outside signed 64-bit range"),
+        (lambda: Position(1.5, 2**63, "z"), TypeError, "x must be an int, got float"),
+    ], ids=["bool-x", "float-z", "str-y", "y-2**63", "z-below-range", "replace", "first-bad-axis"])
+    def test_errors_name_the_first_bad_axis(self, build, error, message):
+        with pytest.raises(error) as err:
+            build()
+        assert type(err.value) is error and str(err.value) == message
+
+    def test_an_int_subclass_coordinate_is_kept_as_given(self):
+        class Level(enum.IntEnum):
+            GROUND = 3
+
+        p = Position(Level.GROUND, 0, 0)
+        assert p == (3, 0, 0) and type(p.x) is Level
 
 
 class TestShift:
@@ -262,6 +277,39 @@ class TestContainers:
     def test_names_must_be_nonempty_strings(self, build):
         with pytest.raises(ValueError, match="must be a nonempty str"):
             build()
+
+    # A world-level spec at each of the first four used to finalize and write a
+    # document its own reader rejects, or a block at the wrong cell.
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: EntitySpec("z", "zombie", (True, 0, 0)), TypeError, "x must be an int, got bool"),
+        (lambda: EntitySpec("z", "zombie", (1.5, 0, 0)), TypeError, "x must be an int, got float"),
+        (lambda: EntitySpec("z", "zombie", (0, 0, 2**70)), CoordinateOverflowError,
+         "z=1180591620717411303424 outside signed 64-bit range"),
+        (lambda: BlockPlacement("log", (1.5, 0, 0)), TypeError, "x must be an int, got float"),
+        (lambda: ConnectionSpec("c", "door", ((0, 0, 0), (0, "1", 0)), ("a", "b")), TypeError,
+         "y must be an int, got str"),
+        (lambda: BoundingVolume("r", "room", "stone", (0, 0, 0), (1, 1, 2**63)), CoordinateOverflowError,
+         "z=9223372036854775808 outside signed 64-bit range"),
+    ], ids=["entity-bool-x", "entity-float-x", "entity-z-2**70", "block-float-x", "connection-str-y",
+            "volume-z-2**63"])
+    def test_a_point_not_given_as_a_position_gets_its_checks(self, build, error, message):
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_points_given_as_tuples_are_kept_as_positions(self):
+        room = BoundingVolume("r", "room", "stone", (0, 0, 0), [2, 2, 2])
+        conn = ConnectionSpec("c", "door", ((0, 0, 0), (0, 1, 0)), ("a", "b"))
+        room.add_entity(EntitySpec("z", "zombie", (1, 1, 1)))
+        room.add_block(BlockPlacement("log", (2, 2, 2)))
+        points = [room.top_left, room.bottom_right, *conn.bounds, room.entities[0].position, room.blocks[0].position]
+        assert points == [(0, 0, 0), (2, 2, 2), (0, 0, 0), (0, 1, 0), (1, 1, 1), (2, 2, 2)]
+        assert all(type(p) is Position for p in points)
+
+    def test_an_entity_tuple_outside_its_volume_is_out_of_bounds(self):
+        room = make_room()
+        with pytest.raises(OutOfBoundsError, match=r"^entity z at \(9, 4, 3\) outside volume room$"):
+            room.add_entity(EntitySpec("z", "zombie", (9, 4, 3)))
 
 
 class TestWorldModel:

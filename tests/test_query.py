@@ -1,7 +1,9 @@
 """Point location, transition monitoring, and predicate export."""
 
+import json
 import os
 import random
+import re
 
 import pytest
 
@@ -9,7 +11,7 @@ from voxgen.errors import NonMonotonicTraceError, ParseError, ValidationError
 from voxgen.generators import gen_gridworld
 from voxgen.geometry import Position
 from voxgen.query import LocationIndex, TraceEvent, Transition, read_trace, write_predicates, write_transitions
-from voxgen.serialization import SemanticMap, semantic_map_from_world
+from voxgen.serialization import ConnectionRecord, LocationRecord, SemanticMap, semantic_map_from_world
 
 from oracles import scan_locate
 
@@ -120,6 +122,37 @@ class TestPredicates:
         facts = index.export_predicates()
         assert facts == sorted(facts)
         assert len(facts) == len(set(facts)) == 12
+
+    def test_ids_other_than_plain_words_are_quoted_one_fact_per_line(self, tmp_path):
+        children = ["a\nb", "c, d", "e)", 'f"g', "h\u00e9\u2028", "plain_1"]
+        p = Position(0, 0, 0)
+        semantic_map = SemanticMap(
+            "w",
+            (LocationRecord("top level", "house", "log", p, p, tuple(children)),
+             *(LocationRecord(child, "room", "log", p, p, ()) for child in children)),
+            (ConnectionRecord("door", "door", p, p, ("c, d", "e)")),),
+        )
+        path = tmp_path / "facts.txt"
+        write_predicates(LocationIndex(semantic_map).export_predicates(), path)
+        text = path.read_text(encoding="ascii")
+        assert text.endswith("\n")
+        facts = set()
+        for line in text[:-1].split("\n"):
+            name, args = re.fullmatch(r"(\w+)\((.*)\)", line).groups()
+            read, at = [], 0
+            while at < len(args):
+                if args[at] == '"':
+                    arg, at = json.JSONDecoder().raw_decode(args, at)
+                else:
+                    arg = re.match(r"[A-Za-z0-9_]+", args[at:]).group()
+                    at += len(arg)
+                read.append(arg)
+                assert args.startswith(", ", at) or at == len(args)
+                at += 2
+            facts.add((name, *read))
+        assert len(text[:-1].split("\n")) == len(facts) == 7
+        assert facts == {("connected", "c, d", "e)")} | {("contains", "top level", child) for child in children}
+        assert 'contains("top level", plain_1)\n' in text
 
 
 class TestTraceFiles:

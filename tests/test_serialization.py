@@ -186,6 +186,14 @@ BLOCK_SHAPED = {"material": "log", "x": 0, "y": 0, "z": 0}
                "{'material': 'log', 'x': 0, 'y': 0, 'z': 0}") + "$"),
     (read_block_map, {"schema_version": "1", "blocks": [{"material": BLOCK_SHAPED, "x": 5, "y": 0, "z": 0}]},
      re.escape("block material: expected nonempty string, got {'material': 'log', 'x': 0, 'y': 0, 'z': 0}") + "$"),
+    # The block-map record words its coordinate messages as the reader did.
+    (read_block_map, {"schema_version": "1", "entities": [{"type": "zombie", "x": True, "y": 0, "z": 0}]},
+     "^entity zombie: x: expected signed 64-bit integer, got True$"),
+    (read_block_map, {"schema_version": "1", "entities": [{"type": "zombie", "x": 0, "y": 0, "z": 2**63}]},
+     "^entity zombie: z: expected signed 64-bit integer, got 9223372036854775808$"),
+    (read_block_map, {"schema_version": "1", "entities": [{"type": "zombie", "x": BLOCK_SHAPED, "y": 0, "z": 0}]},
+     re.escape("entity zombie: x: expected signed 64-bit integer, got {'material': 'log', 'x': 0, 'y': 0, 'z': 0}")
+     + "$"),
 ])
 def test_malformed_shapes_rejected(tmp_path, reader, document, match):
     path = tmp_path / "bad.json"
@@ -368,6 +376,54 @@ def test_documents_built_in_code_apply_the_readers_name_rule(build, message):
         build()
     assert str(err.value).startswith(f"{message} must be a nonempty str that UTF-8 can encode, got ")
     assert "\n" not in str(err.value)
+
+
+# Each record used to accept the point and write a file its reader refuses,
+# write another cell, or fail in the writer or with an AttributeError.
+@pytest.mark.parametrize("build, message", [
+    (lambda: BlockEntityRecord("zombie", True, 0, 0), "entity zombie: x: expected signed 64-bit integer, got True"),
+    (lambda: BlockEntityRecord("zombie", "1", 0, 0), "entity zombie: x: expected signed 64-bit integer, got '1'"),
+    (lambda: BlockEntityRecord("zombie", 0, 0, -(2**63) - 1),
+     "entity zombie: z: expected signed 64-bit integer, got -9223372036854775809"),
+    (lambda: EntityRecord("e", "zombie", (True, 0, 0), None),
+     "entity e: position: expected three signed 64-bit integers, got (True, 0, 0)"),
+    (lambda: EntityRecord("e", "zombie", (0, 0, 2**70), None),
+     "entity e: position: expected three signed 64-bit integers, got (0, 0, 1180591620717411303424)"),
+    (lambda: EntityRecord("e", "zombie", (0, 0), None),
+     "entity e: position: expected three signed 64-bit integers, got (0, 0)"),
+    (lambda: ObjectRecord("o", "chest", "log", (True, 0, 0), None),
+     "object o: position: expected three signed 64-bit integers, got (True, 0, 0)"),
+    (lambda: ObjectRecord("o", "chest", "log", (0, 0, 2**70), None),
+     "object o: position: expected three signed 64-bit integers, got (0, 0, 1180591620717411303424)"),
+    (lambda: ObjectRecord("o", "chest", "log", (0, 0), None),
+     "object o: position: expected three signed 64-bit integers, got (0, 0)"),
+    (lambda: LocationRecord("a", "room", "log", (0, 0, 0), (1, 1.5, 1), ()),
+     "location a: bottom_right: expected three signed 64-bit integers, got (1, 1.5, 1)"),
+    (lambda: ConnectionRecord("c", "door", 7, P0, ("a", "b")),
+     "connection c: top_left: expected three signed 64-bit integers, got 7"),
+], ids=["block-entity-bool-x", "block-entity-str-x", "block-entity-z-below-range", "entity-bool",
+        "entity-2**70", "entity-two-axes", "object-bool", "object-2**70", "object-two-axes",
+        "location-float", "connection-int"])
+def test_records_built_in_code_check_their_points(build, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_records_built_in_code_keep_tuple_points_as_positions(tmp_path):
+    m = SemanticMap(
+        "w",
+        (LocationRecord("a", "room", "log", (0, 0, 0), (1, 1, 1), ()),),
+        (ConnectionRecord("c", "door", (0, 0, 0), [0, 1, 0], ("a", "a")),),
+        (EntityRecord("e", "zombie", (1, 1, 1), "a"),),
+        (ObjectRecord("o", "chest", "log", (0, 1, 0), "a"),),
+    )
+    points = [m.locations[0].top_left, m.locations[0].bottom_right, m.connections[0].top_left,
+              m.connections[0].bottom_right, m.entities[0].position, m.objects[0].position]
+    assert all(type(p) is Position for p in points)
+    path = tmp_path / "semantic_map.json"
+    write_semantic_map(m, path)
+    assert read_semantic_map(path) == m
 
 
 def test_semantic_map_records_depths_without_comparing_them():
