@@ -13,6 +13,12 @@ builds a box's cells without it, in bulk. A spec or volume given a point as
 anything but a Position (a plain tuple, say) keeps ``Position(*point)``
 instead, so every point a world holds has passed those checks.
 
+A holder's explicit blocks are one ordered ``Blocks`` sequence of
+placements and box fills. ``generate_box`` records one ``BoxFill`` (a
+material and two corners), not a ``BlockPlacement`` per cell: the sequence
+still reads as, and counts, the placements a fill stands for, but only the
+raster builds its cells. Checks and translations take a fill by its corners.
+
 Volumes nest: translating a volume translates its whole subtree (children,
 blocks, entities, objects) in one move. Connections are the deliberate
 exception: their stored bounds do not move with a translation, so builders
@@ -34,7 +40,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import chain, islice, product, repeat
+from operator import eq
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -123,7 +130,10 @@ def _box_cells(top_left: Sequence[int], bottom_right: Sequence[int]) -> Iterator
     The one place a Position is built without Position's checks: in C, in
     bulk. Every cell lies between the two corners, so each of its coordinates
     is an int between those of two Positions. Corners out of order on some
-    axis give no cells.
+    axis give no cells. The one walk over a box: the raster writes shells,
+    roofs and box fills and carves doors with it, a BoxFill lists its
+    placements with it, and ``finalize()`` walks a box fill with it only to
+    name its first cell outside its volume.
     """
     (x0, y0, z0), (x1, y1, z1) = top_left, bottom_right
     return map(tuple.__new__, repeat(Position), product(range(x0, x1 + 1), range(y0, y1 + 1), range(z0, z1 + 1)))
@@ -146,11 +156,109 @@ class BlockPlacement:
     material: str
     position: Position
 
+    size = 1  # cells, as for a BoxFill
+
     def __post_init__(self) -> None:
         _check_name(self.material, "block material")
-        # _as_position's test, inline: generate_box builds one placement per cell.
+        # _as_position's test, inline: iterating a box fill builds one placement per cell.
         if type(self.position) is not Position:
             object.__setattr__(self, "position", Position(*self.position))
+
+    def shifted(self, dx: int, dy: int, dz: int) -> "BlockPlacement":
+        return BlockPlacement(self.material, self.position.shifted(dx, dy, dz))
+
+
+@dataclass(frozen=True, slots=True)
+class BoxFill:
+    """One material in every cell of a box, corner to corner, both inclusive: what generate_box records.
+
+    It stands for the BlockPlacement of each of its cells, in x, then y, then
+    z order (_box_cells); ``size`` is their number.
+    """
+
+    material: str
+    top_left: Position
+    bottom_right: Position
+
+    def __post_init__(self) -> None:
+        _check_name(self.material, "block material")
+        tl, br = _as_position(self.top_left), _as_position(self.bottom_right)
+        if not _corners_in_order(tl, br):
+            raise ValueError(f"box fill corners out of order: {tl.as_tuple()}..{br.as_tuple()}")
+        object.__setattr__(self, "top_left", tl)
+        object.__setattr__(self, "bottom_right", br)
+
+    @property
+    def size(self) -> int:
+        (x0, y0, z0), (x1, y1, z1) = self.top_left, self.bottom_right
+        return (x1 - x0 + 1) * (y1 - y0 + 1) * (z1 - z0 + 1)
+
+    def placements(self) -> Iterator[BlockPlacement]:
+        return map(BlockPlacement, repeat(self.material), _box_cells(self.top_left, self.bottom_right))
+
+    def shifted(self, dx: int, dy: int, dz: int) -> "BoxFill":
+        return BoxFill(self.material, self.top_left.shifted(dx, dy, dz), self.bottom_right.shifted(dx, dy, dz))
+
+
+class Blocks:
+    """A holder's explicit blocks: placements and box fills, in insertion order.
+
+    It reads as the BlockPlacements it stands for: iterating, indexing and
+    comparing give each placement, and each box fill's cells in x, y, z order,
+    in insertion order; ``len()`` is their number, kept as a running count.
+    ``items`` are the placements and box fills as recorded. A finalized
+    holder keeps a Blocks; a mutable one keeps a BlockList, which can append.
+    """
+
+    __slots__ = ("_items", "_count")
+
+    def __init__(self, items: Iterable["BlockPlacement | BoxFill"] = ()) -> None:
+        self._items = list(items)
+        self._count = sum(item.size for item in self._items)
+
+    @property
+    def items(self) -> tuple["BlockPlacement | BoxFill", ...]:
+        return tuple(self._items)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[BlockPlacement]:
+        return chain.from_iterable(
+            item.placements() if type(item) is BoxFill else (item,) for item in self._items
+        )
+
+    def __getitem__(self, index: int | slice) -> "BlockPlacement | list[BlockPlacement]":
+        if isinstance(index, slice):
+            return list(self)[index]
+        i = range(self._count)[index]  # an int in range, or IndexError
+        for item in self._items:
+            if i < item.size:
+                return next(islice(item.placements(), i, None)) if type(item) is BoxFill else item
+            i -= item.size
+        raise AssertionError("unreachable: the count covers every item")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Blocks) and self._items == other._items:
+            return True
+        if not isinstance(other, (Blocks, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._items!r})"
+
+
+class BlockList(Blocks):
+    """The Blocks of a holder that is not finalized yet: it can still append."""
+
+    __slots__ = ()
+
+    def append(self, item: "BlockPlacement | BoxFill") -> None:
+        self._items.append(item)
+        self._count += item.size
 
 
 @dataclass(frozen=True)
@@ -218,6 +326,14 @@ class ConnectionSpec:
         object.__setattr__(self, "connected_ids", ids)
 
 
+def _extent(kind: str, item: object) -> tuple[Position, Position]:
+    """The two corners of the cells an item of kind ("block", "entity" or "object") takes: one cell but for a box fill."""
+    if type(item) is BoxFill:
+        return item.top_left, item.bottom_right
+    position = item.block.position if kind == "object" else item.position
+    return position, position
+
+
 def _inset(top_left: Position, bottom_right: Position, margins: Margins) -> tuple[Position, Position]:
     """Shrink a box by per-face margins; raise EmptyBoxError if any axis empties."""
     if len(margins) != 6 or any(m < 0 for m in margins):
@@ -239,7 +355,8 @@ class _ItemHolder:
     Both hold blocks, entities, objects and connections the same way. An item
     must lie inside its holder when added and again at ``WorldModel.finalize()``;
     the world has no bounds, so its loose items may take any position. After
-    finalizing, every container is a tuple and ``add_*`` raises FrozenWorldError.
+    finalizing, ``blocks`` is a read-only Blocks, every other container is a
+    tuple, and ``add_*`` raises FrozenWorldError.
 
     ``_registered`` is the id registry that the add-time duplicate check reads
     (see the module docstring); the ``add_*`` methods keep it up to date.
@@ -248,7 +365,7 @@ class _ItemHolder:
     def __init__(self, id: str) -> None:
         _check_name(id, f"{type(self).__name__} id")
         self.id = id
-        self.blocks: list[BlockPlacement] = []
+        self.blocks: Blocks = BlockList()
         self.entities: list[EntitySpec] = []
         self.objects: list[ObjectSpec] = []
         self.connections: list[ConnectionSpec] = []
@@ -268,16 +385,19 @@ class _ItemHolder:
             raise FrozenWorldError(f"{type(self).__name__} {self.id!r} is finalized")
 
     def _check_inside(self, kind: str, items: Sequence) -> None:
-        """Raise OutOfBoundsError for the first of items ("block", "entity" or "object" by kind) outside this holder.
+        """Raise OutOfBoundsError for the first cell of items ("block", "entity" or "object" by kind) outside this holder.
 
         All items are checked at once, by their least and greatest coordinate
-        per axis; they are looked at one by one only to name the first outside.
+        per axis, a box fill by its two corners; they are looked at one by one
+        only to name the first outside, and a box fill's cells are walked only
+        when it sticks out.
         """
-        positions = [item.block.position for item in items] if kind == "object" else [item.position for item in items]
-        if not positions or self._contains_all(positions):
+        extents = [_extent(kind, item) for item in items]
+        if not extents or self._contains_all(list(chain.from_iterable(extents))):
             return
-        for item, position in zip(items, positions):
-            if not self.contains(position):
+        for item, extent in zip(items, extents):
+            if not all(map(self.contains, extent)):
+                position = next(p for p in _box_cells(*extent) if not self.contains(p))
                 what = kind if kind == "block" else f"{kind} {item.id}"
                 raise OutOfBoundsError(f"{what} at {position.as_tuple()} outside volume {self.id}")
 
@@ -323,15 +443,15 @@ class _ItemHolder:
 
     def _freeze(self) -> None:
         self.finalized = True
-        self.blocks = tuple(self.blocks)
+        self.blocks = Blocks(self.blocks.items)
         self.entities = tuple(self.entities)
         self.objects = tuple(self.objects)
         self.connections = tuple(self.connections)
 
     def _same_items(self, other: "_ItemHolder") -> bool:
-        # A finalized holder keeps tuples where a mutable one keeps lists.
+        # A finalized holder keeps tuples (and Blocks) where a mutable one keeps lists (and a BlockList).
         return (
-            tuple(self.blocks) == tuple(other.blocks)
+            self.blocks == other.blocks
             and tuple(self.entities) == tuple(other.entities)
             and tuple(self.objects) == tuple(other.objects)
             and tuple(self.connections) == tuple(other.connections)
@@ -438,12 +558,14 @@ class BoundingVolume(_ItemHolder):
         """Fill the inset box left by the margins with blocks of one material.
 
         Margins are per-face insets from this volume's corners, in the order
-        (x_low, x_high, y_low, y_high, z_low, z_high). One BlockPlacement per
-        cell is appended, in x, then y, then z order (_box_cells).
+        (x_low, x_high, y_low, y_high, z_low, z_high). One BoxFill is
+        appended: the material, checked once, and the two inset corners. It
+        stands for a BlockPlacement per cell, in x, then y, then z order, and
+        only the raster writes its cells.
         """
         self._check_mutable()
         tl, br = _inset(self.top_left, self.bottom_right, margins)
-        self.blocks.extend(map(BlockPlacement, repeat(material), _box_cells(tl, br)))
+        self.blocks.append(BoxFill(material, tl, br))
 
     def random_pos(self, rng: SeededRng, margins: Margins) -> Position:
         """Uniform position inside the inset box.
@@ -460,9 +582,9 @@ class BoundingVolume(_ItemHolder):
     def shifted(self, delta: Delta) -> "BoundingVolume":
         """A copy of this subtree translated by delta.
 
-        Children, blocks, entities and objects all move. Stored connections are
-        copied unchanged: their bounds are not reliably updatable under
-        translation, so they deliberately stay put.
+        Children, blocks (a box fill by its corners), entities and objects all
+        move. Stored connections are copied unchanged: their bounds are not
+        reliably updatable under translation, so they deliberately stay put.
         """
         dx, dy, dz = delta
         out = BoundingVolume(
@@ -475,15 +597,12 @@ class BoundingVolume(_ItemHolder):
         )
         out.auto_expand = self.auto_expand
         out.children = [c.shifted(delta) for c in self.children]
-        out.blocks = [BlockPlacement(b.material, b.position.shifted(dx, dy, dz)) for b in self.blocks]
+        out.blocks = BlockList(item.shifted(dx, dy, dz) for item in self.blocks.items)
         out.entities = [
             EntitySpec(e.id, e.entity_type, e.position.shifted(dx, dy, dz), e.equipment)
             for e in self.entities
         ]
-        out.objects = [
-            ObjectSpec(o.id, o.object_type, BlockPlacement(o.block.material, o.block.position.shifted(dx, dy, dz)))
-            for o in self.objects
-        ]
+        out.objects = [ObjectSpec(o.id, o.object_type, o.block.shifted(dx, dy, dz)) for o in self.objects]
         out.connections = list(self.connections)
         out._registered = set(self._registered)
         return out
@@ -522,7 +641,7 @@ class WorldModel(_ItemHolder):
 
     Construction is single-owner and not thread-safe; after ``finalize()`` the
     world is immutable and safe to share between readers: its containers and
-    those of every volume are tuples.
+    those of every volume are tuples, and their blocks read-only Blocks.
     """
 
     def __init__(self, id: str) -> None:
@@ -566,7 +685,8 @@ class WorldModel(_ItemHolder):
         at every depth, including ids that the add-time registries did not
         see, that each volume's blocks, object blocks and entities lie inside
         it, and that every connection's ids resolve to volumes.
-        Then makes every container of the world and its volumes a tuple.
+        Then makes every container of the world and its volumes a tuple,
+        and their blocks read-only Blocks.
         Returns self for chaining.
         """
         if self.finalized:
@@ -578,7 +698,7 @@ class WorldModel(_ItemHolder):
                 if item_id in seen:
                     raise DuplicateIdError(f"duplicate {kind} id {item_id!r}")
                 seen.add(item_id)
-            holder._check_inside("block", holder.blocks)
+            holder._check_inside("block", holder.blocks.items)
             holder._check_inside("entity", holder.entities)
             holder._check_inside("object", holder.objects)
 

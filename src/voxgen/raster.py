@@ -5,6 +5,9 @@ Write order is part of the contract (last writer wins at each cell):
 1. Volumes are visited depth-first, pre-order, in insertion order. For each
    volume: its shell, then its roof, then its explicit blocks in insertion
    order, then its objects' blocks in insertion order, then its children.
+   A ``generate_box`` fill is one explicit-block item (a ``BoxFill``): its
+   cells are written in x, then y, then z order, after the blocks added
+   before it and before those added after it.
 2. After all volumes: the world's loose blocks, then loose objects' blocks.
 3. Finally every "door"/"opening" connection carves air: all cells inside its
    bounds are removed from the grid.
@@ -20,10 +23,11 @@ Nothing is validated here: ``WorldModel.finalize()`` already has.
 
 Cell keys are ``Position`` tuples, which hash and compare in C; a plain
 ``(x, y, z)`` tuple finds the same cell. A block or an object keys its cell
-with the ``Position`` it already carries. Shell, roof and carve cells fill
-boxes inside a finalized volume or connection: ``geometry._box_cells`` builds
-their keys in C without the coordinate checks, and one ``dict.update`` (or
-``pop``) per box writes them, so no Python frame runs per cell.
+with the ``Position`` it already carries. Shell, roof, box-fill and carve
+cells fill boxes inside a finalized volume or connection:
+``geometry._box_cells`` builds their keys in C without the coordinate checks,
+and one ``dict.update`` (or ``pop``) per box writes them, so no Python frame
+runs per cell.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
 
-from .geometry import BLANK, BoundingVolume, EntitySpec, Position, WorldModel, _box_cells
+from .geometry import BLANK, BoundingVolume, BoxFill, EntitySpec, Position, WorldModel, _box_cells
 
 CARVING_CONNECTION_TYPES = ("door", "opening")
 
@@ -45,15 +49,19 @@ class BlockGrid:
     entities: list[EntitySpec] = field(default_factory=list)
 
 
-# (cell, material) of a block and of an object's block.
-_BLOCK_CELL = attrgetter("position", "material")
+# (cell, material) of an object's block.
 _OBJECT_CELL = attrgetter("block.position", "block.material")
 
 
 def _write_items(holder: BoundingVolume | WorldModel, grid: BlockGrid) -> None:
-    """A volume's or the world's own blocks, then its objects' blocks, then its entities."""
-    grid.cells.update(map(_BLOCK_CELL, holder.blocks))
-    grid.cells.update(map(_OBJECT_CELL, holder.objects))
+    """A volume's or the world's own blocks and box fills, then its objects' blocks, then its entities."""
+    cells = grid.cells
+    for item in holder.blocks.items:
+        if type(item) is BoxFill:
+            cells.update(zip(_box_cells(item.top_left, item.bottom_right), repeat(item.material)))
+        else:
+            cells[item.position] = item.material
+    cells.update(map(_OBJECT_CELL, holder.objects))
     grid.entities.extend(holder.entities)
 
 

@@ -14,8 +14,11 @@ from voxgen.errors import (
     OutOfBoundsError,
 )
 from voxgen.geometry import (
+    BlockList,
     BlockPlacement,
+    Blocks,
     BoundingVolume,
+    BoxFill,
     ConnectionSpec,
     EntitySpec,
     ObjectSpec,
@@ -147,6 +150,17 @@ class TestShift:
                 for e_old, e_new in zip(before.entities, after.entities):
                     assert e_new.position == e_old.position.shifted(*delta)
 
+    def test_shift_moves_every_cell_of_a_box_fill(self):
+        room = make_room()
+        room.generate_box("planks", (1, 1, 0, 4, 1, 1))
+        room.add_block(BlockPlacement("lava", Position(3, 3, 3)))
+        room.generate_box("glass", (0, 5, 1, 1, 1, 1))
+        delta = (-7, 2, 40)
+        moved = room.shifted(delta)
+        assert [type(item) for item in moved.blocks.items] == [BoxFill, BlockPlacement, BoxFill]
+        assert len(moved.blocks) == len(room.blocks) == 16 + 1 + 12
+        assert list(moved.blocks) == [BlockPlacement(b.material, b.position.shifted(*delta)) for b in room.blocks]
+
     def test_shift_leaves_stored_connections_alone(self):
         room = make_room("a", (0, 0, 0), (10, 5, 10), "stone")
         inner = make_room("b", (1, 0, 1), (4, 4, 4), "stone")
@@ -181,6 +195,113 @@ class TestGenerateBox:
         room = make_room()
         with pytest.raises(EmptyBoxError):
             room.generate_box("stone", (3, 3, 0, 0, 0, 0))  # x span is 6, 3+3 eats it all
+
+    @pytest.mark.parametrize("material", ["", "w\ud800", None])
+    def test_a_bad_material_is_named_as_a_block_material(self, material):
+        room = make_room()
+        with pytest.raises(ValueError) as err:
+            room.generate_box(material, (1, 1, 0, 4, 1, 1))
+        assert str(err.value) == f"block material must be a nonempty str that UTF-8 can encode, got {material!r}"
+        assert len(room.blocks) == 0
+
+    @pytest.mark.parametrize("br, outside", [
+        ((6, 7, 4), (2, 4, 5)),
+        ((6, 5, 6), (2, 6, 2)),
+        ((4, 7, 6), (5, 4, 2)),
+    ], ids=["z", "y", "x"])
+    def test_finalize_names_the_first_cell_of_a_box_outside_its_volume(self, br, outside):
+        # The blocks of a box filled in a larger volume are put directly in a
+        # smaller one, followed by a block inside it; the message names the
+        # box's first outside cell in x, y, z order.
+        big = make_room("big")
+        big.generate_box("planks", (1, 0, 1, 1, 1, 0))  # (2, 4, 2)..(6, 6, 6)
+        room = make_room("room_1", (1, 3, 1), br)
+        room.blocks = big.blocks
+        room.blocks.append(BlockPlacement("lava", Position(2, 4, 2)))
+        world = WorldModel("w")
+        world.add_volume(room)
+        with pytest.raises(OutOfBoundsError) as exc:
+            world.finalize()
+        assert str(exc.value) == f"block at {outside} outside volume room_1"
+
+
+class TestBlocks:
+    """A holder's blocks read as the placements they stand for, box fills included."""
+
+    def filled(self, room_id="room"):
+        room = make_room(room_id)
+        for x in range(2, 6):
+            for z in range(2, 6):
+                room.add_block(BlockPlacement("planks", Position(x, 3, z)))
+        filled = make_room(room_id)
+        filled.generate_box("planks", (1, 1, 0, 4, 1, 1))
+        return room, filled
+
+    def test_a_fill_equals_the_same_blocks_added_one_by_one(self):
+        by_block, by_fill = self.filled()
+        assert by_fill == by_block and by_fill.blocks == by_block.blocks
+        assert by_fill.blocks == list(by_block.blocks) and by_fill.blocks == tuple(by_block.blocks)
+        worlds = []
+        for room in (by_block, by_fill):
+            worlds.append(WorldModel("w"))
+            worlds[-1].add_volume(room)
+            worlds[-1].finalize()
+        assert by_fill == by_block and worlds[0] == worlds[1]
+        assert type(by_fill.blocks) is Blocks and by_fill.blocks == by_block.blocks
+
+    def test_a_different_material_or_cell_is_unequal(self):
+        by_block, by_fill = self.filled()
+        by_block.blocks.append(BlockPlacement("lava", Position(2, 3, 2)))
+        by_fill.blocks.append(BlockPlacement("lava", Position(2, 3, 3)))
+        assert by_fill.blocks != by_block.blocks and by_fill != by_block
+        assert by_fill.blocks != list(by_block.blocks)[:-1]
+        assert by_fill.blocks != "planks"
+
+    def test_len_index_and_slice_count_cells(self):
+        room = make_room()
+        room.add_block(BlockPlacement("lava", Position(3, 3, 3)))
+        room.generate_box("glass", (0, 5, 1, 1, 1, 1))  # (1, 4, 2)..(1, 6, 5)
+        room.add_block(BlockPlacement("web", Position(4, 4, 4)))
+        blocks = room.blocks
+        assert len(blocks) == 14 and len(blocks.items) == 3
+        assert blocks[0] == BlockPlacement("lava", Position(3, 3, 3))
+        assert blocks[1] == BlockPlacement("glass", Position(1, 4, 2))
+        assert blocks[6] == BlockPlacement("glass", Position(1, 5, 3))
+        assert blocks[12] == blocks[-2] == BlockPlacement("glass", Position(1, 6, 5))
+        assert blocks[13] == blocks[-1] == BlockPlacement("web", Position(4, 4, 4))
+        assert blocks[1:14:4] == [blocks[1], blocks[5], blocks[9], blocks[13]]
+        for index in (14, -15):
+            with pytest.raises(IndexError):
+                blocks[index]
+
+    def test_a_box_fill_is_checked_like_a_block(self):
+        with pytest.raises(ValueError, match=r"^block material must be a nonempty str that UTF-8 can encode, got ''$"):
+            BoxFill("", Position(0, 0, 0), Position(1, 1, 1))
+        with pytest.raises(ValueError, match=r"^box fill corners out of order: \(0, 2, 0\)..\(1, 1, 1\)$"):
+            BoxFill("stone", (0, 2, 0), (1, 1, 1))
+        fill = BoxFill("stone", (0, 1, 0), [1, 1, 2])
+        assert type(fill.top_left) is type(fill.bottom_right) is Position and fill.size == 6
+
+    def test_finalize_names_the_first_cell_of_a_box_fill_appended_directly(self):
+        room = make_room("room_1")
+        room.blocks.append(BlockPlacement("lava", Position(2, 4, 2)))
+        room.blocks.append(BoxFill("stone", Position(2, 4, 2), Position(3, 8, 3)))
+        assert len(room.blocks) == 1 + 2 * 5 * 2
+        world = WorldModel("w")
+        world.add_volume(room)
+        with pytest.raises(OutOfBoundsError, match=r"^block at \(2, 8, 2\) outside volume room_1$"):
+            world.finalize()
+
+    def test_a_finalized_holder_keeps_read_only_blocks(self):
+        room = make_room()
+        room.generate_box("planks", (1, 1, 0, 4, 1, 1))
+        assert type(room.blocks) is BlockList
+        world = WorldModel("w")
+        world.add_volume(room)
+        world.finalize()
+        assert type(room.blocks) is type(world.blocks) is Blocks and len(room.blocks) == 16
+        with pytest.raises(AttributeError):
+            world.blocks.append(BlockPlacement("stone", Position(2, 4, 2)))
 
 
 class TestRandomPos:

@@ -1,15 +1,18 @@
-"""Peak memory of the block-map reader and of the blueprint renderer.
+"""Peak memory of the block-map reader and of the blueprint renderer, and what a finalized world holds.
 
-Both are measured with ``tracemalloc`` on the block map of ``dungeon --n 6
---cell-footprint 20 --seed 3`` (10,114 rows in 0.92 MB) and its semantic map.
-A reader that keeps one dict per block while parsing peaks near four times
-the file's size; one that builds each row as the parser finishes its object
-stays under three. A renderer that keeps a column table, its sorted copy and a
-list of lines peaks at five to six times the SVG's length; one that draws an
-x-slab at a time stays under three.
+All are measured with ``tracemalloc`` on ``dungeon --n 6 --cell-footprint 20
+--seed 3``: its block map (10,114 rows in 0.92 MB) and semantic map, and the
+world they come from. A reader that keeps one dict per block while parsing
+peaks near four times the file's size; one that builds each row as the parser
+finishes its object stays under three. A renderer that keeps a column table,
+its sorted copy and a list of lines peaks at five to six times the SVG's
+length; one that draws an x-slab at a time stays under three. A world that
+keeps a checked placement for every cell of its room floors holds about 55
+bytes per block-map row; one that keeps each floor as one box fill, about 7.
+The bound is 20.
 
 The module needs no pytest: ``python tests/test_memory.py`` runs the checks
-and prints each peak as a multiple of its base.
+and prints each peak or holding as a multiple of its base.
 """
 
 import sys
@@ -17,7 +20,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
-from voxgen.cli import run
+from voxgen.cli import build_parser, run
 from voxgen.serialization import read_block_map, read_semantic_map
 from voxgen.viz import render_blueprint
 
@@ -46,6 +49,24 @@ def traced_peak(fn, *args):
     return result, peak
 
 
+def held_after(fn, *args):
+    """fn(*args) and the memory that Python allocations made by it still hold when it returns, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, held
+
+
+def world_bytes_per_row():
+    args = build_parser().parse_args([*DUNGEON, "--out-hlr", "unused", "--out-llr", "unused"])
+    world, held = held_after(args.build, args)
+    assert world.finalized
+    return held / DUNGEON_ROWS
+
+
 def read_ratio(llr):
     doc, peak = traced_peak(read_block_map, llr)
     assert len(doc.rows) == DUNGEON_ROWS
@@ -68,10 +89,16 @@ def test_rendering_a_blueprint_peaks_under_three_times_its_length(tmp_path):
     assert render_ratio(hlr, llr) < 3
 
 
+def test_a_finalized_world_holds_under_20_bytes_per_block_map_row():
+    assert world_bytes_per_row() < 20
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         hlr, llr = generate(Path(scratch))
         ratios = {"read_block_map / file size": read_ratio(llr), "render_blueprint / SVG length": render_ratio(hlr, llr)}
+    per_row = world_bytes_per_row()
     for name, ratio in ratios.items():
         print(f"{sys.version.split()[0]}  {name}: {ratio:.2f} (limit 3)")
-    sys.exit(any(ratio >= 3 for ratio in ratios.values()))
+    print(f"{sys.version.split()[0]}  finalized world / block-map rows: {per_row:.1f} bytes (limit 20)")
+    sys.exit(any(ratio >= 3 for ratio in ratios.values()) or per_row >= 20)

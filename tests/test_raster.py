@@ -118,6 +118,60 @@ def test_sibling_volumes_with_a_door_match_oracle(world):
     assert_matches_oracle(world)
 
 
+@st.composite
+def a_room_of_interleaved_fills_and_blocks(draw):
+    """A room of 1 to 4 cells per axis and the blocks that a random interleaving
+    of generate_box and add_block calls gave it, each as (material, cell), in
+    write order: a fill's cells by a triple loop in x, y, z order."""
+    tl = [draw(st.integers(-2, 2)) for _ in range(3)]
+    sizes = [draw(st.integers(1, 4)) for _ in range(3)]
+    br = [a + n - 1 for a, n in zip(tl, sizes)]
+    room = BoundingVolume("room", material=draw(st.sampled_from(["log", BLANK])), has_roof=draw(st.booleans()),
+                          top_left=Position(*tl), bottom_right=Position(*br))
+    materials = st.sampled_from(["planks", "glass", "lava"])
+    expected = []
+    for _ in range(draw(st.integers(1, 6))):
+        material = draw(materials)
+        if draw(st.booleans()):
+            margins = []
+            for n in sizes:
+                low = draw(st.integers(0, n - 1))
+                margins += [low, draw(st.integers(0, n - 1 - low))]
+            room.generate_box(material, tuple(margins))
+            xl, xh, yl, yh, zl, zh = margins
+            for x in range(tl[0] + xl, br[0] - xh + 1):
+                for y in range(tl[1] + yl, br[1] - yh + 1):
+                    for z in range(tl[2] + zl, br[2] - zh + 1):
+                        expected.append((material, (x, y, z)))
+        else:
+            cell = tuple(draw(st.integers(a, b)) for a, b in zip(tl, br))
+            room.add_block(BlockPlacement(material, Position(*cell)))
+            expected.append((material, cell))
+    return room, expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(built=a_room_of_interleaved_fills_and_blocks())
+def test_interleaved_fills_and_blocks_keep_their_order(built):
+    room, expected = built
+    assert [(b.material, b.position) for b in room.blocks] == expected
+    assert len(room.blocks) == len(expected)
+    world = world_of(room)
+    assert [(b.material, b.position) for b in room.blocks] == expected
+    assert_matches_oracle(world)
+
+
+def test_a_block_added_after_a_fill_overwrites_it():
+    room = make_room()
+    room.generate_box("planks", (1, 1, 0, 4, 1, 1))  # (2, 3, 2)..(5, 3, 5)
+    room.add_block(BlockPlacement("lava", Position(2, 3, 3)))
+    room.add_block(BlockPlacement("lava", Position(3, 3, 3)))
+    room.generate_box("glass", (2, 2, 0, 4, 2, 2))  # (3, 3, 3)..(4, 3, 4)
+    room.add_block(BlockPlacement("web", Position(4, 3, 4)))
+    cells = rasterize(world_of(room)).cells
+    assert [cells[2, 3, 2], cells[2, 3, 3], cells[3, 3, 3], cells[4, 3, 4]] == ["planks", "lava", "glass", "web"]
+
+
 def test_world_level_loose_items_follow_the_volume_rules_anywhere():
     room = make_room()
     room.add_entity(EntitySpec("villager", "villager", Position(3, 4, 3)))
