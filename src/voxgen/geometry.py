@@ -6,12 +6,13 @@ opposite corners: ``top_left`` is the corner with the lowest x, y and z,
 ``bottom_right`` the corner with the highest. Both corners are inclusive, so
 a volume with equal corners contains exactly one lattice point. A point is a
 ``Position``, the tuple ``(x, y, z)`` with named fields: it hashes, compares
-and sorts as that tuple does, in C, so it is the key of a cell everywhere,
-from the raster's grid to the block map's rows. ``Position(...)`` is the one
-way to build a point, and it checks every coordinate; only ``_box_cells``
-builds a box's cells without it, in bulk. A spec or volume given a point as
-anything but a Position (a plain tuple, say) keeps ``Position(*point)``
-instead, so every point a world holds has passed those checks.
+and sorts as that tuple does, in C, so it finds the same cell as the plain
+tuple, the cell key from the raster's grid to the block map's rows.
+``Position(...)`` is the one way to build a point, and it checks every
+coordinate; no Position is built without those checks. A spec or volume
+given a point as anything but a Position (a plain tuple, say) keeps
+``Position(*point)`` instead, so every point a world holds has passed them.
+``_box_cells`` gives a box's cells in bulk as plain tuples, not Positions.
 
 A holder's explicit blocks are one ordered ``Blocks`` sequence of
 placements and box fills. ``generate_box`` records one ``BoxFill`` (a
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, islice, product, repeat
+from itertools import chain, islice, product, repeat, starmap
 from operator import eq
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -124,19 +125,19 @@ class Position(namedtuple("Position", "x y z")):
         return tuple(self)
 
 
-def _box_cells(top_left: Sequence[int], bottom_right: Sequence[int]) -> Iterator[Position]:
-    """The Position of every cell from corner to corner, both inclusive, in x, then y, then z order.
+def _box_cells(top_left: Sequence[int], bottom_right: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """The plain (x, y, z) tuple of every cell from corner to corner, both inclusive, in x, then y, then z order.
 
-    The one place a Position is built without Position's checks: in C, in
-    bulk. Every cell lies between the two corners, so each of its coordinates
-    is an int between those of two Positions. Corners out of order on some
-    axis give no cells. The one walk over a box: the raster writes shells,
-    roofs and box fills and carves doors with it, a BoxFill lists its
-    placements with it, and ``finalize()`` walks a box fill with it only to
-    name its first cell outside its volume.
+    The tuples are built in C, in bulk, and are not Positions: a cell key
+    needs no names, and a plain tuple equals and hashes like the Position of
+    the same cell. Corners out of order on some axis give no cells. The one
+    walk over a box: the raster writes shells, roofs and box fills and carves
+    doors with it, and a BoxFill's placements and ``finalize()``'s message
+    for a box fill's first cell outside its volume turn its tuples into
+    checked Positions.
     """
     (x0, y0, z0), (x1, y1, z1) = top_left, bottom_right
-    return map(tuple.__new__, repeat(Position), product(range(x0, x1 + 1), range(y0, y1 + 1), range(z0, z1 + 1)))
+    return product(range(x0, x1 + 1), range(y0, y1 + 1), range(z0, z1 + 1))
 
 
 def _as_position(point: Sequence[int]) -> Position:
@@ -397,7 +398,7 @@ class _ItemHolder:
             return
         for item, extent in zip(items, extents):
             if not all(map(self.contains, extent)):
-                position = next(p for p in _box_cells(*extent) if not self.contains(p))
+                position = next(p for p in starmap(Position, _box_cells(*extent)) if not self.contains(p))
                 what = kind if kind == "block" else f"{kind} {item.id}"
                 raise OutOfBoundsError(f"{what} at {position.as_tuple()} outside volume {self.id}")
 

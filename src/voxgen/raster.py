@@ -21,13 +21,14 @@ thing they emit).
 Entities do not write cells; they are collected in the same traversal order.
 Nothing is validated here: ``WorldModel.finalize()`` already has.
 
-Cell keys are ``Position`` tuples, which hash and compare in C; a plain
-``(x, y, z)`` tuple finds the same cell. A block or an object keys its cell
-with the ``Position`` it already carries. Shell, roof, box-fill and carve
-cells fill boxes inside a finalized volume or connection:
-``geometry._box_cells`` builds their keys in C without the coordinate checks,
-and one ``dict.update`` (or ``pop``) per box writes them, so no Python frame
-runs per cell.
+Cell keys are ``(x, y, z)`` tuples, which hash and compare in C. Shell,
+roof, box-fill and carve cells fill boxes inside a finalized volume or
+connection: ``geometry._box_cells`` gives their keys as plain tuples, built
+in C, and one ``dict.update`` (or ``pop``) per box writes them, so no Python
+frame runs per cell. A block or an object keys its cell with the
+``Position`` it already carries, which equals and hashes like the plain
+tuple, so either finds the same cell and a cell keeps the key it was first
+written with.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
 
-from .geometry import BLANK, BoundingVolume, BoxFill, EntitySpec, Position, WorldModel, _box_cells
+from .geometry import BLANK, BoundingVolume, BoxFill, EntitySpec, WorldModel, _box_cells
 
 CARVING_CONNECTION_TYPES = ("door", "opening")
 
@@ -45,7 +46,7 @@ CARVING_CONNECTION_TYPES = ("door", "opening")
 class BlockGrid:
     """The flattened world: one material per occupied cell, plus entities."""
 
-    cells: dict[Position, str] = field(default_factory=dict)
+    cells: dict[tuple[int, int, int], str] = field(default_factory=dict)
     entities: list[EntitySpec] = field(default_factory=list)
 
 

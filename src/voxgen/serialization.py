@@ -11,10 +11,11 @@ child_ids form a forest, every reference names a declared location, no two
 blocks share a cell, bounds corners are in order and every equipment slot is
 one of EQUIPMENT_SLOTS and named at most once per entity. A record keeps each
 of its points as a Position, built with Position(*point) if given otherwise,
-and a block-map entity's x, y and z are signed 64-bit ints. (The coordinates
-of block rows built in code are not checked.) Writers only encode:
-keys in a fixed order, "\n" line endings, ASCII output. Writing what you just
-read reproduces the file.
+and a block-map entity's x, y and z are signed 64-bit ints. A block row is
+checked in one place, ``BlockMapDocument``, whoever built it: an
+``(x, y, z, material)`` tuple with signed 64-bit int coordinates, checked a
+column at a time. Writers only encode: keys in a fixed order, "\n" line
+endings, ASCII output. Writing what you just read reproduces the file.
 
 The format is what ``json.dumps(indent=2, ensure_ascii=True)`` lays out. The
 semantic map goes through ``json.dump``, which writes the text as it encodes
@@ -30,10 +31,11 @@ Readers only parse: they check shapes, types, coordinate range and that
 each string can be written back as UTF-8, then construct the document. The
 block-map reader builds each block's row while the file is parsed, whatever
 the order of its keys, so the parsed document never holds one object per
-block, and then checks the rows a column at a time. A file that fails that
-way is parsed again as plain JSON and read one field at a time, which names
-the first bad field. Readers raise ParseError (undecodable or malformed
-JSON, naming the line where known) or ValidationError.
+block, and hands the rows to the document, which checks them. A file that
+fails that way is parsed again as plain JSON and read one field at a time,
+which names the first bad field in the reader's words. Readers raise
+ParseError (undecodable or malformed JSON, naming the line where known) or
+ValidationError.
 """
 
 from __future__ import annotations
@@ -241,8 +243,24 @@ class BlockEntityRecord:
 # A block as the block map stores it: its cell, then its material.
 BlockRow = tuple[int, int, int, str]
 
-_CELL = operator.itemgetter(0, 1, 2)
-_MATERIAL = operator.itemgetter(3)
+_X, _Y, _Z, _MATERIAL = map(operator.itemgetter, range(4))
+
+
+def _is_coord_column(column: list) -> bool:
+    """Whether every value is an int (not a subclass) that _read_coord accepts."""
+    return (
+        set(map(type, column)) <= {int}
+        and COORD_MIN <= min(column, default=0)
+        and max(column, default=0) <= COORD_MAX
+    )
+
+
+def _check_block_row(index: int, row: Any) -> None:
+    """ValidationError naming row's first bad field: its shape, then x, y and z, then its material."""
+    _require(type(row) is tuple and len(row) == 4, f"block row {index} {row!r}: expected an (x, y, z, material) tuple")
+    for axis, value in zip("xyz", row):
+        _read_coord(value, f"block row {index} {row!r}: {axis}")
+    _check_name(row[3], "block material", ValidationError)
 
 
 @dataclass(frozen=True)
@@ -251,21 +269,35 @@ class BlockMapDocument:
 
     The blocks are ``rows``, plain ``(x, y, z, material)`` tuples, given in
     any order and kept sorted as tuples, which is (x, y, z) order because no
-    two share a cell.
+    two share a cell. This is the one check of a row, whoever built it: a
+    4-tuple whose x, y and z are ints (not bools) on the signed 64-bit
+    lattice, as Position takes them, and whose material passes the readers'
+    name rule, in a cell no other row takes. The rows are checked a column at
+    a time, in C, for plain ints and strs; only when that fails are they
+    walked one by one, in the order given, to name the first bad row and
+    field (an int or str subclass passes the walk).
     """
 
     rows: tuple[BlockRow, ...] = ()
     entities: tuple[BlockEntityRecord, ...] = ()
 
     def __post_init__(self) -> None:
-        rows = sorted(self.rows)
-        # Each distinct material once, in row order, so the first bad one is named.
+        rows = list(self.rows)
+        # Before the sort, which cannot compare a str coordinate with an int; one column at a time.
+        if not (set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {4}
+                and all(_is_coord_column(list(map(axis, rows))) for axis in (_X, _Y, _Z))
+                and set(map(type, map(_MATERIAL, rows))) <= {str}):
+            for index, row in enumerate(rows):
+                _check_block_row(index, row)
+        # Each distinct material once, in the order given, so the first bad one is named.
         for material in dict.fromkeys(map(_MATERIAL, rows)):
             _check_name(material, "block material", ValidationError)
-        same_cell = map(operator.eq, map(_CELL, rows), map(_CELL, itertools.islice(rows, 1, None)))
-        duplicate = next(itertools.compress(rows, same_cell), None)
+        rows.sort()
+        # Each row's cell against the next one's; zip reuses its result tuple, so no tuple is built per row.
+        cells = [zip(*(map(axis, itertools.islice(rows, start, None)) for axis in (_X, _Y, _Z))) for start in (0, 1)]
+        duplicate = next(itertools.compress(rows, map(operator.eq, *cells)), None)
         if duplicate is not None:
-            raise ValidationError(f"duplicate block coordinates {_CELL(duplicate)}")
+            raise ValidationError(f"duplicate block coordinates {duplicate[:3]}")
         object.__setattr__(self, "rows", tuple(rows))
         entities = sorted(self.entities, key=lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment))
         object.__setattr__(self, "entities", tuple(entities))
@@ -649,30 +681,9 @@ def _block_row(pairs: list[tuple[str, Any]]) -> Any:
     return dict(pairs)
 
 
-def _is_coord_column(column: list) -> bool:
-    """Whether every value is what _read_coord accepts."""
-    return (
-        set(map(type, column)) <= {int}
-        and COORD_MIN <= min(column, default=0)
-        and max(column, default=0) <= COORD_MAX
-    )
-
-
-def _parsed_block_rows(value: Any, context: str) -> list[BlockRow]:
-    """value itself, a blocks list parsed with _block_row, once its rows pass the checks.
-
-    The checks run a column at a time, in C: every block became a row, then
-    each coordinate column's types and range, and the material column's
-    types; the document then checks each distinct material once. A failure
-    raises a ValidationError that names no field; read_block_map then reads
-    the file the plain way.
-    """
-    failed = f"{context}: not the rows of valid blocks"
-    _require(type(value) is list and set(map(type, value)) <= {tuple}, failed)
-    for column in range(3):
-        _require(_is_coord_column(list(map(operator.itemgetter(column), value))), failed)
-    _require(set(map(type, map(_MATERIAL, value))) <= {str}, failed)
-    return value
+def _hooked_block_rows(value: Any, context: str) -> list:
+    """A blocks list parsed with _block_row, as it is: BlockMapDocument checks its rows."""
+    return value if type(value) is list else _read_list(value, context, _read_object)
 
 
 def _read_block_rows(value: Any, context: str) -> list[BlockRow]:
@@ -717,8 +728,8 @@ def _read_block_map_fields(
 def read_block_map(path: PathLike) -> BlockMapDocument:
     """Parse a block-map file. Input order is free; the document sorts and checks.
 
-    The file is parsed with _block_row, its rows checked a column at a time
-    and the document built from them. If anything fails that way (a malformed
+    The file is parsed with _block_row and the document built from its rows,
+    which it checks a column at a time. If anything fails that way (a malformed
     file or document, or a block with keys other than material, x, y and z),
     the file is parsed again as plain JSON and read one field at a time, so
     the result or message is the one a plain parse gives and no tuple reaches
@@ -727,5 +738,5 @@ def read_block_map(path: PathLike) -> BlockMapDocument:
     raising the peak.
     """
     with contextlib.suppress(VoxgenError):
-        return BlockMapDocument(*_read_block_map_fields(_load_json(path, _block_row), path, _parsed_block_rows))
+        return BlockMapDocument(*_read_block_map_fields(_load_json(path, _block_row), path, _hooked_block_rows))
     return BlockMapDocument(*_read_block_map_fields(_load_json(path), path, _read_block_rows))

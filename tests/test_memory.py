@@ -1,4 +1,4 @@
-"""Peak memory of the block-map reader and of the blueprint renderer, and what a finalized world holds.
+"""Peak memory of the block-map reader, the block-map projection and the blueprint renderer, and what a finalized world holds.
 
 All are measured with ``tracemalloc`` on ``dungeon --n 6 --cell-footprint 20
 --seed 3``: its block map (10,114 rows in 0.92 MB) and semantic map, and the
@@ -9,7 +9,11 @@ its sorted copy and a list of lines peaks at five to six times the SVG's
 length; one that draws an x-slab at a time stays under three. A world that
 keeps a checked placement for every cell of its room floors holds about 55
 bytes per block-map row; one that keeps each floor as one box fill, about 7.
-The bound is 20.
+The bound is 20. Projecting the rasterized grid to its block map peaks
+near 83 bytes per row when the document checks its rows one column at a
+time: a 72-byte row tuple, less those the interpreter reuses from its free
+list, and three 8-byte pointer arrays (the rows, the document's copy and
+its tuple). Holding all four columns at once adds 24 more. The bound is 100.
 
 The module needs no pytest: ``python tests/test_memory.py`` runs the checks
 and prints each peak or holding as a multiple of its base.
@@ -21,7 +25,8 @@ import tracemalloc
 from pathlib import Path
 
 from voxgen.cli import build_parser, run
-from voxgen.serialization import read_block_map, read_semantic_map
+from voxgen.raster import rasterize
+from voxgen.serialization import block_map_from_grid, read_block_map, read_semantic_map
 from voxgen.viz import render_blueprint
 
 DUNGEON = ["dungeon", "--n", "6", "--cell-footprint", "20", "--seed", "3"]
@@ -60,11 +65,21 @@ def held_after(fn, *args):
     return result, held
 
 
-def world_bytes_per_row():
+def build_world():
     args = build_parser().parse_args([*DUNGEON, "--out-hlr", "unused", "--out-llr", "unused"])
-    world, held = held_after(args.build, args)
+    return args.build(args)
+
+
+def world_bytes_per_row():
+    world, held = held_after(build_world)
     assert world.finalized
     return held / DUNGEON_ROWS
+
+
+def projection_bytes_per_row():
+    doc, peak = traced_peak(block_map_from_grid, rasterize(build_world()))
+    assert len(doc.rows) == DUNGEON_ROWS
+    return peak / DUNGEON_ROWS
 
 
 def read_ratio(llr):
@@ -93,12 +108,17 @@ def test_a_finalized_world_holds_under_20_bytes_per_block_map_row():
     assert world_bytes_per_row() < 20
 
 
+def test_projecting_a_grid_to_its_block_map_peaks_under_100_bytes_per_row():
+    assert projection_bytes_per_row() < 100
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         hlr, llr = generate(Path(scratch))
         ratios = {"read_block_map / file size": read_ratio(llr), "render_blueprint / SVG length": render_ratio(hlr, llr)}
-    per_row = world_bytes_per_row()
+    per_row, projection = world_bytes_per_row(), projection_bytes_per_row()
     for name, ratio in ratios.items():
         print(f"{sys.version.split()[0]}  {name}: {ratio:.2f} (limit 3)")
     print(f"{sys.version.split()[0]}  finalized world / block-map rows: {per_row:.1f} bytes (limit 20)")
-    sys.exit(any(ratio >= 3 for ratio in ratios.values()) or per_row >= 20)
+    print(f"{sys.version.split()[0]}  block_map_from_grid peak / block-map rows: {projection:.1f} bytes (limit 100)")
+    sys.exit(any(ratio >= 3 for ratio in ratios.values()) or per_row >= 20 or projection >= 100)

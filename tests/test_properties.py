@@ -8,7 +8,9 @@ the shape checks to the document invariants. A document that reads back
 writes and re-reads to the same bytes, and the streamed block-map writer
 writes the bytes of the plain json.dumps encoding in ``oracles``.
 ``read_block_map`` agrees with the row-by-row ``oracles.read_block_rows`` on
-near-valid block maps: the same rows, or the same error message.
+near-valid block maps: the same rows, or the same error message. A block
+map built in code from rows that now and then carry a bad field or shape is
+refused with a one-line ValidationError, or writes and reads back equal.
 ``LocationIndex.locate`` agrees with the ``oracles.scan_locate`` scan on
 random location forests, on wide maps of side-by-side roots, crossing strips
 and boxes that reach the lattice's ends, and on a map with more distinct
@@ -183,6 +185,32 @@ def test_block_map_writer_matches_the_plain_json_encoding(tmp_path, doc):
     path = tmp_path / "block_map.json"
     write_block_map(doc, path)
     assert path.read_bytes() == block_map_text(doc).encode("ascii")
+
+
+# A row, or now and then one with a bad field or a bad shape; coordinates
+# from a small pool, so that two rows often share a cell.
+good_rows = st.tuples(coords, coords, coords | lattice, names)
+one_bad_field = st.tuples(
+    good_rows, st.integers(0, 3), st.sampled_from([1.5, True, 2**63, -(2**63) - 1, "1", None, "", "a\ud800b"])
+).map(lambda drawn: drawn[0][:drawn[1]] + (drawn[2],) + drawn[0][drawn[1] + 1:])
+bad_shapes = st.sampled_from([(0, 0, 0), [0, 0, 0, "log"], (0, 0, 0, "log", "log"), None, "abcd"])
+maybe_bad_rows = st.integers(0, 9).flatmap(
+    lambda i: one_bad_field if i == 0 else bad_shapes if i == 1 else good_rows
+)
+
+
+@SETTINGS
+@given(rows=st.lists(maybe_bad_rows, max_size=6))
+def test_block_rows_built_in_code_are_refused_in_one_line_or_read_back(tmp_path, rows):
+    try:
+        doc = BlockMapDocument(rows=rows)
+    except ValidationError as err:
+        assert "\n" not in str(err)
+        return
+    path = tmp_path / "block_map.json"
+    write_block_map(doc, path)
+    # The reprs too, since True == 1.
+    assert read_block_map(path) == doc and repr(read_block_map(path)) == repr(doc)
 
 
 MISSING = object()

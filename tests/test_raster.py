@@ -42,14 +42,19 @@ def test_bare_tutorial_room_is_100_log_cells():
     grid = rasterize(world_of(make_room()))
     assert len(grid.cells) == 100
     assert set(grid.cells.values()) == {"log"}
-    assert {p.as_tuple() for p in grid.cells} == brute_shell_cells((1, 3, 1), (6, 7, 6))
+    assert {tuple(p) for p in grid.cells} == brute_shell_cells((1, 3, 1), (6, 7, 6))
 
 
-def test_grid_cells_are_keyed_by_position():
-    grid = rasterize(world_of(make_room()))
-    assert all(type(p) is Position for p in grid.cells)
+def test_grid_cells_are_keyed_by_cell_tuples():
+    room = make_room()
+    room.add_block(BlockPlacement("glass", Position(3, 4, 3)))
+    grid = rasterize(world_of(room))
+    # A shell cell's key is a plain tuple; a block keeps the Position it carries.
+    assert type(next(iter(grid.cells))) is tuple
+    assert [type(p) for p in grid.cells if grid.cells[p] == "glass"] == [Position]
     assert grid.cells[Position(1, 3, 1)] == grid.cells[1, 3, 1] == "log"
-    assert Position(3, 4, 3) not in grid.cells and (3, 4, 3) not in grid.cells
+    assert grid.cells[Position(3, 4, 3)] == grid.cells[3, 4, 3] == "glass"
+    assert Position(3, 5, 3) not in grid.cells and (3, 5, 3) not in grid.cells
 
 
 def test_full_tutorial_room_matches_oracle_partition():
@@ -61,7 +66,7 @@ def test_full_tutorial_room_matches_oracle_partition():
     world = world_of(room)
     grid = rasterize(world)
     oracle_cells, _ = naive_rasterize(world)
-    assert {p.as_tuple(): m for p, m in grid.cells.items()} == oracle_cells
+    assert {tuple(p): m for p, m in grid.cells.items()} == oracle_cells
     # 100 shell + 16 roof interior - 36 glass overwrites; floor is new cells.
     assert Counter(grid.cells.values()) == {"log": 80, "glass": 36, "planks": 16}
 
@@ -70,7 +75,7 @@ def assert_matches_oracle(world):
     grid = rasterize(world)
     oracle_cells, oracle_entities = naive_rasterize(world)
     assert grid.cells == oracle_cells
-    assert all(type(p) is Position for p in grid.cells)
+    assert all(type(p) in (tuple, Position) for p in grid.cells)
     assert grid.entities == oracle_entities
 
 
@@ -189,7 +194,7 @@ def test_world_level_loose_items_follow_the_volume_rules_anywhere():
     assert grid.cells[Position(-20, 0, 0)] == "diamond_block"
     assert grid.entities[-1] == loose
     oracle_cells, oracle_entities = naive_rasterize(world)
-    assert {p.as_tuple(): m for p, m in grid.cells.items()} == oracle_cells
+    assert {tuple(p): m for p, m in grid.cells.items()} == oracle_cells
     assert grid.entities == oracle_entities
     assert [(o.id, o.location_id) for o in semantic_map_from_world(world).objects] == [("chest", None)]
 
@@ -203,7 +208,7 @@ def test_blank_volume_with_roof_emits_roof_only():
     grid = rasterize(world_of(make_room(material="blank", has_roof=True)))
     assert len(grid.cells) == 36
     assert set(grid.cells.values()) == {"blank"}
-    assert all(p.y == 7 for p in grid.cells)
+    assert all(y == 7 for _, y, _ in grid.cells)
 
 
 def test_rasterize_requires_finalized_world():
@@ -306,7 +311,7 @@ def test_translation_equivariance_single_case():
     shifted_world.finalize()
     base = rasterize(world)
     moved = rasterize(shifted_world)
-    translated = {p.shifted(*delta): m for p, m in base.cells.items()}
+    translated = {tuple(map(sum, zip(p, delta))): m for p, m in base.cells.items()}
     assert translated == dict(moved.cells)
 
 

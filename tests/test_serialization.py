@@ -1,5 +1,6 @@
 """Document writing and reading: canonical bytes, validation, round trips."""
 
+import enum
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 
 from voxgen.errors import ParseError, ValidationError
 from voxgen.generators import DungeonParams, gen_dungeon, gen_gridworld, gen_zombieworld
-from voxgen.geometry import BoundingVolume, EntitySpec, Position, WorldModel
+from voxgen.geometry import BlockPlacement, BoundingVolume, EntitySpec, Position, WorldModel
 from voxgen.raster import rasterize
 from voxgen.serialization import (
     BlockEntityRecord,
@@ -525,6 +526,38 @@ def test_block_map_built_in_code_rejects_two_blocks_in_one_cell():
         BlockMapDocument(rows=[(1, 2, 3, "stone"), (0, 0, 0, "log"), (1, 2, 3, "log")])
     with pytest.raises(ValidationError, match=r"duplicate block coordinates \(0, 0, 0\)"):
         BlockMapDocument(rows=[(0, 0, 0, "log"), (0, 0, 0, "log")])
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([(1.5, 0, 0, "log")], "block row 0 (1.5, 0, 0, 'log'): x: expected signed 64-bit integer, got 1.5"),
+    ([(True, 0, 0, "log")], "block row 0 (True, 0, 0, 'log'): x: expected signed 64-bit integer, got True"),
+    ([(0, 2**63, 0, "log")],
+     "block row 0 (0, 9223372036854775808, 0, 'log'): y: expected signed 64-bit integer, got 9223372036854775808"),
+    ([(0, 0, -(2**63) - 1, "log")],
+     "block row 0 (0, 0, -9223372036854775809, 'log'): z: expected signed 64-bit integer, got -9223372036854775809"),
+    ([(0, 0, 0)], "block row 0 (0, 0, 0): expected an (x, y, z, material) tuple"),
+    ([[0, 0, 0, "log"]], "block row 0 [0, 0, 0, 'log']: expected an (x, y, z, material) tuple"),
+    ([(0, 0, 0, "log"), ("1", 0, 0, "log"), (2, 0, 0, "log")],
+     "block row 1 ('1', 0, 0, 'log'): x: expected signed 64-bit integer, got '1'"),
+], ids=["float-x", "bool-x", "y-past-the-lattice", "z-before-the-lattice", "3-tuple", "list", "str-x"])
+def test_block_map_built_in_code_names_its_first_bad_row_before_writing(tmp_path, rows, message):
+    path = tmp_path / "block_map.json"
+    with pytest.raises(ValidationError) as err:
+        write_block_map(BlockMapDocument(rows=rows), path)
+    assert str(err.value) == message
+    assert not path.exists()
+
+
+def test_a_block_at_an_int_subclass_coordinate_writes_and_reads_back(tmp_path):
+    # Position keeps an int subclass as given, so the grid's row carries it, and the row check takes it as Position does.
+    class Level(enum.IntEnum):
+        GROUND = 3
+
+    world = WorldModel("w")
+    world.add_block(BlockPlacement("log", Position(Level.GROUND, 0, 0)))
+    world.finalize()
+    _, llr = write_tutorial(tmp_path, world, rasterize(world))
+    assert read_block_map(llr).rows == ((3, 0, 0, "log"),)
 
 
 def test_the_callers_equipment_dict_cannot_change_a_finalized_world(tmp_path):

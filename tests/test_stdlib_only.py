@@ -6,7 +6,9 @@ from pathlib import Path
 
 import voxgen
 
-# Runs in a fresh interpreter. The modules loaded before voxgen are left out:
+# Runs in a fresh interpreter, with -B because -I ignores PYTHONDONTWRITEBYTECODE
+# and the probe would otherwise write bytecode caches into the checkout it
+# imports. The modules loaded before voxgen are left out:
 # site may preload some that are not in the standard library, such as
 # setuptools' _distutils_hack or a sitecustomize.
 PROBE = """
@@ -23,6 +25,6 @@ print("\\n".join(sorted(added - set(sys.stdlib_module_names) - {"voxgen"})))
 
 def test_every_module_imports_only_the_standard_library():
     src = Path(voxgen.__file__).resolve().parent.parent
-    probe = subprocess.run([sys.executable, "-I", "-c", PROBE, str(src)], capture_output=True, text=True, timeout=60)
+    probe = subprocess.run([sys.executable, "-I", "-B", "-c", PROBE, str(src)], capture_output=True, text=True, timeout=60)
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split() == []
