@@ -14,7 +14,10 @@ renders the connection and containment structure as planner-style facts.
 
 Traces are JSON Lines: one object per line with integer millisecond
 ``timestamp``, string ``player_id``, and integer ``x``/``y``/``z``.
-Transition events are written in the same framing with ``from``/``to``.
+``read_trace`` parses a chunk of lines at a time as one JSON array and checks
+its five columns in C; only a chunk that fails reads its lines one by one, to
+name the first bad one. Transition events are written in the same framing
+with ``from``/``to``.
 """
 
 from __future__ import annotations
@@ -24,27 +27,48 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Optional
 
-from .errors import NonMonotonicTraceError, ValidationError
-from .geometry import Position
+from .errors import CoordinateOverflowError, NonMonotonicTraceError, ValidationError
+from .geometry import Position, _as_position, _check_name, _is_utf8
 from .serialization import (
-    _PARSE_FAILURES, LocationRecord, PathLike, SemanticMap, _parse_error, _read_coord, _read_int, _read_str,
-    _write_atomically,
+    _PARSE_FAILURES, LocationRecord, PathLike, SemanticMap, _is_coord_column, _parse_error, _read_coord, _read_int,
+    _read_str, _write_atomically,
 )
 
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
+    """One sample of a position trace: a player's position at a time.
+
+    The timestamp is an int (not a bool) and non-negative, the player id
+    passes the name rule of ``geometry._check_name``, and a position given as
+    anything but a Position goes through ``Position(*position)``. A bad field
+    raises a one-line ValueError.
+    """
+
     timestamp: int
     player_id: str
     position: Position
 
     def __post_init__(self) -> None:
-        if self.timestamp < 0:
+        timestamp, player_id, position = self.timestamp, self.player_id, self.position
+        # The usual sample passes in one expression; any other is checked field by field to name the fault.
+        if (type(timestamp) is int and timestamp >= 0 and type(player_id) is str and player_id.isascii()
+                and player_id and type(position) is Position):
+            return
+        if not isinstance(timestamp, int) or isinstance(timestamp, bool):
+            raise ValueError(f"trace timestamp must be an int, got {timestamp!r}")
+        if timestamp < 0:
             raise ValueError("trace timestamps must be non-negative")
-        if not self.player_id:
+        if player_id == "":
             raise ValueError("player_id must be nonempty")
+        _check_name(player_id, "player_id")
+        try:
+            object.__setattr__(self, "position", _as_position(position))
+        except (TypeError, CoordinateOverflowError) as err:
+            raise ValueError(f"trace position {position!r}: {err}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,39 +185,119 @@ class LocationIndex:
 # -- trace and event files -----------------------------------------------------
 
 
+# Lines read and parsed at a time: enough that one parse replaces thousands of
+# json.loads calls, few enough that a chunk's text and dicts stay small
+# beside the events.
+_TRACE_CHUNK = 2048
+# What JSON counts as whitespace around a value.
+_JSON_SPACE = " \t\n\r"
+
+
 def read_trace(path: PathLike) -> list[TraceEvent]:
-    """Read a JSON Lines trace file; blank lines are allowed and skipped.
+    """Read a JSON Lines trace file; a line of whitespace only is blank and skipped.
+
+    Lines may end in \\n, \\r\\n or \\r. The file is read _TRACE_CHUNK lines at a
+    time, and each chunk is parsed once, as one JSON array, with its columns
+    checked in C (_parsed_chunk). A chunk that fails any check is read again
+    from memory, one line at a time (_read_lines), which names its first bad
+    line by its number in the file. So the events, and every message, are
+    those of reading each line on its own. Every sample of a player holds
+    the same str.
+    """
+    events: list[TraceEvent] = []
+    players: dict[str, str] = {}
+    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            while True:
+                lines: list[str] = []
+                undecodable = None
+                try:
+                    lines.extend(islice(handle, _TRACE_CHUNK))
+                except UnicodeDecodeError as err:
+                    undecodable = err
+                # The lines decoded before an undecodable one are read first, so an earlier bad line is named first.
+                parsed = _parsed_chunk(lines, players)
+                events.extend(_read_lines(path, lines, lineno, players) if parsed is None else parsed)
+                lineno += len(lines)
+                if undecodable is not None:
+                    raise undecodable
+                if len(lines) < _TRACE_CHUNK:
+                    return events
+    except _PARSE_FAILURES as err:
+        raise _parse_error(path, err, lineno) from err
+
+
+def _parsed_chunk(lines: list[str], players: dict[str, str]) -> Optional[Iterable[TraceEvent]]:
+    """The events of a chunk of trace lines from one parse, or None if it must be read line by line.
+
+    The blank lines are dropped and JSON whitespace is stripped from the
+    rest, which are then joined with ",\\n" into one JSON array. If no line
+    holds a "[" and each starts with "{", every comma put between two lines
+    separates two values of that array: a JSON string cannot hold a raw
+    newline, the outer array is the only one, and a comma inside an object
+    must be followed by a key, not by the next line's "{". So an array with
+    as many values as lines holds each line's value, and the chunk passes
+    if those are objects and their columns pass _read_lines's checks:
+    timestamps ints >= 0, player ids strs (each new one checked once, then
+    held in players) and coordinates on the lattice.
+    """
+    lines = list(map(str.strip, filter(str.strip, lines), repeat(_JSON_SPACE)))
+    if not lines:
+        return ()
+    text = ",\n".join(lines)
+    if "[" in text or not all(map(str.startswith, lines, repeat("{"))):
+        return None
+    try:
+        rows = json.loads(f"[{text}]")
+    except _PARSE_FAILURES:
+        return None
+    if len(rows) != len(lines) or not set(map(type, rows)) <= {dict}:
+        return None
+    timestamps, ids, xs, ys, zs = (
+        list(map(dict.get, rows, repeat(key))) for key in ("timestamp", "player_id", "x", "y", "z")
+    )
+    if not (set(map(type, timestamps)) <= {int} and min(timestamps) >= 0
+            and set(map(type, ids)) <= {str} and _is_coord_column(xs) and _is_coord_column(ys)
+            and _is_coord_column(zs)):
+        return None
+    new = [player for player in dict.fromkeys(ids) if player not in players]
+    if not all(player and (player.isascii() or _is_utf8(player)) for player in new):
+        return None
+    players.update(zip(new, new))
+    return map(TraceEvent, timestamps, map(players.__getitem__, ids), map(Position, xs, ys, zs))
+
+
+def _read_lines(path: PathLike, lines: list[str], lineno: int, players: dict[str, str]) -> Iterator[TraceEvent]:
+    """The events of trace lines read one at a time; lineno is the number of the line before the first.
 
     Each coordinate goes through _read_coord, which words the message for a
     bad one, and then the sample's position through Position(...).
     """
-    events = []
-    lineno = 0
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                raw = json.loads(line)
-                if not isinstance(raw, dict):
-                    raise ValidationError(f"{path}: line {lineno}: expected an object per line")
-                try:
-                    events.append(
-                        TraceEvent(
-                            timestamp=_read_int(raw.get("timestamp"), "timestamp"),
-                            player_id=_read_str(raw.get("player_id"), "player_id"),
-                            position=Position(
-                                _read_coord(raw.get("x"), "x"),
-                                _read_coord(raw.get("y"), "y"),
-                                _read_coord(raw.get("z"), "z"),
-                            ),
-                        )
-                    )
-                except (ValidationError, ValueError) as err:
-                    raise ValidationError(f"{path}: line {lineno}: {err}") from err
-    except _PARSE_FAILURES as err:
-        raise _parse_error(path, err, lineno) from err
-    return events
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except _PARSE_FAILURES as err:
+            raise _parse_error(path, err, lineno) from err
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path}: line {lineno}: expected an object per line")
+        try:
+            timestamp = _read_int(raw.get("timestamp"), "timestamp")
+            player_id = _read_str(raw.get("player_id"), "player_id")
+            event = TraceEvent(
+                timestamp=timestamp,
+                player_id=players.setdefault(player_id, player_id),
+                position=Position(
+                    _read_coord(raw.get("x"), "x"),
+                    _read_coord(raw.get("y"), "y"),
+                    _read_coord(raw.get("z"), "z"),
+                ),
+            )
+        except (ValidationError, ValueError) as err:
+            raise ValidationError(f"{path}: line {lineno}: {err}") from err
+        yield event
 
 
 def write_transitions(events: Iterable[Transition], path: PathLike) -> None:

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 from typing import Any, Optional
 
-from voxgen.errors import ValidationError
+from voxgen.errors import ParseError, ValidationError
 from voxgen.geometry import BlockPlacement, BoundingVolume, EntitySpec, Position, WorldModel
+from voxgen.query import TraceEvent
 from voxgen.raster import BlockGrid
 from voxgen.serialization import BlockMapDocument, SemanticMap
 
@@ -141,6 +143,51 @@ def read_block_rows(path) -> list[tuple[int, int, int, str]]:
         if a[:3] == b[:3]:
             raise ValidationError(f"duplicate block coordinates {a[:3]}")
     return rows
+
+
+def read_trace_lines(path) -> list[TraceEvent]:
+    """The samples of a position-trace file, read one line at a time as docs/file-formats.md describes.
+
+    The file is UTF-8 text whose lines end in \\n, \\r\\n or \\r; a line of
+    whitespace only is blank. Every other line, with its line break, is one
+    JSON object read on its own; keys other than the five are ignored. Its
+    fields are checked in the order timestamp, player_id, x, y, z, and then
+    the timestamp's sign. Raises ParseError for a line that is not one JSON
+    value and ValidationError for a bad sample, each with the message
+    ``read_trace`` gives.
+    """
+    text = Path(path).read_bytes().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    *ended, last = text.split("\n")
+    events = []
+    for number, line in enumerate([piece + "\n" for piece in ended] + [last], start=1):
+        if line == "" or line.isspace():
+            continue
+        where = f"{path}: line {number}"
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ParseError(f"{where} column {err.colno}: {err.msg}", str(path), number, err.colno) from None
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{where}: expected an object per line")
+        timestamp, player = raw.get("timestamp"), raw.get("player_id")
+        if type(timestamp) is not int:
+            raise ValidationError(f"{where}: timestamp: expected integer, got {timestamp!r}")
+        if type(player) is not str or player == "":
+            raise ValidationError(f"{where}: player_id: expected nonempty string, got {player!r}")
+        try:
+            player.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"{where}: player_id: expected a string UTF-8 can encode, got {player!r}") from None
+        cell = []
+        for axis in "xyz":
+            value = raw.get(axis)
+            if type(value) is not int or not -(2**63) <= value < 2**63:
+                raise ValidationError(f"{where}: {axis}: expected signed 64-bit integer, got {value!r}")
+            cell.append(value)
+        if timestamp < 0:
+            raise ValidationError(f"{where}: trace timestamps must be non-negative")
+        events.append(TraceEvent(timestamp, player, Position(*cell)))
+    return events
 
 
 def scan_locate(semantic_map: SemanticMap, point: Cell) -> Optional[str]:

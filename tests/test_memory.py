@@ -1,4 +1,4 @@
-"""Peak memory of the block-map reader, the block-map projection and the blueprint renderer, and what a finalized world holds.
+"""Peak memory of the block-map and trace readers, the block-map projection and the blueprint renderer, and what a finalized world holds.
 
 All are measured with ``tracemalloc`` on ``dungeon --n 6 --cell-footprint 20
 --seed 3``: its block map (10,114 rows in 0.92 MB) and semantic map, and the
@@ -15,22 +15,31 @@ time: a 72-byte row tuple, less those the interpreter reuses from its free
 list, and three 8-byte pointer arrays (the rows, the document's copy and
 its tuple). Holding all four columns at once adds 24 more. The bound is 100.
 
+Reading a position trace of 20,000 samples, which the test writes itself,
+peaks near 220 bytes per sample when the file is parsed a chunk of lines at
+a time: the events themselves, plus one chunk's lines, text and dicts. The
+same reader given the whole file as one chunk peaks near 700. The bound is 300.
+
 The module needs no pytest: ``python tests/test_memory.py`` runs the checks
 and prints each peak or holding as a multiple of its base.
 """
 
+import json
+import random
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 from voxgen.cli import build_parser, run
+from voxgen.query import read_trace
 from voxgen.raster import rasterize
 from voxgen.serialization import block_map_from_grid, read_block_map, read_semantic_map
 from voxgen.viz import render_blueprint
 
 DUNGEON = ["dungeon", "--n", "6", "--cell-footprint", "20", "--seed", "3"]
 DUNGEON_ROWS = 10_114
+TRACE_SAMPLES = 20_000
 
 
 def generate(tmp_path):
@@ -94,6 +103,26 @@ def render_ratio(hlr, llr):
     return peak / len(svg)
 
 
+def write_trace(path):
+    """A trace of 16 players, each with its own clock, wandering a 300 x 12 x 300 box."""
+    rng = random.Random(0)
+    clocks = [0] * 16
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(TRACE_SAMPLES):
+            clocks[i % 16] += rng.randint(0, 250)
+            handle.write(json.dumps({
+                "timestamp": clocks[i % 16], "player_id": f"walker_{i % 16:02d}",
+                "x": rng.randint(0, 300), "y": rng.randint(0, 12), "z": rng.randint(0, 300),
+            }) + "\n")
+    return path
+
+
+def trace_bytes_per_sample(path):
+    events, peak = traced_peak(read_trace, path)
+    assert len(events) == TRACE_SAMPLES
+    return peak / TRACE_SAMPLES
+
+
 def test_reading_a_block_map_peaks_under_three_times_its_size(tmp_path):
     _, llr = generate(tmp_path)
     assert read_ratio(llr) < 3
@@ -112,13 +141,19 @@ def test_projecting_a_grid_to_its_block_map_peaks_under_100_bytes_per_row():
     assert projection_bytes_per_row() < 100
 
 
+def test_reading_a_trace_peaks_under_300_bytes_per_sample(tmp_path):
+    assert trace_bytes_per_sample(write_trace(tmp_path / "trace.jsonl")) < 300
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         hlr, llr = generate(Path(scratch))
         ratios = {"read_block_map / file size": read_ratio(llr), "render_blueprint / SVG length": render_ratio(hlr, llr)}
+        per_sample = trace_bytes_per_sample(write_trace(Path(scratch) / "trace.jsonl"))
     per_row, projection = world_bytes_per_row(), projection_bytes_per_row()
     for name, ratio in ratios.items():
         print(f"{sys.version.split()[0]}  {name}: {ratio:.2f} (limit 3)")
     print(f"{sys.version.split()[0]}  finalized world / block-map rows: {per_row:.1f} bytes (limit 20)")
     print(f"{sys.version.split()[0]}  block_map_from_grid peak / block-map rows: {projection:.1f} bytes (limit 100)")
-    sys.exit(any(ratio >= 3 for ratio in ratios.values()) or per_row >= 20 or projection >= 100)
+    print(f"{sys.version.split()[0]}  read_trace peak / trace samples: {per_sample:.1f} bytes (limit 300)")
+    sys.exit(any(ratio >= 3 for ratio in ratios.values()) or per_row >= 20 or projection >= 100 or per_sample >= 300)

@@ -11,6 +11,10 @@ writes the bytes of the plain json.dumps encoding in ``oracles``.
 near-valid block maps: the same rows, or the same error message. A block
 map built in code from rows that now and then carry a bad field or shape is
 refused with a one-line ValidationError, or writes and reads back equal.
+``read_trace`` agrees with the line-by-line ``oracles.read_trace_lines`` on
+traces of valid samples mixed with blank lines, every line ending, lines
+that a joined parse could misread and every bad field, read three lines to
+a chunk: the same events, or the same error and message.
 ``LocationIndex.locate`` agrees with the ``oracles.scan_locate`` scan on
 random location forests, on wide maps of side-by-side roots, crossing strips
 and boxes that reach the lattice's ends, and on a map with more distinct
@@ -25,6 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from voxgen import query
 from voxgen.errors import ParseError, ValidationError
 from voxgen.geometry import COORD_MAX, COORD_MIN, EQUIPMENT_SLOTS, Position
 from voxgen.query import LocationIndex, read_trace
@@ -39,7 +44,7 @@ from voxgen.serialization import (
     write_semantic_map,
 )
 
-from oracles import block_map_text, read_block_rows, scan_locate
+from oracles import block_map_text, read_block_rows, read_trace_lines, scan_locate
 
 READERS = [read_semantic_map, read_block_map, read_trace]
 WRITERS = {read_semantic_map: write_semantic_map, read_block_map: write_block_map}
@@ -245,6 +250,67 @@ def test_block_map_reader_agrees_with_the_row_by_row_oracle(tmp_path, blocks):
         assert str(got.value) == str(err)
     else:
         assert list(read_block_map(path).rows) == expected
+
+
+sample_fields = st.fixed_dictionaries({
+    # Now and then a string holding the characters that shape JSON; one id is outside ASCII.
+    "timestamp": st.integers(0, 3), "player_id": mostly(st.sampled_from(["p", "q", "\u00e9"]), ["a[b", "]}{,"]),
+    "x": coords, "y": coords, "z": coords,
+})
+bad_fields = {
+    "timestamp": [-1, True, 1.5, "0", None, MISSING],
+    "player_id": ["", 5, None, "a\ud800b", ["p"], MISSING],
+    **{axis: [1.5, True, 2**63, -(2**63) - 1, "1", None, MISSING] for axis in "xyz"},
+}
+one_bad_sample = st.tuples(
+    sample_fields,
+    st.sampled_from(list(bad_fields)).flatmap(lambda key: st.tuples(st.just(key), st.sampled_from(bad_fields[key]))),
+).map(lambda drawn: {**drawn[0], drawn[1][0]: drawn[1][1]}).map(
+    lambda sample: {key: value for key, value in sample.items() if value is not MISSING}
+)
+VALID_LINE = '{"timestamp": 1, "player_id": "p", "x": 1, "y": 2, "z": 3}'
+odd_lines = st.sampled_from([
+    # blank: whitespace only, JSON's or not
+    "", "  ", "\t", " \x0c ", "\u2028", "\x85", "\u3000",
+    # two objects on one line
+    VALID_LINE + " " + VALID_LINE, VALID_LINE + "," + VALID_LINE, VALID_LINE + ",",
+    # an object split across two lines, through an array or through an extra key
+    '{"timestamp": 0, "k": [{}', '{}], "player_id": "p", "x": 1, "y": 2, "z": 3}',
+    '{"timestamp": 0, "k": {}', '{"x": 1}, "player_id": "p", "y": 2, "z": 3}',
+    '"player_id": "p", "x": 1, "y": 2, "z": 3}',
+    # valid, with keys other than the five
+    VALID_LINE[:-1] + ', "k": [1, {"a": ","}]}', VALID_LINE[:-1] + ', "k": {"a": {}}}',
+    # a BOM, a form feed outside the object
+    "\ufeff" + VALID_LINE, VALID_LINE + "\x0c", "\x0c" + VALID_LINE,
+    "[]", "[" + VALID_LINE + "]", "5", '"s"', "null", "{", "}", "{}", "not json",
+])
+trace_lines = st.integers(0, 9).flatmap(
+    lambda i: odd_lines if i == 0 else one_bad_sample.map(json.dumps) if i == 1 else sample_fields.map(json.dumps)
+)
+# Each line with its break; half the time the last character goes (the last break, or half of a \r\n).
+trace_texts = st.tuples(
+    st.lists(st.tuples(trace_lines, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12), st.booleans()
+).map(lambda drawn: "".join(line + ending for line, ending in drawn[0])[:None if drawn[1] else -1])
+
+
+@settings(SETTINGS, max_examples=150)
+@given(text=trace_texts)
+def test_trace_reader_agrees_with_the_line_by_line_oracle(tmp_path, monkeypatch, text):
+    # Three lines to a chunk, so that traces cross chunk boundaries.
+    monkeypatch.setattr(query, "_TRACE_CHUNK", 3)
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = read_trace_lines(path)
+    except (ParseError, ValidationError) as err:
+        with pytest.raises((ParseError, ValidationError)) as got:
+            read_trace(path)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+        if isinstance(err, ParseError):
+            assert (got.value.line, got.value.column) == (err.line, err.column)
+    else:
+        got = read_trace(path)
+        assert got == expected and list(map(repr, got)) == list(map(repr, expected))
 
 
 @st.composite

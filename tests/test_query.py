@@ -1,5 +1,6 @@
-"""Point location, transition monitoring, and predicate export."""
+"""Point location, transition monitoring, trace reading and predicate export."""
 
+import builtins
 import json
 import os
 import random
@@ -7,10 +8,13 @@ import re
 
 import pytest
 
+from voxgen import query
 from voxgen.errors import NonMonotonicTraceError, ParseError, ValidationError
 from voxgen.generators import gen_gridworld
 from voxgen.geometry import Position
-from voxgen.query import LocationIndex, TraceEvent, Transition, read_trace, write_predicates, write_transitions
+from voxgen.query import (
+    _TRACE_CHUNK, LocationIndex, TraceEvent, Transition, read_trace, write_predicates, write_transitions,
+)
 from voxgen.serialization import ConnectionRecord, LocationRecord, SemanticMap, semantic_map_from_world
 
 from oracles import scan_locate
@@ -19,6 +23,11 @@ from oracles import scan_locate
 @pytest.fixture(scope="module")
 def tutorial_index(tutorial_map):
     return LocationIndex(tutorial_map)
+
+
+def sample(timestamp, player="p", x=1, y=2, z=3):
+    """One trace line, without its line break."""
+    return json.dumps({"timestamp": timestamp, "player_id": player, "x": x, "y": y, "z": z})
 
 
 class TestLocate:
@@ -41,6 +50,40 @@ class TestLocate:
         for _ in range(500):
             p = (rng.randint(-2, 14), rng.randint(0, 10), rng.randint(-2, 9))
             assert tutorial_index.locate(Position(*p)) == scan_locate(tutorial_map, p)
+
+
+class TestTraceEvent:
+    @pytest.mark.parametrize("fields", [
+        (True, "p", (1, 4, 1)),
+        (1.0, "p", (1, 4, 1)),
+        ("0", "p", (1, 4, 1)),
+        (None, "p", (1, 4, 1)),
+        (0, 5, (1, 4, 1)),
+        (0, None, (1, 4, 1)),
+        (0, "a\ud800b", (1, 4, 1)),
+        (0, "p", (1.5, 2, 3)),
+        (0, "p", (True, 2, 3)),
+        (0, "p", (1, 2, 2**63)),
+        (0, "p", "abc"),
+        (0, "p", (1, 2)),
+        (0, "p", 5),
+    ], ids=["bool-timestamp", "float-timestamp", "str-timestamp", "no-timestamp", "int-player", "no-player",
+            "surrogate-player", "float-x", "bool-x", "z-2**63", "str-position", "two-coordinates", "int-position"])
+    def test_a_bad_field_is_a_one_line_value_error(self, fields):
+        with pytest.raises(ValueError) as exc:
+            TraceEvent(*fields)
+        assert "\n" not in str(exc.value)
+
+    def test_the_sign_and_empty_id_messages_keep_their_wording(self):
+        with pytest.raises(ValueError, match="^trace timestamps must be non-negative$"):
+            TraceEvent(-1, "p", Position(1, 4, 1))
+        with pytest.raises(ValueError, match="^player_id must be nonempty$"):
+            TraceEvent(0, "", Position(1, 4, 1))
+
+    def test_a_point_becomes_a_position(self):
+        event = TraceEvent(0, "p", (1, 4, 1))
+        assert type(event.position) is Position and event.position == (1, 4, 1)
+        assert event == TraceEvent(0, "p", Position(1, 4, 1))
 
 
 class TestTransitions:
@@ -232,7 +275,121 @@ class TestTraceFiles:
             read_trace(path)
         assert str(exc.value) == f"{path}: line 2: {message}"
 
+    def test_line_endings_may_be_lf_crlf_or_cr(self, tmp_path):
+        lines = [sample(0), "", sample(5, x=2), "  ", sample(9, "q")]
+        read = []
+        for ending in ("\n", "\r\n", "\r"):
+            path = tmp_path / "trace.jsonl"
+            path.write_bytes(ending.join(lines).encode("utf-8") + ending.encode("utf-8"))
+            read.append(read_trace(path))
+        assert read[0] == read[1] == read[2] == [
+            TraceEvent(0, "p", Position(1, 2, 3)), TraceEvent(5, "p", Position(2, 2, 3)),
+            TraceEvent(9, "q", Position(1, 2, 3)),
+        ]
+
+    def test_a_line_of_whitespace_only_is_blank(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(f"{sample(0)}\n\t \x0c\u2028\u3000\x85\n{sample(1)}\n", encoding="utf-8")
+        assert read_trace(path) == [TraceEvent(0, "p", Position(1, 2, 3)), TraceEvent(1, "p", Position(1, 2, 3))]
+
+    @pytest.mark.parametrize("extra", ['"k": {"a": {}}', '"k": [1, {"a": ","}]', '"from": null, "to": "room"'],
+                             ids=["object", "array", "scalars"])
+    def test_keys_other_than_the_five_are_ignored(self, tmp_path, extra):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(f"{sample(0)}\n{sample(1)[:-1]}, {extra}}}\n")
+        assert read_trace(path) == [TraceEvent(0, "p", Position(1, 2, 3)), TraceEvent(1, "p", Position(1, 2, 3))]
+
+    def test_a_utf8_bom_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + sample(0).encode() + b"\n")
+        with pytest.raises(ParseError) as exc:
+            read_trace(path)
+        assert str(exc.value) == f"{path}: line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        assert (exc.value.line, exc.value.column) == (1, 1)
+
+    @pytest.mark.parametrize("line", ["\x0c" + sample(0), sample(0) + "\x0c", "\u00a0" + sample(0)],
+                             ids=["form-feed-before", "form-feed-after", "no-break-space-before"])
+    def test_only_json_whitespace_may_surround_a_sample(self, tmp_path, line):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(f"{sample(0)}\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_trace(path)
+        assert exc.value.line == 2
+
+    def test_a_bad_line_before_an_undecodable_one_is_named_first(self, tmp_path):
+        # As line by line: the lines decoded before the bad byte are read before it is reported.
+        path = tmp_path / "bad.jsonl"
+        good = sample(0).encode() + b"\n"
+        path.write_bytes(good * 5 + b"not json\n" + good * 1000 + b'{"player_id": "\xff"}\n')
+        with pytest.raises(ParseError, match="line 6 column 1: Expecting value") as exc:
+            read_trace(path)
+        assert exc.value.line == 6
+
     def test_predicates_file(self, tmp_path, tutorial_index):
         path = tmp_path / "facts.txt"
         write_predicates(tutorial_index.export_predicates(), path)
         assert path.read_text() == "contains(house, room_1)\ncontains(house, room_2)\n"
+
+
+class TestTraceChunks:
+    """read_trace parses a chunk of _TRACE_CHUNK lines at a time and reads a chunk line by line only if it must."""
+
+    @pytest.mark.parametrize("bad_line", [_TRACE_CHUNK, _TRACE_CHUNK + 1], ids=["last-of-a-chunk", "first-of-the-next"])
+    @pytest.mark.parametrize("bad, error, message", [
+        ("not json", ParseError, "line {n} column 1: Expecting value"),
+        (sample(0) + " " + sample(1), ParseError, "line {n} column 60: Extra data"),
+        (sample(-1), ValidationError, "line {n}: trace timestamps must be non-negative"),
+        (sample(0, "[", x=1.5), ValidationError, "line {n}: x: expected signed 64-bit integer, got 1.5"),
+        (sample(0, ""), ValidationError, "line {n}: player_id: expected nonempty string, got ''"),
+    ], ids=["not-json", "two-objects", "negative-timestamp", "float-x", "empty-player"])
+    def test_a_bad_line_at_a_chunk_edge_is_named(self, tmp_path, bad_line, bad, error, message):
+        lines = [sample(t) for t in range(2 * _TRACE_CHUNK)]
+        lines[2] = ""  # a blank line counts as a line
+        lines[bad_line - 1] = bad
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error) as exc:
+            read_trace(path)
+        assert str(exc.value) == f"{path}: " + message.format(n=bad_line)
+        if error is ParseError:
+            assert exc.value.line == bad_line
+
+    def test_two_full_chunks_are_parsed_once_each(self, tmp_path, monkeypatch):
+        samples = [(t, f"p{t % 3}", (t % 7, 2, -t)) for t in range(2 * _TRACE_CHUNK)]
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(sample(t, player, *cell) + "\n" for t, player, cell in samples))
+        loads = []
+        monkeypatch.setattr(json, "loads", lambda text, loads_=json.loads: loads.append(text) or loads_(text))
+        events = read_trace(path)
+        assert events == [TraceEvent(t, player, Position(*cell)) for t, player, cell in samples]
+        assert len(loads) == 2
+        # Every sample of a player shares one str.
+        assert len({id(event.player_id) for event in events}) == 3
+
+    def test_a_chunk_read_line_by_line_is_not_read_from_the_file_again(self, tmp_path, monkeypatch):
+        # A "[" inside a string sends the first chunk line by line; its events are the same.
+        players = ["a[b" if t == 5 else "p" for t in range(_TRACE_CHUNK + 10)]
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(sample(t, player) + "\n" for t, player in enumerate(players)))
+        opened, loads = [], []
+        monkeypatch.setattr(query, "open", lambda *args, **kw: opened.append(args) or builtins.open(*args, **kw),
+                            raising=False)
+        monkeypatch.setattr(json, "loads", lambda text, loads_=json.loads: loads.append(text) or loads_(text))
+        assert read_trace(path) == [TraceEvent(t, player, Position(1, 2, 3)) for t, player in enumerate(players)]
+        assert len(opened) == 1
+        # The first chunk's lines one by one (its "[" fails the guard before the parse), then the second's one parse.
+        assert len(loads) == _TRACE_CHUNK + 1
+
+    # Each chunk is three lines that a parse of the chunk joined into one array
+    # would read as three samples: the first two make one object, the third two.
+    @pytest.mark.parametrize("first, second", [
+        ('{"timestamp": 0, "k": [{}', '{}], "player_id": "p", "x": 1, "y": 2, "z": 3}'),
+        ('{"timestamp": 0, "k": {}', '"player_id": "p", "x": 1, "y": 2, "z": 3}'),
+    ], ids=["through-an-array", "through-a-key"])
+    def test_a_chunk_a_joined_parse_would_misread_is_read_line_by_line(self, tmp_path, monkeypatch, first, second):
+        monkeypatch.setattr(query, "_TRACE_CHUNK", 3)
+        path = tmp_path / "trace.jsonl"
+        path.write_text(f"{sample(0)}\n{sample(1)}\n{sample(2)}\n{first}\n{second}\n{sample(3)},{sample(4)}\n")
+        with pytest.raises(ParseError) as exc:
+            read_trace(path)
+        assert exc.value.line == 4
