@@ -26,8 +26,6 @@ hold gold-block treasures, blazes, and lava patches eating into their floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ParameterError, RetryExhaustedError
 from ..geometry import (
     BlockPlacement,
@@ -37,6 +35,7 @@ from ..geometry import (
     ObjectSpec,
     Position,
     WorldModel,
+    _checked_tuple,
 )
 from ..rng import SeededRng
 
@@ -52,32 +51,41 @@ STONE_MONSTER = "wither_skeleton"
 NETHER_MONSTER = "blaze"
 
 
-@dataclass(frozen=True)
-class DungeonParams:
+_PARAM_FIELDS = (
+    "n seed cell_footprint room_probability treasure_range monster_range lava_patch_range spiderweb_range"
+)
+
+
+class DungeonParams(_checked_tuple("DungeonParams", _PARAM_FIELDS)):
     """Knobs for gen_dungeon. Ranges are inclusive (low, high) pairs."""
 
-    n: int
-    seed: int = 0
-    cell_footprint: int = 10
-    room_probability: float = 0.5
-    treasure_range: tuple[int, int] = (1, 3)
-    monster_range: tuple[int, int] = (1, 2)
-    lava_patch_range: tuple[int, int] = (1, 3)
-    spiderweb_range: tuple[int, int] = (0, 4)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ParameterError(f"grid dimension must be >= 2, got {self.n}")
+    def __new__(
+        cls,
+        n: int,
+        seed: int = 0,
+        cell_footprint: int = 10,
+        room_probability: float = 0.5,
+        treasure_range: tuple[int, int] = (1, 3),
+        monster_range: tuple[int, int] = (1, 2),
+        lava_patch_range: tuple[int, int] = (1, 3),
+        spiderweb_range: tuple[int, int] = (0, 4),
+    ) -> "DungeonParams":
+        if n < 2:
+            raise ParameterError(f"grid dimension must be >= 2, got {n}")
         # Rooms span cell_footprint - 2 voxels; anything narrower cannot fit
         # a 3-wide corridor mouth plus interior content positions.
-        if self.cell_footprint < 7:
-            raise ParameterError(f"cell_footprint must be >= 7, got {self.cell_footprint}")
-        if not 0 < self.room_probability <= 1:
-            raise ParameterError(f"room_probability must be in (0, 1], got {self.room_probability}")
-        for name in ("treasure_range", "monster_range", "lava_patch_range", "spiderweb_range"):
-            low, high = getattr(self, name)
+        if cell_footprint < 7:
+            raise ParameterError(f"cell_footprint must be >= 7, got {cell_footprint}")
+        if not 0 < room_probability <= 1:
+            raise ParameterError(f"room_probability must be in (0, 1], got {room_probability}")
+        ranges = {"treasure_range": treasure_range, "monster_range": monster_range,
+                  "lava_patch_range": lava_patch_range, "spiderweb_range": spiderweb_range}
+        for name, (low, high) in ranges.items():
             if low < 0 or low > high:
                 raise ParameterError(f"{name} must satisfy 0 <= low <= high, got ({low}, {high})")
+        return tuple.__new__(cls, (n, seed, cell_footprint, room_probability, *ranges.values()))
 
 
 def _roll_occupancy(p: DungeonParams, rng: SeededRng) -> list[tuple[int, int]]:

@@ -14,6 +14,13 @@ given a point as anything but a Position (a plain tuple, say) keeps
 ``Position(*point)`` instead, so every point a world holds has passed them.
 ``_box_cells`` gives a box's cells in bulk as plain tuples, not Positions.
 
+Position and every spec are checked tuples (``_checked_tuple``): a
+namedtuple with ``__slots__ = ()`` whose ``__new__`` checks its fields,
+the usual values in one expression and any other one field at a time, to
+name the first bad one. ``_make`` and ``_replace`` go through ``__new__``.
+A spec equals, hashes, sorts and unpacks as the tuple of its fields, and
+assigning a field raises AttributeError.
+
 A holder's explicit blocks are one ordered ``Blocks`` sequence of
 placements and box fills. ``generate_box`` records one ``BoxFill`` (a
 material and two corners), not a ``BlockPlacement`` per cell: the sequence
@@ -40,7 +47,6 @@ and is the one full check.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import chain, islice, product, repeat, starmap
 from operator import eq
 from types import MappingProxyType
@@ -94,7 +100,18 @@ def _check_name(value: object, what: str, error: type[Exception] = ValueError) -
         raise error(f"{what} must be a nonempty str that UTF-8 can encode, got {value!r}")
 
 
-class Position(namedtuple("Position", "x y z")):
+def _checked_tuple(name: str, fields: str) -> type:
+    """The namedtuple base of a checked tuple: a record whose subclass checks its fields in ``__new__``.
+
+    namedtuple's own ``_make``, and so ``_replace``, would build the tuple
+    without calling ``__new__``; here both go through it.
+    """
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class Position(_checked_tuple("Position", "x y z")):
     """A point on the 3D integer lattice: the tuple (x, y, z) with named fields.
 
     Hashing, equality and ordering are the tuple's, so a Position is equal to
@@ -111,11 +128,6 @@ class Position(namedtuple("Position", "x y z")):
             return tuple.__new__(cls, (x, y, z))
         # Only a bad coordinate or an int subclass gets here: check axis by axis to name the first bad one.
         return tuple.__new__(cls, (_check_coord(x, "x"), _check_coord(y, "y"), _check_coord(z, "z")))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> "Position":
-        # namedtuple's _make and _replace would skip the checks in __new__.
-        return cls(*iterable)
 
     def shifted(self, dx: int, dy: int, dz: int) -> "Position":
         x, y, z = self
@@ -150,44 +162,38 @@ def _corners_in_order(top_left: Position, bottom_right: Position) -> bool:
     return top_left.x <= bottom_right.x and top_left.y <= bottom_right.y and top_left.z <= bottom_right.z
 
 
-@dataclass(frozen=True, slots=True)
-class BlockPlacement:
+class BlockPlacement(_checked_tuple("BlockPlacement", "material position")):
     """A single block: a material at an absolute world position."""
 
-    material: str
-    position: Position
+    __slots__ = ()
 
     size = 1  # cells, as for a BoxFill
 
-    def __post_init__(self) -> None:
-        _check_name(self.material, "block material")
+    def __new__(cls, material: str, position: Position) -> "BlockPlacement":
+        if not (type(material) is str and material and material.isascii()):
+            _check_name(material, "block material")
         # _as_position's test, inline: iterating a box fill builds one placement per cell.
-        if type(self.position) is not Position:
-            object.__setattr__(self, "position", Position(*self.position))
+        return tuple.__new__(cls, (material, position if type(position) is Position else Position(*position)))
 
     def shifted(self, dx: int, dy: int, dz: int) -> "BlockPlacement":
         return BlockPlacement(self.material, self.position.shifted(dx, dy, dz))
 
 
-@dataclass(frozen=True, slots=True)
-class BoxFill:
+class BoxFill(_checked_tuple("BoxFill", "material top_left bottom_right")):
     """One material in every cell of a box, corner to corner, both inclusive: what generate_box records.
 
     It stands for the BlockPlacement of each of its cells, in x, then y, then
     z order (_box_cells); ``size`` is their number.
     """
 
-    material: str
-    top_left: Position
-    bottom_right: Position
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_name(self.material, "block material")
-        tl, br = _as_position(self.top_left), _as_position(self.bottom_right)
+    def __new__(cls, material: str, top_left: Position, bottom_right: Position) -> "BoxFill":
+        _check_name(material, "block material")
+        tl, br = _as_position(top_left), _as_position(bottom_right)
         if not _corners_in_order(tl, br):
             raise ValueError(f"box fill corners out of order: {tl.as_tuple()}..{br.as_tuple()}")
-        object.__setattr__(self, "top_left", tl)
-        object.__setattr__(self, "bottom_right", br)
+        return tuple.__new__(cls, (material, tl, br))
 
     @property
     def size(self) -> int:
@@ -262,46 +268,46 @@ class BlockList(Blocks):
         self._count += item.size
 
 
-@dataclass(frozen=True)
-class EntitySpec:
+class EntitySpec(_checked_tuple("EntitySpec", "id entity_type position equipment")):
     """A mob to place: type, absolute position, optional equipment per slot.
 
     The equipment is kept as a read-only copy, so changing the caller's
     mapping afterwards changes neither the entity nor a finalized world.
     """
 
-    id: str
-    entity_type: str
-    position: Position
-    equipment: Optional[Mapping[str, str]] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_name(self.id, "entity id")
-        _check_name(self.entity_type, "entity type")
-        object.__setattr__(self, "position", _as_position(self.position))
-        if self.equipment is not None:
-            object.__setattr__(self, "equipment", MappingProxyType(dict(self.equipment)))
-        for slot, item in (self.equipment or {}).items():
-            if slot not in EQUIPMENT_SLOTS:
-                raise ValueError(f"unknown equipment slot {slot!r}; expected one of {EQUIPMENT_SLOTS}")
-            _check_name(item, f"entity {self.id} {slot} item")
+    def __new__(
+        cls, id: str, entity_type: str, position: Position, equipment: Optional[Mapping[str, str]] = None
+    ) -> "EntitySpec":
+        if not (type(id) is type(entity_type) is str and id and entity_type and id.isascii()
+                and entity_type.isascii() and type(position) is Position):
+            _check_name(id, "entity id")
+            _check_name(entity_type, "entity type")
+            position = _as_position(position)
+        if equipment is not None:
+            equipment = MappingProxyType(dict(equipment))
+            for slot, item in equipment.items():
+                if slot not in EQUIPMENT_SLOTS:
+                    raise ValueError(f"unknown equipment slot {slot!r}; expected one of {EQUIPMENT_SLOTS}")
+                _check_name(item, f"entity {id} {slot} item")
+        return tuple.__new__(cls, (id, entity_type, position, equipment))
 
 
-@dataclass(frozen=True)
-class ObjectSpec:
+class ObjectSpec(_checked_tuple("ObjectSpec", "id object_type block")):
     """A block with extra semantics (a treasure, a victim, ...)."""
 
-    id: str
-    object_type: str
-    block: BlockPlacement
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_name(self.id, "object id")
-        _check_name(self.object_type, "object type")
+    def __new__(cls, id: str, object_type: str, block: BlockPlacement) -> "ObjectSpec":
+        if not (type(id) is type(object_type) is str and id and object_type and id.isascii()
+                and object_type.isascii()):
+            _check_name(id, "object id")
+            _check_name(object_type, "object type")
+        return tuple.__new__(cls, (id, object_type, block))
 
 
-@dataclass(frozen=True)
-class ConnectionSpec:
+class ConnectionSpec(_checked_tuple("ConnectionSpec", "id connection_type bounds connected_ids")):
     """A spatial link between volumes.
 
     "door" and "opening" connections are point-like and carve passable air out
@@ -309,22 +315,22 @@ class ConnectionSpec:
     blocks alone. Bounds are absolute and are NOT updated by translations.
     """
 
-    id: str
-    connection_type: str
-    bounds: tuple[Position, Position]
-    connected_ids: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_name(self.id, "connection id")
-        _check_name(self.connection_type, "connection type")
-        tl, br = map(_as_position, self.bounds)
+    def __new__(
+        cls, id: str, connection_type: str, bounds: tuple[Position, Position], connected_ids: Sequence[str]
+    ) -> "ConnectionSpec":
+        if not (type(id) is type(connection_type) is str and id and connection_type and id.isascii()
+                and connection_type.isascii()):
+            _check_name(id, "connection id")
+            _check_name(connection_type, "connection type")
+        tl, br = map(_as_position, bounds)
         if not _corners_in_order(tl, br):
-            raise ValueError(f"connection {self.id}: bounds corners out of order")
-        object.__setattr__(self, "bounds", (tl, br))
-        ids = tuple(self.connected_ids)
+            raise ValueError(f"connection {id}: bounds corners out of order")
+        ids = tuple(connected_ids)
         if len(ids) < 2:
-            raise ValueError(f"connection {self.id}: needs at least 2 connected ids")
-        object.__setattr__(self, "connected_ids", ids)
+            raise ValueError(f"connection {id}: needs at least 2 connected ids")
+        return tuple.__new__(cls, (id, connection_type, (tl, br), ids))
 
 
 def _extent(kind: str, item: object) -> tuple[Position, Position]:

@@ -17,7 +17,9 @@ Traces are JSON Lines: one object per line with integer millisecond
 ``read_trace`` parses a chunk of lines at a time as one JSON array and checks
 its five columns in C; only a chunk that fails reads its lines one by one, to
 name the first bad one. Transition events are written in the same framing
-with ``from``/``to``.
+with ``from``/``to``. A TraceEvent and a Transition are checked tuples
+(``geometry._checked_tuple``): each checks its own fields when built, and
+equals and unpacks as the tuple of them.
 """
 
 from __future__ import annotations
@@ -26,20 +28,25 @@ import json
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional
 
 from .errors import CoordinateOverflowError, NonMonotonicTraceError, ValidationError
-from .geometry import Position, _as_position, _check_name, _is_utf8
+from .geometry import Position, _as_position, _check_name, _checked_tuple, _is_utf8
 from .serialization import (
     _PARSE_FAILURES, LocationRecord, PathLike, SemanticMap, _is_coord_column, _parse_error, _read_coord, _read_int,
     _read_str, _write_atomically,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+def _check_timestamp(timestamp: object, kind: str) -> None:
+    if not isinstance(timestamp, int) or isinstance(timestamp, bool):
+        raise ValueError(f"{kind} timestamp must be an int, got {timestamp!r}")
+    if timestamp < 0:
+        raise ValueError(f"{kind} timestamps must be non-negative")
+
+
+class TraceEvent(_checked_tuple("TraceEvent", "timestamp player_id position")):
     """One sample of a position trace: a player's position at a time.
 
     The timestamp is an int (not a bool) and non-negative, the player id
@@ -48,35 +55,43 @@ class TraceEvent:
     raises a one-line ValueError.
     """
 
-    timestamp: int
-    player_id: str
-    position: Position
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        timestamp, player_id, position = self.timestamp, self.player_id, self.position
+    def __new__(cls, timestamp: int, player_id: str, position: Position) -> "TraceEvent":
         # The usual sample passes in one expression; any other is checked field by field to name the fault.
-        if (type(timestamp) is int and timestamp >= 0 and type(player_id) is str and player_id.isascii()
+        if not (type(timestamp) is int and timestamp >= 0 and type(player_id) is str and player_id.isascii()
                 and player_id and type(position) is Position):
-            return
-        if not isinstance(timestamp, int) or isinstance(timestamp, bool):
-            raise ValueError(f"trace timestamp must be an int, got {timestamp!r}")
-        if timestamp < 0:
-            raise ValueError("trace timestamps must be non-negative")
-        if player_id == "":
-            raise ValueError("player_id must be nonempty")
-        _check_name(player_id, "player_id")
-        try:
-            object.__setattr__(self, "position", _as_position(position))
-        except (TypeError, CoordinateOverflowError) as err:
-            raise ValueError(f"trace position {position!r}: {err}") from None
+            _check_timestamp(timestamp, "trace")
+            if player_id == "":
+                raise ValueError("player_id must be nonempty")
+            _check_name(player_id, "player_id")
+            try:
+                position = _as_position(position)
+            except (TypeError, CoordinateOverflowError) as err:
+                raise ValueError(f"trace position {position!r}: {err}") from None
+        return tuple.__new__(cls, (timestamp, player_id, position))
 
 
-@dataclass(frozen=True, slots=True)
-class Transition:
-    timestamp: int
-    player_id: str
-    from_id: Optional[str]
-    to_id: Optional[str]
+class Transition(_checked_tuple("Transition", "timestamp player_id from_id to_id")):
+    """A player's move from one location to another; None is outside every location.
+
+    The timestamp is an int (not a bool) and non-negative, and the player id,
+    and each location id that is not None, passes the name rule of
+    ``geometry._check_name``. A bad field raises a one-line ValueError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp: int, player_id: str, from_id: Optional[str], to_id: Optional[str]) -> "Transition":
+        if not (type(timestamp) is int and timestamp >= 0 and type(player_id) is str and player_id.isascii()
+                and player_id and (from_id is None or type(from_id) is str and from_id.isascii() and from_id)
+                and (to_id is None or type(to_id) is str and to_id.isascii() and to_id)):
+            _check_timestamp(timestamp, "transition")
+            _check_name(player_id, "player_id")
+            for name, location_id in (("from_id", from_id), ("to_id", to_id)):
+                if location_id is not None:
+                    _check_name(location_id, name)
+        return tuple.__new__(cls, (timestamp, player_id, from_id, to_id))
 
 
 _BARE_ID = re.compile(r"[A-Za-z0-9_]+")

@@ -33,21 +33,33 @@ written with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
+from typing import Optional
 
 from .geometry import BLANK, BoundingVolume, BoxFill, EntitySpec, WorldModel, _box_cells
 
 CARVING_CONNECTION_TYPES = ("door", "opening")
 
 
-@dataclass
 class BlockGrid:
     """The flattened world: one material per occupied cell, plus entities."""
 
-    cells: dict[tuple[int, int, int], str] = field(default_factory=dict)
-    entities: list[EntitySpec] = field(default_factory=list)
+    __slots__ = ("cells", "entities")
+
+    def __init__(
+        self, cells: Optional[dict[tuple[int, int, int], str]] = None, entities: Optional[list[EntitySpec]] = None
+    ) -> None:
+        self.cells = {} if cells is None else cells
+        self.entities = [] if entities is None else entities
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not BlockGrid:
+            return NotImplemented
+        return self.cells == other.cells and self.entities == other.entities
+
+    def __repr__(self) -> str:
+        return f"BlockGrid(cells={self.cells!r}, entities={self.entities!r})"
 
 
 # (cell, material) of an object's block.

@@ -17,6 +17,12 @@ checked in one place, ``BlockMapDocument``, whoever built it: an
 column at a time. Writers only encode: keys in a fixed order, "\n" line
 endings, ASCII output. Writing what you just read reproduces the file.
 
+Every record and document is a checked tuple (``geometry._checked_tuple``):
+a namedtuple whose ``__new__`` checks its fields, the usual ones in one
+expression and any other one field at a time, which names the first bad
+field. It equals, hashes and unpacks as the tuple of its fields.
+``SemanticMap.depths`` is kept outside the tuple.
+
 The format is what ``json.dumps(indent=2, ensure_ascii=True)`` lays out. The
 semantic map goes through ``json.dump``, which writes the text as it encodes
 it instead of joining it into one string first. The block map, one row per
@@ -27,15 +33,17 @@ whole-document string is built.
 Both writers replace the target only once the new file is complete, so a
 failure part-way leaves the previous file as it was.
 
-Readers only parse: they check shapes, types, coordinate range and that
-each string can be written back as UTF-8, then construct the document. The
-block-map reader builds each block's row while the file is parsed, whatever
-the order of its keys, so the parsed document never holds one object per
-block, and hands the rows to the document, which checks them. A file that
-fails that way is parsed again as plain JSON and read one field at a time,
-which names the first bad field in the reader's words. Readers raise
-ParseError (undecodable or malformed JSON, naming the line where known) or
-ValidationError.
+Readers parse, check what the records cannot see (the JSON shape: lists,
+objects and the schema version) and construct the records and the document,
+whose own checks are the rest. The semantic-map reader builds each record
+straight from its parsed object; only if that raises does it read the same
+parsed data one field at a time, which names the first bad field in the
+reader's words. The block-map reader builds each block's row while the file
+is parsed, whatever the order of its keys, so the parsed document never
+holds one object per block, and hands the rows to the document, which
+checks them. A file that fails that way is parsed again as plain JSON and
+read one field at a time. Readers raise ParseError (undecodable or malformed
+JSON, naming the line where known) or ValidationError.
 """
 
 from __future__ import annotations
@@ -45,7 +53,6 @@ import itertools
 import json
 import operator
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, TextIO, Union
 
@@ -58,6 +65,7 @@ from .geometry import (
     WorldModel,
     _as_position,
     _check_name,
+    _checked_tuple,
     _corners_in_order,
     _is_utf8,
 )
@@ -83,17 +91,17 @@ def _check_names(kind: str, **names: object) -> None:
         _check_name(value, f"{kind} {field_name}", ValidationError)
 
 
-def _check_positions(record: Any, kind: str, *fields: str) -> None:
-    """Make each of record's named fields a Position; ValidationError naming record and field if Position refuses it."""
-    for name in fields:
-        value = getattr(record, name)
+def _points(kind: str, record_id: object, **points: Any) -> list[Position]:
+    """Each of a record's named points as a Position; ValidationError naming the record and field Position refuses."""
+    checked = []
+    for name, value in points.items():
         try:
-            position = _as_position(value)
+            checked.append(_as_position(value))
         except (TypeError, CoordinateOverflowError):
             raise ValidationError(
-                f"{kind} {record.id}: {name}: expected three signed 64-bit integers, got {value!r}"
+                f"{kind} {record_id}: {name}: expected three signed 64-bit integers, got {value!r}"
             ) from None
-        object.__setattr__(record, name, position)
+    return checked
 
 
 def _check_equipment(equipment: tuple[tuple[str, str], ...], context: str) -> None:
@@ -105,94 +113,100 @@ def _check_equipment(equipment: tuple[tuple[str, str], ...], context: str) -> No
         seen.add(slot)
 
 
-@dataclass(frozen=True)
-class LocationRecord:
-    id: str
-    location_type: str
-    material: str
-    top_left: Position
-    bottom_right: Position
-    child_ids: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        _check_names("location", id=self.id, type=self.location_type, material=self.material)
-        _check_positions(self, "location", "top_left", "bottom_right")
-        _check_bounds(self.top_left, self.bottom_right, f"location {self.id}: bounds")
-        object.__setattr__(self, "child_ids", tuple(sorted(self.child_ids)))
+# Each record's __new__ tests the usual fields in one expression, and only when
+# that fails checks them one at a time, which names the first bad field.
 
 
-@dataclass(frozen=True)
-class ConnectionRecord:
-    id: str
-    connection_type: str
-    top_left: Position
-    bottom_right: Position
-    connected_ids: tuple[str, ...]
+class LocationRecord(_checked_tuple("LocationRecord", "id location_type material top_left bottom_right child_ids")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_names("connection", id=self.id, type=self.connection_type)
-        _check_positions(self, "connection", "top_left", "bottom_right")
-        _check_bounds(self.top_left, self.bottom_right, f"connection {self.id}: bounds")
-        object.__setattr__(self, "connected_ids", tuple(sorted(self.connected_ids)))
-
-
-@dataclass(frozen=True)
-class EntityRecord:
-    id: str
-    entity_type: str
-    position: Position
-    location_id: Optional[str]
-    equipment: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        _check_names("entity", id=self.id, type=self.entity_type)
-        _check_positions(self, "entity", "position")
-        _check_equipment(self.equipment, f"entity {self.id}: equipment")
-        object.__setattr__(self, "equipment", tuple(sorted(self.equipment)))
+    def __new__(
+        cls, id: str, location_type: str, material: str, top_left: Position, bottom_right: Position,
+        child_ids: Iterable[str],
+    ) -> "LocationRecord":
+        if not (type(id) is type(location_type) is type(material) is str and id and location_type and material
+                and id.isascii() and location_type.isascii() and material.isascii()
+                and type(top_left) is type(bottom_right) is Position and _corners_in_order(top_left, bottom_right)):
+            _check_names("location", id=id, type=location_type, material=material)
+            top_left, bottom_right = _points("location", id, top_left=top_left, bottom_right=bottom_right)
+            _check_bounds(top_left, bottom_right, f"location {id}: bounds")
+        return tuple.__new__(cls, (id, location_type, material, top_left, bottom_right, tuple(sorted(child_ids))))
 
 
-@dataclass(frozen=True)
-class ObjectRecord:
-    id: str
-    object_type: str
-    material: str
-    position: Position
-    location_id: Optional[str]
+class ConnectionRecord(_checked_tuple("ConnectionRecord", "id connection_type top_left bottom_right connected_ids")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_names("object", id=self.id, type=self.object_type, material=self.material)
-        _check_positions(self, "object", "position")
+    def __new__(
+        cls, id: str, connection_type: str, top_left: Position, bottom_right: Position, connected_ids: Iterable[str]
+    ) -> "ConnectionRecord":
+        if not (type(id) is type(connection_type) is str and id and connection_type and id.isascii()
+                and connection_type.isascii() and type(top_left) is type(bottom_right) is Position
+                and _corners_in_order(top_left, bottom_right)):
+            _check_names("connection", id=id, type=connection_type)
+            top_left, bottom_right = _points("connection", id, top_left=top_left, bottom_right=bottom_right)
+            _check_bounds(top_left, bottom_right, f"connection {id}: bounds")
+        return tuple.__new__(cls, (id, connection_type, top_left, bottom_right, tuple(sorted(connected_ids))))
 
 
-@dataclass(frozen=True)
-class SemanticMap:
+class EntityRecord(_checked_tuple("EntityRecord", "id entity_type position location_id equipment")):
+    __slots__ = ()
+
+    def __new__(
+        cls, id: str, entity_type: str, position: Position, location_id: Optional[str],
+        equipment: Iterable[tuple[str, str]] = (),
+    ) -> "EntityRecord":
+        if not (type(id) is type(entity_type) is str and id and entity_type and id.isascii()
+                and entity_type.isascii() and type(position) is Position and not equipment):
+            _check_names("entity", id=id, type=entity_type)
+            position, = _points("entity", id, position=position)
+            _check_equipment(equipment, f"entity {id}: equipment")
+        return tuple.__new__(cls, (id, entity_type, position, location_id, tuple(sorted(equipment))))
+
+
+class ObjectRecord(_checked_tuple("ObjectRecord", "id object_type material position location_id")):
+    __slots__ = ()
+
+    def __new__(
+        cls, id: str, object_type: str, material: str, position: Position, location_id: Optional[str]
+    ) -> "ObjectRecord":
+        if not (type(id) is type(object_type) is type(material) is str and id and object_type and material
+                and id.isascii() and object_type.isascii() and material.isascii() and type(position) is Position):
+            _check_names("object", id=id, type=object_type, material=material)
+            position, = _points("object", id, position=position)
+        return tuple.__new__(cls, (id, object_type, material, position, location_id))
+
+
+_ID = operator.attrgetter("id")
+
+
+class SemanticMap(_checked_tuple("SemanticMap", "id locations connections entities objects")):
     """The high-level document: named locations, hierarchy, connections, items.
 
     ``depths`` maps each location id to its depth in the forest (roots are 0).
+    It is kept outside the tuple, so equality, hashing and repr leave it out,
+    and it cannot be assigned, like the fields.
     """
 
-    id: str
-    locations: tuple[LocationRecord, ...] = ()
-    connections: tuple[ConnectionRecord, ...] = ()
-    entities: tuple[EntityRecord, ...] = ()
-    objects: tuple[ObjectRecord, ...] = ()
-    depths: dict[str, int] = field(init=False, repr=False, compare=False)
+    # No __slots__: the instance dict holds depths, and only depths.
 
-    def __post_init__(self) -> None:
-        _check_names("semantic map", id=self.id)
-        for name in ("locations", "connections", "entities", "objects"):
-            object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=lambda r: r.id)))
+    def __new__(
+        cls, id: str, locations: Iterable[LocationRecord] = (), connections: Iterable[ConnectionRecord] = (),
+        entities: Iterable[EntityRecord] = (), objects: Iterable[ObjectRecord] = (),
+    ) -> "SemanticMap":
+        _check_names("semantic map", id=id)
+        records = [tuple(sorted(items, key=_ID)) for items in (locations, connections, entities, objects)]
+        self = tuple.__new__(cls, (id, *records))
+        locations, connections, entities, objects = records
         claimed: set[str] = set()
-        for records in (self.locations, self.connections, self.entities, self.objects):
-            for record in records:
-                _require(record.id not in claimed, f"duplicate id {record.id!r}")
-                claimed.add(record.id)
-        by_id = {loc.id: loc for loc in self.locations}
+        for record in itertools.chain.from_iterable(records):
+            _require(record.id not in claimed, f"duplicate id {record.id!r}")
+            claimed.add(record.id)
+        by_id = {loc.id: loc for loc in locations}
 
         # child_ids must form a forest: every child exists and has one parent,
         # and walking down from the roots reaches every location.
         children: set[str] = set()
-        for loc in self.locations:
+        for loc in locations:
             for child_id in loc.child_ids:
                 _require(child_id in by_id, f"location {loc.id!r} lists unknown child {child_id!r}")
                 _require(child_id not in children, f"location {child_id!r} has more than one parent")
@@ -207,14 +221,21 @@ class SemanticMap:
             _require(loc_id in depths, f"location hierarchy cycle through {loc_id!r}")
         object.__setattr__(self, "depths", depths)
 
-        for conn in self.connections:
+        for conn in connections:
             _require(len(conn.connected_ids) >= 2, f"connection {conn.id!r} must name at least 2 locations")
             for ref in conn.connected_ids:
                 _require(ref in by_id, f"connection {conn.id!r} references unknown location {ref!r}")
-        for kind, records in (("entity", self.entities), ("object", self.objects)):
-            for record in records:
+        for kind, items in (("entity", entities), ("object", objects)):
+            for record in items:
                 _require(record.location_id is None or record.location_id in by_id,
                          f"{kind} {record.id!r} references unknown location {record.location_id!r}")
+        return self
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def connected_pairs(self) -> list[tuple[str, str]]:
         """Sorted unordered pairs of locations that share a connection, smaller id first."""
@@ -224,20 +245,21 @@ class SemanticMap:
         return sorted(pairs)
 
 
-@dataclass(frozen=True)
-class BlockEntityRecord:
-    entity_type: str
-    x: int
-    y: int
-    z: int
-    equipment: tuple[tuple[str, str], ...] = ()
+class BlockEntityRecord(_checked_tuple("BlockEntityRecord", "entity_type x y z equipment")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_names("entity", type=self.entity_type)
-        for axis in "xyz":
-            _read_coord(getattr(self, axis), f"entity {self.entity_type}: {axis}")
-        _check_equipment(self.equipment, f"entity {self.entity_type}: equipment")
-        object.__setattr__(self, "equipment", tuple(sorted(self.equipment)))
+    def __new__(
+        cls, entity_type: str, x: int, y: int, z: int, equipment: Iterable[tuple[str, str]] = ()
+    ) -> "BlockEntityRecord":
+        if not (type(entity_type) is str and entity_type and entity_type.isascii()
+                and type(x) is type(y) is type(z) is int
+                and COORD_MIN <= x <= COORD_MAX and COORD_MIN <= y <= COORD_MAX and COORD_MIN <= z <= COORD_MAX
+                and not equipment):
+            _check_names("entity", type=entity_type)
+            for axis, value in zip("xyz", (x, y, z)):
+                _read_coord(value, f"entity {entity_type}: {axis}")
+            _check_equipment(equipment, f"entity {entity_type}: equipment")
+        return tuple.__new__(cls, (entity_type, x, y, z, tuple(sorted(equipment))))
 
 
 # A block as the block map stores it: its cell, then its material.
@@ -263,8 +285,7 @@ def _check_block_row(index: int, row: Any) -> None:
     _check_name(row[3], "block material", ValidationError)
 
 
-@dataclass(frozen=True)
-class BlockMapDocument:
+class BlockMapDocument(_checked_tuple("BlockMapDocument", "rows entities")):
     """The low-level document: every block and entity in the flattened world, one block per cell.
 
     The blocks are ``rows``, plain ``(x, y, z, material)`` tuples, given in
@@ -278,11 +299,12 @@ class BlockMapDocument:
     field (an int or str subclass passes the walk).
     """
 
-    rows: tuple[BlockRow, ...] = ()
-    entities: tuple[BlockEntityRecord, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rows = list(self.rows)
+    def __new__(
+        cls, rows: Iterable[BlockRow] = (), entities: Iterable[BlockEntityRecord] = ()
+    ) -> "BlockMapDocument":
+        rows = list(rows)
         # Before the sort, which cannot compare a str coordinate with an int; one column at a time.
         if not (set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {4}
                 and all(_is_coord_column(list(map(axis, rows))) for axis in (_X, _Y, _Z))
@@ -298,9 +320,8 @@ class BlockMapDocument:
         duplicate = next(itertools.compress(rows, map(operator.eq, *cells)), None)
         if duplicate is not None:
             raise ValidationError(f"duplicate block coordinates {duplicate[:3]}")
-        object.__setattr__(self, "rows", tuple(rows))
-        entities = sorted(self.entities, key=lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment))
-        object.__setattr__(self, "entities", tuple(entities))
+        entities = sorted(entities, key=lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment))
+        return tuple.__new__(cls, (tuple(rows), tuple(entities)))
 
 
 # -- building documents from in-memory worlds -------------------------------
@@ -596,9 +617,78 @@ def _check_schema_version(data: Any, path: PathLike) -> None:
 
 
 def read_semantic_map(path: PathLike) -> SemanticMap:
-    """Parse a semantic-map file; the SemanticMap checks its own invariants."""
+    """Parse a semantic-map file; the records and the SemanticMap check their own invariants.
+
+    The file is parsed once. Its records are built straight from the parsed
+    objects (_semantic_map), so their own checks are the one check of a
+    valid file. Only if that raises is the same parsed data read one field at
+    a time (_read_semantic_map_fields), which names the first bad field in
+    the reader's words.
+    """
     data = _load_json(path)
     _check_schema_version(data, path)
+    with contextlib.suppress(VoxgenError, TypeError, ValueError):
+        return _semantic_map(data)
+    return _read_semantic_map_fields(data, path)
+
+
+def _list(value: Any) -> list:
+    """value if it is a JSON list; the fast path's one container check, as _read_list makes it."""
+    if type(value) is not list:
+        raise ValidationError("expected a list")
+    return value
+
+
+def _bounds(value: Any) -> list[Position]:
+    """The two corners of a JSON bounds object: Position(*corner) passes only a list of three lattice ints."""
+    if type(value) is not dict:
+        raise ValidationError("expected bounds object")
+    return [Position(*value.get("top_left")), Position(*value.get("bottom_right"))]
+
+
+def _equipment(value: Any) -> tuple[tuple[str, str], ...]:
+    if value is None:
+        return ()
+    if type(value) is not dict:
+        raise ValidationError("expected equipment object")
+    return tuple(value.items())
+
+
+def _semantic_map(data: dict) -> SemanticMap:
+    """The SemanticMap of a parsed semantic map whose records are built straight from their objects.
+
+    It accepts exactly what _read_semantic_map_fields accepts. The records
+    and the map check every id, type, material, point, reference and the
+    bounds; this checks only what they cannot see, each container's exact
+    type: a list for the four record lists, child_ids and connected_ids,
+    an object for a record, its bounds and its equipment. Missing keys take
+    the reader's defaults. Anything else raises, a ValidationError or the
+    TypeError a bad value meets (an unsortable or unhashable id, a point
+    that is not three lattice ints).
+    """
+    lists = [_list(data.get(key, [])) for key in ("locations", "connections", "entities", "objects")]
+    if not all(set(map(type, records)) <= {dict} for records in lists):
+        raise ValidationError("expected an object")
+    locations, connections, entities, objects = lists
+    return SemanticMap(
+        data.get("id"),
+        [LocationRecord(raw.get("id"), raw.get("type"), raw.get("material"), *_bounds(raw.get("bounds")),
+                        _list(raw.get("child_ids", []))) for raw in locations],
+        [ConnectionRecord(raw.get("id"), raw.get("type"), *_bounds(raw.get("bounds")),
+                          _list(raw.get("connected_ids", []))) for raw in connections],
+        [EntityRecord(raw.get("id"), raw.get("type"), Position(*raw.get("position")), raw.get("location_id"),
+                      _equipment(raw.get("equipment"))) for raw in entities],
+        [ObjectRecord(raw.get("id"), raw.get("type"), raw.get("material"), Position(*raw.get("position")),
+                      raw.get("location_id")) for raw in objects],
+    )
+
+
+def _read_semantic_map_fields(data: dict, path: PathLike) -> SemanticMap:
+    """The SemanticMap of a parsed semantic map with the right schema version, read one field at a time.
+
+    Each field is read with the _read_* helpers before its record is built,
+    so a bad field raises the reader's message for it.
+    """
     map_id = _read_str(data.get("id"), f"{path}: id")
 
     def location_ref(ref: Any, owner: str) -> Optional[str]:

@@ -22,12 +22,11 @@ strings, with ``"`` and ``\\`` escaped.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Mapping, Optional
 
 from .errors import ValidationError
-from .geometry import _is_utf8
+from .geometry import _checked_tuple, _is_utf8
 from .serialization import BlockMapDocument, PathLike, SemanticMap, _load_json
 
 DEFAULT_PALETTE: dict[str, str] = {
@@ -48,16 +47,23 @@ DEFAULT_PALETTE: dict[str, str] = {
 FALLBACK_COLOR = "#b59cc7"
 
 
-@dataclass(frozen=True)
-class BlueprintStyle:
-    voxel_pixel_scale: int = 8
-    material_palette: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_PALETTE))
-    show_labels: bool = True
-    fallback_color: str = FALLBACK_COLOR
+class BlueprintStyle(_checked_tuple("BlueprintStyle", "voxel_pixel_scale material_palette show_labels fallback_color")):
+    """How render_blueprint draws: pixels per voxel, a color per material, labels or none.
 
-    def __post_init__(self) -> None:
-        if self.voxel_pixel_scale < 1:
+    Without a palette, a style gets its own copy of DEFAULT_PALETTE.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, voxel_pixel_scale: int = 8, material_palette: Optional[Mapping[str, str]] = None,
+        show_labels: bool = True, fallback_color: str = FALLBACK_COLOR,
+    ) -> "BlueprintStyle":
+        if voxel_pixel_scale < 1:
             raise ValueError("voxel_pixel_scale must be >= 1")
+        if material_palette is None:
+            material_palette = dict(DEFAULT_PALETTE)
+        return tuple.__new__(cls, (voxel_pixel_scale, material_palette, show_labels, fallback_color))
 
     def color(self, material: str) -> str:
         return self.material_palette.get(material, self.fallback_color)

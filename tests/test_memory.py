@@ -1,4 +1,4 @@
-"""Peak memory of the block-map and trace readers, the block-map projection and the blueprint renderer, and what a finalized world holds.
+"""Peak memory of the block-map and trace readers, the block-map projection and the blueprint renderer, and what a finalized world and a read semantic map hold.
 
 All are measured with ``tracemalloc`` on ``dungeon --n 6 --cell-footprint 20
 --seed 3``: its block map (10,114 rows in 0.92 MB) and semantic map, and the
@@ -20,6 +20,11 @@ peaks near 220 bytes per sample when the file is parsed a chunk of lines at
 a time: the events themselves, plus one chunk's lines, text and dicts. The
 same reader given the whole file as one chunk peaks near 700. The bound is 300.
 
+Reading the semantic map of ``gridworld --n 30`` (900 locations and 1,740
+connections in 0.83 MB) keeps about 480 bytes per record: the record tuple,
+its two Position tuples and its strings, and the map's depth per location.
+Records built as frozen dataclasses kept about 500. The bound is 560.
+
 The module needs no pytest: ``python tests/test_memory.py`` runs the checks
 and prints each peak or holding as a multiple of its base.
 """
@@ -39,6 +44,8 @@ from voxgen.viz import render_blueprint
 
 DUNGEON = ["dungeon", "--n", "6", "--cell-footprint", "20", "--seed", "3"]
 DUNGEON_ROWS = 10_114
+GRIDWORLD = ["gridworld", "--n", "30"]
+GRIDWORLD_RECORDS = 900 + 1_740
 TRACE_SAMPLES = 20_000
 
 
@@ -103,6 +110,15 @@ def render_ratio(hlr, llr):
     return peak / len(svg)
 
 
+def semantic_map_bytes_per_record(tmp_path):
+    hlr = tmp_path / "gridworld_semantic_map.json"
+    assert run([*GRIDWORLD, "--out-hlr", str(hlr), "--out-llr", str(tmp_path / "gridworld_block_map.json")]) == 0
+    semantic_map, held = held_after(read_semantic_map, hlr)
+    records = semantic_map.locations, semantic_map.connections, semantic_map.entities, semantic_map.objects
+    assert sum(map(len, records)) == GRIDWORLD_RECORDS
+    return held / GRIDWORLD_RECORDS
+
+
 def write_trace(path):
     """A trace of 16 players, each with its own clock, wandering a 300 x 12 x 300 box."""
     rng = random.Random(0)
@@ -141,6 +157,10 @@ def test_projecting_a_grid_to_its_block_map_peaks_under_100_bytes_per_row():
     assert projection_bytes_per_row() < 100
 
 
+def test_a_read_semantic_map_keeps_under_560_bytes_per_record(tmp_path):
+    assert semantic_map_bytes_per_record(tmp_path) < 560
+
+
 def test_reading_a_trace_peaks_under_300_bytes_per_sample(tmp_path):
     assert trace_bytes_per_sample(write_trace(tmp_path / "trace.jsonl")) < 300
 
@@ -150,10 +170,13 @@ if __name__ == "__main__":
         hlr, llr = generate(Path(scratch))
         ratios = {"read_block_map / file size": read_ratio(llr), "render_blueprint / SVG length": render_ratio(hlr, llr)}
         per_sample = trace_bytes_per_sample(write_trace(Path(scratch) / "trace.jsonl"))
+        per_record = semantic_map_bytes_per_record(Path(scratch))
     per_row, projection = world_bytes_per_row(), projection_bytes_per_row()
     for name, ratio in ratios.items():
         print(f"{sys.version.split()[0]}  {name}: {ratio:.2f} (limit 3)")
     print(f"{sys.version.split()[0]}  finalized world / block-map rows: {per_row:.1f} bytes (limit 20)")
     print(f"{sys.version.split()[0]}  block_map_from_grid peak / block-map rows: {projection:.1f} bytes (limit 100)")
     print(f"{sys.version.split()[0]}  read_trace peak / trace samples: {per_sample:.1f} bytes (limit 300)")
-    sys.exit(any(ratio >= 3 for ratio in ratios.values()) or per_row >= 20 or projection >= 100 or per_sample >= 300)
+    print(f"{sys.version.split()[0]}  read_semantic_map kept / records: {per_record:.1f} bytes (limit 560)")
+    sys.exit(any(ratio >= 3 for ratio in ratios.values()) or per_row >= 20 or projection >= 100 or per_sample >= 300
+             or per_record >= 560)

@@ -11,6 +11,9 @@ writes the bytes of the plain json.dumps encoding in ``oracles``.
 near-valid block maps: the same rows, or the same error message. A block
 map built in code from rows that now and then carry a bad field or shape is
 refused with a one-line ValidationError, or writes and reads back equal.
+``read_semantic_map``, which builds the records straight from the parsed
+objects, agrees with the field-by-field reader it falls back on, on a valid
+map with one mutation: the same map, or the same error and message.
 ``read_trace`` agrees with the line-by-line ``oracles.read_trace_lines`` on
 traces of valid samples mixed with blank lines, every line ending, lines
 that a joined parse could misread and every bad field, read three lines to
@@ -24,12 +27,13 @@ bounds than the index keeps as bucket boundaries.
 import json
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from voxgen import query
+from voxgen import query, serialization
 from voxgen.errors import ParseError, ValidationError
 from voxgen.geometry import COORD_MAX, COORD_MIN, EQUIPMENT_SLOTS, Position
 from voxgen.query import LocationIndex, read_trace
@@ -311,6 +315,111 @@ def test_trace_reader_agrees_with_the_line_by_line_oracle(tmp_path, monkeypatch,
     else:
         got = read_trace(path)
         assert got == expected and list(map(repr, got)) == list(map(repr, expected))
+
+
+# A valid semantic map with every kind of record, an optional key left out
+# (room b's child_ids), lists out of order and an id outside ASCII. The rooms'
+# ids are one letter each, so a string of them spells a list of valid ids.
+VALID_MAP = {
+    "schema_version": "1", "id": "w",
+    "locations": [
+        {"id": "house", "type": "house", "material": "log",
+         "bounds": {"top_left": [0, 0, 0], "bottom_right": [9, 4, 9]}, "child_ids": ["b", "a"]},
+        {"id": "a", "type": "room", "material": "stone",
+         "bounds": {"top_left": [0, 0, 0], "bottom_right": [4, 4, 9]}, "child_ids": []},
+        {"id": "b", "type": "room", "material": "stone", "bounds": {"top_left": [5, 0, 0], "bottom_right": [9, 4, 9]}},
+    ],
+    "connections": [
+        {"id": "door", "type": "door", "bounds": {"top_left": [4, 1, 4], "bottom_right": [5, 2, 4]},
+         "connected_ids": ["b", "a"]},
+    ],
+    "entities": [
+        {"id": "zombie", "type": "zombie", "position": [1, 1, 1], "location_id": "a",
+         "equipment": {"weapon": "sword", "helmet": "iron"}},
+        {"id": "\u00e9t\u00e9", "type": "zombie", "position": [-5, 1, 5], "location_id": None},
+    ],
+    "objects": [{"id": "chest", "type": "chest", "material": "log", "position": [6, 1, 6], "location_id": "b"}],
+}
+
+
+def sites(value, path=()):
+    """The path of every value inside value, containers included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield (*path, key)
+        yield from sites(item, (*path, key))
+
+
+MUTANTS = [
+    MISSING,  # drops a key, or a list element
+    # a wrong type for any field, a string where a list is expected, pairs where an object is
+    None, True, 5, 1.5, "x", [], {}, ["a"], {"id": "a"}, "ab", {"a": "b", "b": "a"}, [["weapon", "sword"]],
+    # a bool, float or out-of-range coordinate
+    False, 2.0, 2**63, -(2**63) - 1, COORD_MAX, "1",
+    # a 2- or 4-element point, or a point given as a dict or a string
+    [1, 2], [1, 2, 3, 4], {"x": 1, "y": 2, "z": 3}, "123", "abc",
+    # an empty or lone-surrogate id, an unknown child or reference, a duplicate id
+    "", "\ud800", "a\udc00b", "nowhere", "house", "a", "b", "door", "chest", "zombie",
+]
+
+
+def mutated(document, path, value):
+    """A copy of document with the value at path replaced by value, or dropped if value is MISSING."""
+    document = json.loads(json.dumps(document))
+    *parents, last = path
+    container = document
+    for key in parents:
+        container = container[key]
+    if value is MISSING:
+        del container[last]
+    else:
+        container[last] = value
+    return document
+
+
+one_mutation = st.builds(mutated, st.just(VALID_MAP), st.sampled_from(list(sites(VALID_MAP))), st.sampled_from(MUTANTS))
+
+
+def assert_reader_agrees_with_the_field_by_field_reader(path, document):
+    path.write_text(json.dumps(document))
+    try:
+        serialization._check_schema_version(document, path)
+        expected = serialization._read_semantic_map_fields(json.loads(path.read_text()), path)
+    except Exception as err:
+        with pytest.raises(Exception) as got:
+            read_semantic_map(path)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+    else:
+        got = read_semantic_map(path)
+        assert got == expected and repr(got) == repr(expected) and got.depths == expected.depths
+
+
+@settings(SETTINGS, max_examples=200)
+@given(document=st.just(VALID_MAP) | one_mutation)
+def test_semantic_map_reader_agrees_with_the_field_by_field_reader(tmp_path, document):
+    assert_reader_agrees_with_the_field_by_field_reader(tmp_path / "semantic_map.json", document)
+
+
+def test_semantic_map_reader_agrees_with_the_field_by_field_reader_on_every_single_mutation(tmp_path):
+    for site, value in product(sites(VALID_MAP), MUTANTS):
+        document = mutated(VALID_MAP, site, value)
+        assert_reader_agrees_with_the_field_by_field_reader(tmp_path / "semantic_map.json", document)
+
+
+def test_a_valid_semantic_map_is_read_without_a_field_reader(tmp_path, monkeypatch):
+    path = tmp_path / "semantic_map.json"
+    path.write_text(json.dumps(VALID_MAP))
+    expected = read_semantic_map(path)
+    names = [name for name in dir(serialization) if name.startswith("_read_")]
+    readers = {name: mock.Mock(wraps=getattr(serialization, name)) for name in names}
+    for name, reader in readers.items():
+        monkeypatch.setattr(serialization, name, reader)
+    assert read_semantic_map(path) == expected
+    assert {name: reader.call_count for name, reader in readers.items() if reader.call_count} == {}
+    path.write_text(json.dumps(mutated(VALID_MAP, ("objects", 0, "position", 0), True)))
+    with pytest.raises(ValidationError, match="^object chest: position: expected signed 64-bit integer, got True$"):
+        read_semantic_map(path)
+    assert readers["_read_semantic_map_fields"].call_count == 1
 
 
 @st.composite

@@ -142,6 +142,29 @@ class TestTransitions:
         for before, after in zip(events, events[1:]):
             assert after.from_id == before.to_id
 
+    def test_a_transition_built_in_code_is_checked_before_it_is_written(self, tmp_path):
+        # Unchecked, this wrote {"timestamp": true, "player_id": 5, "from": 7, "to": ""}, which no reader takes.
+        path = tmp_path / "events.jsonl"
+        with pytest.raises(ValueError, match=r"^transition timestamp must be an int, got True$"):
+            write_transitions([Transition(True, 5, 7, "")], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fields, message", [
+        ((-1, "p", None, "a"), "transition timestamps must be non-negative"),
+        ((0, 5, None, "a"), "player_id must be a nonempty str that UTF-8 can encode, got 5"),
+        ((0, "p", 7, "a"), "from_id must be a nonempty str that UTF-8 can encode, got 7"),
+        ((0, "p", "a", ""), "to_id must be a nonempty str that UTF-8 can encode, got ''"),
+        ((0, "p", "a\ud800", None), "from_id must be a nonempty str that UTF-8 can encode, got 'a\\ud800'"),
+    ], ids=["negative-timestamp", "int-player", "int-from", "empty-to", "surrogate-from"])
+    def test_a_bad_transition_field_is_a_one_line_value_error(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            Transition(*fields)
+        assert str(exc.value) == message
+
+    def test_a_transition_may_start_or_end_outside_every_location(self):
+        assert Transition(0, "p", None, "a") != Transition(0, "p", "a", None)
+        assert Transition(0, "p", "été", None).from_id == "été"
+
 
 class TestPredicates:
     def test_tutorial_contains_facts(self, tutorial_index):

@@ -172,6 +172,10 @@ CASES = [
     case(TraceEvent, "position", (0, 2**63, 0), ValueError,
          "trace position (0, 9223372036854775808, 0): y=9223372036854775808 outside signed 64-bit range",
          "event-y-2**63"),
+    case(Transition, "timestamp", 1.5, ValueError, "transition timestamp must be an int, got 1.5", "transition-time"),
+    case(Transition, "player_id", "", ValueError, f"player_id {NAME_RULE} ''", "transition-player"),
+    case(Transition, "from_id", 7, ValueError, f"from_id {NAME_RULE} 7", "transition-from"),
+    case(Transition, "to_id", "", ValueError, f"to_id {NAME_RULE} ''", "transition-to"),
     case(BlueprintStyle, "voxel_pixel_scale", 0, ValueError, "voxel_pixel_scale must be >= 1", "style-scale"),
     case(DungeonParams, "n", 1, ParameterError, "grid dimension must be >= 2, got 1", "dungeon-n"),
     case(DungeonParams, "cell_footprint", 6, ParameterError, "cell_footprint must be >= 7, got 6",
@@ -200,12 +204,27 @@ def test_a_bad_field_raises_its_pinned_error(cls, field, bad, error, message):
     raises(error, message, lambda: cls(**{**VALID[cls], field: bad}))
 
 
+@pytest.mark.parametrize("cls, field, bad, error, message", CASES)
+def test_make_and_replace_run_the_checks(cls, field, bad, error, message):
+    raises(error, message, lambda: cls._make({**VALID[cls], field: bad}.values()))
+    raises(error, message, lambda: cls(**VALID[cls])._replace(**{field: bad}))
+
+
+@pytest.mark.parametrize("cls", VALID, ids=lambda cls: cls.__name__)
+def test_a_record_is_the_tuple_of_its_fields(cls):
+    record = cls(**VALID[cls])
+    assert tuple(record) == tuple(VALID[cls].values())
+    assert record == cls._make(record) == record._replace() and record._fields == tuple(VALID[cls])
+
+
 @pytest.mark.parametrize("cls", VALID, ids=lambda cls: cls.__name__)
 def test_assigning_a_field_raises_attribute_error(cls):
     record = cls(**VALID[cls])
     for field, value in VALID[cls].items():
         with pytest.raises(AttributeError):
             setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        record.note = "added"
 
 
 REPRS = {
@@ -275,4 +294,6 @@ def test_a_block_grid_is_mutable_and_compares_by_its_fields():
     grid.entities = [EntitySpec("e", "zombie", P)]
     assert grid == BlockGrid(cells={(0, 0, 0): "log"}, entities=[EntitySpec("e", "zombie", P)])
     assert grid != BlockGrid(cells={(0, 0, 0): "log"})
+    with pytest.raises(AttributeError):
+        grid.note = "added"
     assert repr(BlockGrid({(0, 0, 0): "log"})) == "BlockGrid(cells={(0, 0, 0): 'log'}, entities=[])"

@@ -582,8 +582,7 @@ def test_a_write_that_fails_part_way_leaves_the_previous_file(tmp_path):
     # The entity row is encoded after every block row has been written.
     rows = [(x, 0, 0, "stone") for x in range(1, 5000)]
     # The record refuses an entity type JSON cannot encode, so it is set past the check.
-    entity = BlockEntityRecord("zombie", 0, 0, 0)
-    object.__setattr__(entity, "entity_type", object())
+    entity = tuple.__new__(BlockEntityRecord, (object(), 0, 0, 0, ()))
     broken = BlockMapDocument(rows=rows, entities=[entity])
     with pytest.raises(TypeError):
         write_block_map(broken, path)

@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and its CLI starts without dataclasses."""
 
 import subprocess
 import sys
@@ -26,5 +26,24 @@ print("\\n".join(sorted(added - set(sys.stdlib_module_names) - {"voxgen"})))
 def test_every_module_imports_only_the_standard_library():
     src = Path(voxgen.__file__).resolve().parent.parent
     probe = subprocess.run([sys.executable, "-I", "-B", "-c", PROBE, str(src)], capture_output=True, text=True, timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == []
+
+
+# What `import voxgen.cli` loads sets every command's start-up cost. dataclasses
+# alone brings inspect, ast, dis and tokenize, which no command needs.
+COLD_START_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import voxgen.cli
+print(" ".join(sorted({"dataclasses", "inspect"} & set(sys.modules))))
+"""
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = Path(voxgen.__file__).resolve().parent.parent
+    probe = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", COLD_START_PROBE, str(src)], capture_output=True, text=True, timeout=60
+    )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split() == []
