@@ -197,9 +197,11 @@ class SemanticMap(_checked_tuple("SemanticMap", "id locations connections entiti
         records = [tuple(sorted(items, key=_ID)) for items in (locations, connections, entities, objects)]
         self = tuple.__new__(cls, (id, *records))
         locations, connections, entities, objects = records
+        # Each check builds its message only when it fails.
         claimed: set[str] = set()
         for record in itertools.chain.from_iterable(records):
-            _require(record.id not in claimed, f"duplicate id {record.id!r}")
+            if record.id in claimed:
+                raise ValidationError(f"duplicate id {record.id!r}")
             claimed.add(record.id)
         by_id = {loc.id: loc for loc in locations}
 
@@ -208,8 +210,10 @@ class SemanticMap(_checked_tuple("SemanticMap", "id locations connections entiti
         children: set[str] = set()
         for loc in locations:
             for child_id in loc.child_ids:
-                _require(child_id in by_id, f"location {loc.id!r} lists unknown child {child_id!r}")
-                _require(child_id not in children, f"location {child_id!r} has more than one parent")
+                if child_id not in by_id:
+                    raise ValidationError(f"location {loc.id!r} lists unknown child {child_id!r}")
+                if child_id in children:
+                    raise ValidationError(f"location {child_id!r} has more than one parent")
                 children.add(child_id)
         reached = [loc_id for loc_id in by_id if loc_id not in children]
         depths = dict.fromkeys(reached, 0)
@@ -218,17 +222,20 @@ class SemanticMap(_checked_tuple("SemanticMap", "id locations connections entiti
                 depths[child_id] = depths[loc_id] + 1
                 reached.append(child_id)
         for loc_id in by_id:
-            _require(loc_id in depths, f"location hierarchy cycle through {loc_id!r}")
+            if loc_id not in depths:
+                raise ValidationError(f"location hierarchy cycle through {loc_id!r}")
         object.__setattr__(self, "depths", depths)
 
         for conn in connections:
-            _require(len(conn.connected_ids) >= 2, f"connection {conn.id!r} must name at least 2 locations")
+            if len(conn.connected_ids) < 2:
+                raise ValidationError(f"connection {conn.id!r} must name at least 2 locations")
             for ref in conn.connected_ids:
-                _require(ref in by_id, f"connection {conn.id!r} references unknown location {ref!r}")
+                if ref not in by_id:
+                    raise ValidationError(f"connection {conn.id!r} references unknown location {ref!r}")
         for kind, items in (("entity", entities), ("object", objects)):
             for record in items:
-                _require(record.location_id is None or record.location_id in by_id,
-                         f"{kind} {record.id!r} references unknown location {record.location_id!r}")
+                if record.location_id is not None and record.location_id not in by_id:
+                    raise ValidationError(f"{kind} {record.id!r} references unknown location {record.location_id!r}")
         return self
 
     def __setattr__(self, name: str, value: Any) -> None:
