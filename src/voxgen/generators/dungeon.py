@@ -56,6 +56,10 @@ _PARAM_FIELDS = (
 )
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class DungeonParams(_checked_tuple("DungeonParams", _PARAM_FIELDS)):
     """Knobs for gen_dungeon. Ranges are inclusive (low, high) pairs."""
 
@@ -72,17 +76,28 @@ class DungeonParams(_checked_tuple("DungeonParams", _PARAM_FIELDS)):
         lava_patch_range: tuple[int, int] = (1, 3),
         spiderweb_range: tuple[int, int] = (0, 4),
     ) -> "DungeonParams":
+        if not _is_int(n):
+            raise ParameterError(f"n must be an int, got {n!r}")
         if n < 2:
             raise ParameterError(f"grid dimension must be >= 2, got {n}")
+        if not (_is_int(seed) and 0 <= seed < 2**64):
+            raise ParameterError(f"seed must be an int in [0, 2**64), got {seed!r}")
+        if not _is_int(cell_footprint):
+            raise ParameterError(f"cell_footprint must be an int, got {cell_footprint!r}")
         # Rooms span cell_footprint - 2 voxels; anything narrower cannot fit
         # a 3-wide corridor mouth plus interior content positions.
         if cell_footprint < 7:
             raise ParameterError(f"cell_footprint must be >= 7, got {cell_footprint}")
+        if not isinstance(room_probability, (int, float)) or isinstance(room_probability, bool):
+            raise ParameterError(f"room_probability must be an int or float, got {room_probability!r}")
         if not 0 < room_probability <= 1:
             raise ParameterError(f"room_probability must be in (0, 1], got {room_probability}")
         ranges = {"treasure_range": treasure_range, "monster_range": monster_range,
                   "lava_patch_range": lava_patch_range, "spiderweb_range": spiderweb_range}
-        for name, (low, high) in ranges.items():
+        for name, pair in ranges.items():
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))):
+                raise ParameterError(f"{name} must be a pair of ints, got {pair!r}")
+            low, high = pair
             if low < 0 or low > high:
                 raise ParameterError(f"{name} must satisfy 0 <= low <= high, got ({low}, {high})")
         return tuple.__new__(cls, (n, seed, cell_footprint, room_probability, *ranges.values()))

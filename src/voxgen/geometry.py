@@ -301,9 +301,11 @@ class ObjectSpec(_checked_tuple("ObjectSpec", "id object_type block")):
 
     def __new__(cls, id: str, object_type: str, block: BlockPlacement) -> "ObjectSpec":
         if not (type(id) is type(object_type) is str and id and object_type and id.isascii()
-                and object_type.isascii()):
+                and object_type.isascii() and type(block) is BlockPlacement):
             _check_name(id, "object id")
             _check_name(object_type, "object type")
+            if type(block) is not BlockPlacement:
+                raise TypeError(f"object {id}: block must be a BlockPlacement, got {type(block).__name__}")
         return tuple.__new__(cls, (id, object_type, block))
 
 

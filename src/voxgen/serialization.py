@@ -28,8 +28,8 @@ semantic map goes through ``json.dump``, which writes the text as it encodes
 it instead of joining it into one string first. The block map, one row per
 cell, is held as sorted plain ``(x, y, z, material)`` tuples, the only form a
 block takes here, and streamed: each row fills a fixed template, with every
-distinct string encoded once by ``json.dumps``, and no per-row object or
-whole-document string is built.
+distinct material encoded once by ``json.dumps``, and no per-row object or
+whole-document string is built; the few entities go through ``json.dumps``.
 Both writers replace the target only once the new file is complete, so a
 failure part-way leaves the previous file as it was.
 
@@ -41,9 +41,10 @@ parsed data one field at a time, which names the first bad field in the
 reader's words. The block-map reader builds each block's row while the file
 is parsed, whatever the order of its keys, so the parsed document never
 holds one object per block, and hands the rows to the document, which
-checks them. A file that fails that way is parsed again as plain JSON and
-read one field at a time. Readers raise ParseError (undecodable or malformed
-JSON, naming the line where known) or ValidationError.
+checks them. If that fails, the same parse, each row turned back into its
+object, is read one field at a time: each file is parsed once. Readers raise
+ParseError (undecodable or malformed JSON, naming the line where known) or
+ValidationError.
 """
 
 from __future__ import annotations
@@ -286,9 +287,11 @@ def _is_coord_column(column: list) -> bool:
 
 def _check_block_row(index: int, row: Any) -> None:
     """ValidationError naming row's first bad field: its shape, then x, y and z, then its material."""
-    _require(type(row) is tuple and len(row) == 4, f"block row {index} {row!r}: expected an (x, y, z, material) tuple")
+    if type(row) is not tuple or len(row) != 4:
+        raise ValidationError(f"block row {index} {row!r}: expected an (x, y, z, material) tuple")
     for axis, value in zip("xyz", row):
-        _read_coord(value, f"block row {index} {row!r}: {axis}")
+        if not (type(value) is int and COORD_MIN <= value <= COORD_MAX):
+            _read_coord(value, f"block row {index} {row!r}: {axis}")
     _check_name(row[3], "block material", ValidationError)
 
 
@@ -377,7 +380,8 @@ def semantic_map_from_world(world: WorldModel) -> SemanticMap:
 
 def block_map_from_grid(grid: BlockGrid) -> BlockMapDocument:
     """Project a block grid onto its block-map document."""
-    rows = [(x, y, z, material) for (x, y, z), material in grid.cells.items()]
+    # A generator: the document's own sorted list is then the only list of the rows.
+    rows = ((x, y, z, material) for (x, y, z), material in grid.cells.items())
     entities = [
         BlockEntityRecord(e.entity_type, *e.position, _equipment_items(e.equipment)) for e in grid.entities
     ]
@@ -471,41 +475,29 @@ def write_semantic_map(m: SemanticMap, path: PathLike) -> None:
     _write_atomically(path, write)
 
 
-# Block-map rows as json.dumps(indent=2) lays them out, strings already encoded.
+# A block-map row as json.dumps(indent=2) lays it out, its material already encoded.
 _BLOCK_ROW = '    {\n      "material": %s,\n      "x": %d,\n      "y": %d,\n      "z": %d\n    }'
-_ENTITY_ROW = '    {\n      "type": %s,\n      "x": %d,\n      "y": %d,\n      "z": %d%s\n    }'
-_EQUIPMENT = ',\n      "equipment": {\n%s\n      }'
-_EQUIPMENT_ITEM = "        %s: %s"
 
 
 def _encode(text: str) -> str:
     return json.dumps(text, ensure_ascii=True)
 
 
-def _write_list(handle: TextIO, rows: Iterable[str]) -> None:
-    """A list of a top-level key, its rows already laid out, as json.dumps(indent=2) writes it."""
-    separator = "[\n"
-    for row in rows:
-        handle.write(separator + row)
-        separator = ",\n"
-    handle.write("[]" if separator == "[\n" else "\n  ]")
-
-
-def _equipment_json(equipment: tuple[tuple[str, str], ...]) -> str:
-    if not equipment:
-        return ""
-    return _EQUIPMENT % ",\n".join(_EQUIPMENT_ITEM % (_encode(slot), _encode(item)) for slot, item in equipment)
-
-
 def _write_block_map_rows(doc: BlockMapDocument, handle: TextIO) -> None:
+    """The block map as json.dumps(indent=2) lays it out: each row from _BLOCK_ROW, the few entities by json."""
     materials = {material: _encode(material) for material in set(map(_MATERIAL, doc.rows))}
     handle.write('{\n  "schema_version": %s,\n  "blocks": ' % _encode(SCHEMA_VERSION))
-    _write_list(handle, (_BLOCK_ROW % (materials[material], x, y, z) for x, y, z, material in doc.rows))
-    handle.write(',\n  "entities": ')
-    _write_list(handle, (
-        _ENTITY_ROW % (_encode(e.entity_type), e.x, e.y, e.z, _equipment_json(e.equipment)) for e in doc.entities
-    ))
-    handle.write("\n}\n")
+    separator = "[\n"
+    for x, y, z, material in doc.rows:
+        handle.write(separator + _BLOCK_ROW % (materials[material], x, y, z))
+        separator = ",\n"
+    handle.write("[]" if separator == "[\n" else "\n  ]")
+    entities = [{"type": e.entity_type, "x": e.x, "y": e.y, "z": e.z} for e in doc.entities]
+    for entity, e in zip(entities, doc.entities):
+        if e.equipment:
+            entity["equipment"] = dict(e.equipment)
+    # One level deeper than json.dumps lays the list out; a JSON string holds no raw newline.
+    handle.write(',\n  "entities": %s\n}\n' % json.dumps(entities, indent=2, ensure_ascii=True).replace("\n", "\n  "))
 
 
 def write_block_map(doc: BlockMapDocument, path: PathLike) -> None:
@@ -778,9 +770,25 @@ def _block_row(pairs: list[tuple[str, Any]]) -> Any:
     return dict(pairs)
 
 
-def _hooked_block_rows(value: Any, context: str) -> list:
-    """A blocks list parsed with _block_row, as it is: BlockMapDocument checks its rows."""
-    return value if type(value) is list else _read_list(value, context, _read_object)
+def _plain(data: Any) -> Any:
+    """data, parsed with _block_row, as a plain parse gives it: each row tuple back in its object, in place.
+
+    The object takes the writer's key order, material, x, y, z. The walk keeps
+    its own stack, so no nesting the parser accepted can exhaust Python's.
+    """
+    root = [data]
+    stack = [root]
+    while stack:
+        container = stack.pop()
+        for key, value in enumerate(container) if type(container) is list else container.items():
+            if type(value) is tuple:
+                x, y, z, material = value
+                container[key] = value = {"material": material, "x": x, "y": y, "z": z}
+                if type(x) is type(y) is type(z) is int and type(material) is str:
+                    continue  # nothing inside to turn back
+            if type(value) is list or type(value) is dict:
+                stack.append(value)
+    return root[0]
 
 
 def _read_block_rows(value: Any, context: str) -> list[BlockRow]:
@@ -801,39 +809,30 @@ def _read_block_rows(value: Any, context: str) -> list[BlockRow]:
     return rows
 
 
-def _read_block_map_fields(
-    data: Any, path: PathLike, read_rows: Callable[[Any, str], list[BlockRow]]
-) -> tuple[list[BlockRow], list[BlockEntityRecord]]:
-    """The block rows, read by read_rows, and the entity records of a parsed block map."""
-    _check_schema_version(data, path)
-    rows = read_rows(data.get("blocks", []), f"{path}: blocks")
+def _read_block_entities(data: dict, path: PathLike) -> list[BlockEntityRecord]:
+    """The entity records of a parsed block map, each read one field at a time."""
     entities = []
     for raw in _read_list(data.get("entities", []), f"{path}: entities", _read_object):
         entity_type = _read_str(raw.get("type"), "entity type")
-        entities.append(
-            BlockEntityRecord(
-                entity_type,
-                raw.get("x"),
-                raw.get("y"),
-                raw.get("z"),
-                _read_equipment(raw.get("equipment"), f"entity {entity_type}: equipment"),
-            )
-        )
-    return rows, entities
+        equipment = _read_equipment(raw.get("equipment"), f"entity {entity_type}: equipment")
+        entities.append(BlockEntityRecord(entity_type, raw.get("x"), raw.get("y"), raw.get("z"), equipment))
+    return entities
 
 
 def read_block_map(path: PathLike) -> BlockMapDocument:
     """Parse a block-map file. Input order is free; the document sorts and checks.
 
-    The file is parsed with _block_row and the document built from its rows,
-    which it checks a column at a time. If anything fails that way (a malformed
-    file or document, or a block with keys other than material, x, y and z),
-    the file is parsed again as plain JSON and read one field at a time, so
-    the result or message is the one a plain parse gives and no tuple reaches
-    a message. Either way the parsed JSON is gone once the fields are read,
-    so the document's sorted copy of the rows reuses its memory instead of
-    raising the peak.
+    The file is parsed once, with _block_row, and the document built from its
+    rows, which it checks a column at a time. If anything fails that way,
+    _plain turns the same parse into what a plain parse gives and it is read
+    one field at a time, so no tuple reaches a message. An object with exactly
+    a block's keys in another order then shows them in the writer's order.
     """
+    data = _load_json(path, _block_row)
     with contextlib.suppress(VoxgenError):
-        return BlockMapDocument(*_read_block_map_fields(_load_json(path, _block_row), path, _hooked_block_rows))
-    return BlockMapDocument(*_read_block_map_fields(_load_json(path), path, _read_block_rows))
+        _check_schema_version(data, path)
+        return BlockMapDocument(_list(data.get("blocks", [])), _read_block_entities(data, path))
+    data = _plain(data)
+    _check_schema_version(data, path)
+    rows = _read_block_rows(data.get("blocks", []), f"{path}: blocks")
+    return BlockMapDocument(rows, _read_block_entities(data, path))

@@ -230,10 +230,12 @@ def mostly(valid, near_misses):
     return st.integers(0, 7).flatmap(lambda i: st.sampled_from(near_misses) if i == 0 else valid)
 
 
+# An object with exactly a block's keys, in the writer's order, where a value belongs.
+BLOCK_SHAPED = {"material": "log", "x": 0, "y": 0, "z": 0}
 block_fields = st.fixed_dictionaries({
-    "material": mostly(st.sampled_from(["log", "stone"]), ["", "a\ud800b", 5, None, ["log"], MISSING]),
-    **{axis: mostly(coords, [True, False, 1.5, 2**63, -(2**63) - 1, COORD_MIN, COORD_MAX, None, "1", MISSING])
-       for axis in "xyz"},
+    "material": mostly(st.sampled_from(["log", "stone"]), ["", "a\ud800b", 5, None, ["log"], BLOCK_SHAPED, MISSING]),
+    **{axis: mostly(coords, [True, False, 1.5, 2**63, -(2**63) - 1, COORD_MIN, COORD_MAX, None, "1", BLOCK_SHAPED,
+                             MISSING]) for axis in "xyz"},
 }).map(lambda row: {key: value for key, value in row.items() if value is not MISSING}).flatmap(
     # The writer's key order, or sometimes another one.
     lambda row: st.just(row) | st.permutations(list(row.items())).map(dict)

@@ -83,6 +83,8 @@ CASES = [
          "entity-spec-item"),
     case(ObjectSpec, "id", "", ValueError, f"object id {NAME_RULE} ''", "object-spec-id"),
     case(ObjectSpec, "object_type", 7, ValueError, f"object type {NAME_RULE} 7", "object-spec-type"),
+    case(ObjectSpec, "block", "log", TypeError, "object o: block must be a BlockPlacement, got str",
+         "object-spec-block"),
     case(ConnectionSpec, "id", "", ValueError, f"connection id {NAME_RULE} ''", "connection-spec-id"),
     case(ConnectionSpec, "connection_type", "", ValueError, f"connection type {NAME_RULE} ''",
          "connection-spec-type"),
@@ -190,6 +192,15 @@ CASES = [
          "lava_patch_range must satisfy 0 <= low <= high, got (2, 1)", "dungeon-lava"),
     case(DungeonParams, "spiderweb_range", (0, -1), ParameterError,
          "spiderweb_range must satisfy 0 <= low <= high, got (0, -1)", "dungeon-spiderweb"),
+    # Each value's type, checked before its range, so none reaches the generator.
+    case(DungeonParams, "n", 2.5, ParameterError, "n must be an int, got 2.5", "dungeon-float-n"),
+    case(DungeonParams, "seed", -1, ParameterError, "seed must be an int in [0, 2**64), got -1", "dungeon-seed"),
+    case(DungeonParams, "cell_footprint", True, ParameterError, "cell_footprint must be an int, got True",
+         "dungeon-bool-footprint"),
+    case(DungeonParams, "room_probability", "0.5", ParameterError,
+         "room_probability must be an int or float, got '0.5'", "dungeon-str-probability"),
+    case(DungeonParams, "treasure_range", (0.5, 2), ParameterError,
+         "treasure_range must be a pair of ints, got (0.5, 2)", "dungeon-float-range"),
 ]
 
 
