@@ -39,12 +39,12 @@ whose own checks are the rest. The semantic-map reader builds each record
 straight from its parsed object; only if that raises does it read the same
 parsed data one field at a time, which names the first bad field in the
 reader's words. The block-map reader builds each block's row while the file
-is parsed, whatever the order of its keys, so the parsed document never
-holds one object per block, and hands the rows to the document, which
-checks them. If that fails, the same parse, each row turned back into its
-object, is read one field at a time: each file is parsed once. Readers raise
-ParseError (undecodable or malformed JSON, naming the line where known) or
-ValidationError.
+is parsed, whatever the order of its keys, so the parsed document holds no
+object per block and one string per distinct material, and hands the rows
+to the document, which checks them. If that fails, the same parse, rows
+turned back into objects, is read field by field: each file is parsed once.
+Readers raise ParseError (undecodable or malformed JSON, naming the line
+where known) or ValidationError.
 """
 
 from __future__ import annotations
@@ -751,30 +751,39 @@ def _read_semantic_map_fields(data: dict, path: PathLike) -> SemanticMap:
 _BLOCK_KEYS = {"material", "x", "y", "z"}
 
 
-def _block_row(pairs: list[tuple[str, Any]]) -> Any:
-    """The block-map reader's object_pairs_hook: a block's row as soon as it is parsed.
+def _block_row_hook() -> Callable[[list[tuple[str, Any]]], Any]:
+    """The block-map reader's object_pairs_hook for one read: a block's row as soon as it is parsed.
 
     An object whose keys are exactly material, x, y and z, in any order,
     becomes an (x, y, z, material) tuple; any other object becomes the dict
     json would give. JSON itself never gives a tuple. The writer's key order
-    is tested first, without building the dict.
+    is tested first, without building the dict. A str material is swapped
+    for the first equal one this read met, so the rows hold one string per
+    distinct material, not one per block; any other material is kept as it
+    is, for the document to refuse. The memo lives as long as the hook.
     """
-    if len(pairs) == 4:
+    share = {}.setdefault
+
+    def block_row(pairs: list[tuple[str, Any]]) -> Any:
+        if len(pairs) != 4:
+            return dict(pairs)
         (k0, material), (k1, x), (k2, y), (k3, z) = pairs
-        if k0 == "material" and k1 == "x" and k2 == "y" and k3 == "z":
-            return (x, y, z, material)
-        block = dict(pairs)
-        if block.keys() == _BLOCK_KEYS:
-            return (block["x"], block["y"], block["z"], block["material"])
-        return block
-    return dict(pairs)
+        if not (k0 == "material" and k1 == "x" and k2 == "y" and k3 == "z"):
+            block = dict(pairs)
+            if block.keys() != _BLOCK_KEYS:
+                return block
+            x, y, z, material = block["x"], block["y"], block["z"], block["material"]
+        return (x, y, z, share(material, material) if type(material) is str else material)
+
+    return block_row
 
 
 def _plain(data: Any) -> Any:
-    """data, parsed with _block_row, as a plain parse gives it: each row tuple back in its object, in place.
+    """data, parsed with _block_row_hook, as a plain parse gives it: each row tuple back in its object.
 
-    The object takes the writer's key order, material, x, y, z. The walk keeps
-    its own stack, so no nesting the parser accepted can exhaust Python's.
+    The rows are turned back in place, each object in the writer's key order,
+    material, x, y, z. The walk keeps its own stack, so no nesting the parser
+    accepted can exhaust Python's.
     """
     root = [data]
     stack = [root]
@@ -822,13 +831,14 @@ def _read_block_entities(data: dict, path: PathLike) -> list[BlockEntityRecord]:
 def read_block_map(path: PathLike) -> BlockMapDocument:
     """Parse a block-map file. Input order is free; the document sorts and checks.
 
-    The file is parsed once, with _block_row, and the document built from its
-    rows, which it checks a column at a time. If anything fails that way,
-    _plain turns the same parse into what a plain parse gives and it is read
-    one field at a time, so no tuple reaches a message. An object with exactly
-    a block's keys in another order then shows them in the writer's order.
+    The file is parsed once, with a fresh _block_row_hook, and the document
+    built from its rows, which it checks a column at a time. If anything fails
+    that way, _plain turns the same parse into what a plain parse gives and it
+    is read one field at a time, so no tuple reaches a message. An object with
+    exactly a block's keys in another order then shows them in the writer's
+    order.
     """
-    data = _load_json(path, _block_row)
+    data = _load_json(path, _block_row_hook())
     with contextlib.suppress(VoxgenError):
         _check_schema_version(data, path)
         return BlockMapDocument(_list(data.get("blocks", [])), _read_block_entities(data, path))

@@ -467,8 +467,12 @@ ROW = {"material": "log", "x": 1, "y": 2, "z": 3}
     ([ROW, [1, 2, 3]], "{path}: blocks: expected an object, got list"),
     ([ROW, dict(ROW, x=2, y="7"), dict(ROW, x=3, material=5)], "block y: expected signed 64-bit integer, got '7'"),
     ([{"x": True, "y": 2, "z": 3, "material": "log"}], "block x: expected signed 64-bit integer, got True"),
+    # Materials the reader's per-read memo of str materials must pass by, an unhashable one included.
+    ([ROW, dict(ROW, x=2, material=["log"])], "block material: expected nonempty string, got ['log']"),
+    ([ROW, dict(ROW, x=2, material={"a": 1})], "block material: expected nonempty string, got {{'a': 1}}"),
+    ([ROW, dict(ROW, x=2, material=7)], "block material: expected nonempty string, got 7"),
 ], ids=["bool-x", "float-y", "z-2**63", "empty-material", "missing-key", "non-object-row", "row-2-of-3",
-        "other-key-order-bool-x"])
+        "other-key-order-bool-x", "list-material", "dict-material", "int-material"])
 def test_block_map_reader_errors_keep_their_wording(tmp_path, monkeypatch, blocks, message):
     # The messages as the row-by-row reader gave them before the reader checked whole columns,
     # worded from the one parse.
@@ -499,6 +503,32 @@ def test_block_rows_laid_out_otherwise_than_the_writer_lays_them_out_are_read(tm
         entities=[BlockEntityRecord("zombie", 0, 0, 0), BlockEntityRecord("blaze", 1, 0, 0)],
     )
     assert load.call_count == 1
+
+
+def write_blocks(path, materials, keys=("material", "x", "y", "z")):
+    """A block map with one block per material, at x = 0, 1, ..., each block's keys in the given order."""
+    blocks = [{"material": material, "x": x, "y": 0, "z": 0} for x, material in enumerate(materials)]
+    path.write_text(json.dumps({"schema_version": "1", "blocks": [{k: block[k] for k in keys} for block in blocks]}))
+    return path
+
+
+@pytest.mark.parametrize("keys", [("material", "x", "y", "z"), ("z", "y", "x", "material")],
+                         ids=["writer-order", "other-key-order"])
+def test_a_read_block_map_holds_one_string_per_material(tmp_path, keys):
+    doc = read_block_map(write_blocks(tmp_path / "block_map.json", ["log", "stone", "oak_planks"] * 4, keys))
+    assert len(doc.rows) == 12
+    assert len({id(row[3]) for row in doc.rows}) == len({row[3] for row in doc.rows}) == 3
+
+
+def test_reading_block_maps_in_turn_gives_what_reading_each_alone_gives(tmp_path):
+    first = write_blocks(tmp_path / "first.json", ["log", "stone"] * 2)
+    second = write_blocks(tmp_path / "second.json", ["stone", "sand"] * 2, ("x", "y", "z", "material"))
+    alone = read_block_map(second)
+    in_turn = read_block_map(first), read_block_map(second)
+    assert in_turn == (BlockMapDocument(rows=[(0, 0, 0, "log"), (1, 0, 0, "stone"), (2, 0, 0, "log"),
+                                              (3, 0, 0, "stone")]), alone)
+    # No memo outlives its read: the second document shares no material object with the first.
+    assert {id(row[3]) for row in in_turn[0].rows}.isdisjoint(id(row[3]) for row in in_turn[1].rows)
 
 
 BOUNDS = {"top_left": [0, 0, 0], "bottom_right": [1, 1, 1]}
