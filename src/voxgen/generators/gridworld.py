@@ -24,7 +24,9 @@ def _room_origin(row: int, col: int) -> tuple[int, int]:
 
 
 def gen_gridworld(n: int) -> WorldModel:
-    """Build the n x n gridworld; n must be at least 1."""
+    """Build the n x n gridworld; n must be an int (not a bool) of at least 1."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ParameterError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ParameterError(f"gridworld size must be >= 1, got {n}")
     world = WorldModel(f"gridworld_n{n}")

@@ -14,12 +14,12 @@ renders the connection and containment structure as planner-style facts.
 
 Traces are JSON Lines: one object per line with integer millisecond
 ``timestamp``, string ``player_id``, and integer ``x``/``y``/``z``.
-``read_trace`` parses a chunk of lines at a time as one JSON array and checks
-its five columns in C; only a chunk that fails reads its lines one by one, to
-name the first bad one. Transition events are written in the same framing
-with ``from``/``to``. A TraceEvent and a Transition are checked tuples
-(``geometry._checked_tuple``): each checks its own fields when built, and
-equals and unpacks as the tuple of them.
+``read_trace`` parses a chunk of lines at a time as one JSON array and builds
+its events from it, the records being the one check of a sample; only a chunk
+that fails reads its lines one by one, to name the first bad one. Transition
+events are written in the same framing with ``from``/``to``. A TraceEvent and
+a Transition are checked tuples (``geometry._checked_tuple``): each checks its
+own fields when built, and equals and unpacks as the tuple of them.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional
 
 from .errors import CoordinateOverflowError, NonMonotonicTraceError, ValidationError
-from .geometry import Position, _as_position, _check_name, _checked_tuple, _is_utf8
+from .geometry import Position, _as_position, _check_name, _checked_tuple
 from .serialization import (
-    _PARSE_FAILURES, LocationRecord, PathLike, SemanticMap, _is_coord_column, _parse_error, _read_coord, _read_int,
-    _read_str, _write_atomically,
+    _PARSE_FAILURES, LocationRecord, PathLike, SemanticMap, _parse_error, _read_coord, _read_int, _read_str,
+    _write_atomically,
 )
 
 
@@ -212,12 +212,12 @@ def read_trace(path: PathLike) -> list[TraceEvent]:
     """Read a JSON Lines trace file; a line of whitespace only is blank and skipped.
 
     Lines may end in \\n, \\r\\n or \\r. The file is read _TRACE_CHUNK lines at a
-    time, and each chunk is parsed once, as one JSON array, with its columns
-    checked in C (_parsed_chunk). A chunk that fails any check is read again
-    from memory, one line at a time (_read_lines), which names its first bad
-    line by its number in the file. So the events, and every message, are
-    those of reading each line on its own. Every sample of a player holds
-    the same str.
+    time, and each chunk is parsed once, as one JSON array, and its events
+    built from that parse (_parsed_chunk). A chunk that fails any check is
+    read again from memory, one line at a time (_read_lines), which names its
+    first bad line by its number in the file. So the events, and every
+    message, are those of reading each line on its own. Every sample of a
+    player holds the same str.
     """
     events: list[TraceEvent] = []
     players: dict[str, str] = {}
@@ -253,9 +253,9 @@ def _parsed_chunk(lines: list[str], players: dict[str, str]) -> Optional[Iterabl
     newline, the outer array is the only one, and a comma inside an object
     must be followed by a key, not by the next line's "{". So an array with
     as many values as lines holds each line's value, and the chunk passes
-    if those are objects and their columns pass _read_lines's checks:
-    timestamps ints >= 0, player ids strs (each new one checked once, then
-    held in players) and coordinates on the lattice.
+    if those are objects whose fields TraceEvent and Position accept, which
+    they do where _read_lines does (an unhashable player id fails in players
+    first). Each player id is held in players, to share one str per player.
     """
     lines = list(map(str.strip, filter(str.strip, lines), repeat(_JSON_SPACE)))
     if not lines:
@@ -272,15 +272,10 @@ def _parsed_chunk(lines: list[str], players: dict[str, str]) -> Optional[Iterabl
     timestamps, ids, xs, ys, zs = (
         list(map(dict.get, rows, repeat(key))) for key in ("timestamp", "player_id", "x", "y", "z")
     )
-    if not (set(map(type, timestamps)) <= {int} and min(timestamps) >= 0
-            and set(map(type, ids)) <= {str} and _is_coord_column(xs) and _is_coord_column(ys)
-            and _is_coord_column(zs)):
+    try:
+        return list(map(TraceEvent, timestamps, map(players.setdefault, ids, ids), map(Position, xs, ys, zs)))
+    except (TypeError, ValueError, CoordinateOverflowError):
         return None
-    new = [player for player in dict.fromkeys(ids) if player not in players]
-    if not all(player and (player.isascii() or _is_utf8(player)) for player in new):
-        return None
-    players.update(zip(new, new))
-    return map(TraceEvent, timestamps, map(players.__getitem__, ids), map(Position, xs, ys, zs))
 
 
 def _read_lines(path: PathLike, lines: list[str], lineno: int, players: dict[str, str]) -> Iterator[TraceEvent]:
@@ -301,15 +296,8 @@ def _read_lines(path: PathLike, lines: list[str], lineno: int, players: dict[str
         try:
             timestamp = _read_int(raw.get("timestamp"), "timestamp")
             player_id = _read_str(raw.get("player_id"), "player_id")
-            event = TraceEvent(
-                timestamp=timestamp,
-                player_id=players.setdefault(player_id, player_id),
-                position=Position(
-                    _read_coord(raw.get("x"), "x"),
-                    _read_coord(raw.get("y"), "y"),
-                    _read_coord(raw.get("z"), "z"),
-                ),
-            )
+            position = Position(*(_read_coord(raw.get(axis), axis) for axis in "xyz"))
+            event = TraceEvent(timestamp, players.setdefault(player_id, player_id), position)
         except (ValidationError, ValueError) as err:
             raise ValidationError(f"{path}: line {lineno}: {err}") from err
         yield event

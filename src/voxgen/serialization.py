@@ -13,8 +13,8 @@ one of EQUIPMENT_SLOTS and named at most once per entity. A record keeps each
 of its points as a Position, built with Position(*point) if given otherwise,
 and a block-map entity's x, y and z are signed 64-bit ints. A block row is
 checked in one place, ``BlockMapDocument``, whoever built it: an
-``(x, y, z, material)`` tuple with signed 64-bit int coordinates, checked a
-column at a time. Writers only encode: keys in a fixed order, "\n" line
+``(x, y, z, material)`` tuple with signed 64-bit int coordinates, checked in
+one pass over the rows. Writers only encode: keys in a fixed order, "\n" line
 endings, ASCII output. Writing what you just read reproduces the file.
 
 Every record and document is a checked tuple (``geometry._checked_tuple``):
@@ -180,6 +180,15 @@ class ObjectRecord(_checked_tuple("ObjectRecord", "id object_type material posit
 _ID = operator.attrgetter("id")
 
 
+def _sorted_records(items: Iterable, record_type: type, key: Callable, what: str) -> tuple:
+    """items sorted by key; ValidationError naming what and the type of the first item that is not a record_type."""
+    items = list(items)
+    if not set(map(type, items)) <= {record_type}:
+        wrong = next(type(item) for item in items if type(item) is not record_type)
+        raise ValidationError(f"{what}: expected {record_type.__name__} items, got {wrong.__name__}")
+    return tuple(sorted(items, key=key))
+
+
 class SemanticMap(_checked_tuple("SemanticMap", "id locations connections entities objects")):
     """The high-level document: named locations, hierarchy, connections, items.
 
@@ -195,7 +204,9 @@ class SemanticMap(_checked_tuple("SemanticMap", "id locations connections entiti
         entities: Iterable[EntityRecord] = (), objects: Iterable[ObjectRecord] = (),
     ) -> "SemanticMap":
         _check_names("semantic map", id=id)
-        records = [tuple(sorted(items, key=_ID)) for items in (locations, connections, entities, objects)]
+        lists = zip(cls._fields[1:], (locations, connections, entities, objects),
+                    (LocationRecord, ConnectionRecord, EntityRecord, ObjectRecord))
+        records = [_sorted_records(items, kind, _ID, f"semantic map {name}") for name, items, kind in lists]
         self = tuple.__new__(cls, (id, *records))
         locations, connections, entities, objects = records
         # Each check builds its message only when it fails.
@@ -276,15 +287,6 @@ BlockRow = tuple[int, int, int, str]
 _X, _Y, _Z, _MATERIAL = map(operator.itemgetter, range(4))
 
 
-def _is_coord_column(column: list) -> bool:
-    """Whether every value is an int (not a subclass) that _read_coord accepts."""
-    return (
-        set(map(type, column)) <= {int}
-        and COORD_MIN <= min(column, default=0)
-        and max(column, default=0) <= COORD_MAX
-    )
-
-
 def _check_block_row(index: int, row: Any) -> None:
     """ValidationError naming row's first bad field: its shape, then x, y and z, then its material."""
     if type(row) is not tuple or len(row) != 4:
@@ -303,10 +305,10 @@ class BlockMapDocument(_checked_tuple("BlockMapDocument", "rows entities")):
     two share a cell. This is the one check of a row, whoever built it: a
     4-tuple whose x, y and z are ints (not bools) on the signed 64-bit
     lattice, as Position takes them, and whose material passes the readers'
-    name rule, in a cell no other row takes. The rows are checked a column at
-    a time, in C, for plain ints and strs; only when that fails are they
-    walked one by one, in the order given, to name the first bad row and
-    field (an int or str subclass passes the walk).
+    name rule, in a cell no other row takes. The rows are checked in one
+    pass, in the order given: a row of plain ints whose material an earlier
+    row passed takes one expression, and any other is checked field by field
+    (an int or str subclass passes), which names the first bad row and field.
     """
 
     __slots__ = ()
@@ -315,23 +317,26 @@ class BlockMapDocument(_checked_tuple("BlockMapDocument", "rows entities")):
         cls, rows: Iterable[BlockRow] = (), entities: Iterable[BlockEntityRecord] = ()
     ) -> "BlockMapDocument":
         rows = list(rows)
-        # Before the sort, which cannot compare a str coordinate with an int; one column at a time.
-        if not (set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {4}
-                and all(_is_coord_column(list(map(axis, rows))) for axis in (_X, _Y, _Z))
-                and set(map(type, map(_MATERIAL, rows))) <= {str}):
-            for index, row in enumerate(rows):
-                _check_block_row(index, row)
-        # Each distinct material once, in the order given, so the first bad one is named.
-        for material in dict.fromkeys(map(_MATERIAL, rows)):
-            _check_name(material, "block material", ValidationError)
+        # Before the sort, which cannot compare a str coordinate with an int; `named` holds the materials passed so far.
+        named: set[str] = set()
+        for index, row in enumerate(rows):
+            if type(row) is tuple and len(row) == 4:
+                x, y, z, material = row
+                if (type(x) is type(y) is type(z) is int
+                        and COORD_MIN <= x <= COORD_MAX and COORD_MIN <= y <= COORD_MAX and COORD_MIN <= z <= COORD_MAX
+                        and type(material) is str and material in named):
+                    continue
+            _check_block_row(index, row)
+            named.add(row[3])
         rows.sort()
         # Each row's cell against the next one's; zip reuses its result tuple, so no tuple is built per row.
         cells = [zip(*(map(axis, itertools.islice(rows, start, None)) for axis in (_X, _Y, _Z))) for start in (0, 1)]
         duplicate = next(itertools.compress(rows, map(operator.eq, *cells)), None)
         if duplicate is not None:
             raise ValidationError(f"duplicate block coordinates {duplicate[:3]}")
-        entities = sorted(entities, key=lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment))
-        return tuple.__new__(cls, (tuple(rows), tuple(entities)))
+        entities = _sorted_records(entities, BlockEntityRecord, lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment),
+                                   "block map entities")
+        return tuple.__new__(cls, (tuple(rows), entities))
 
 
 # -- building documents from in-memory worlds -------------------------------
@@ -832,7 +837,7 @@ def read_block_map(path: PathLike) -> BlockMapDocument:
     """Parse a block-map file. Input order is free; the document sorts and checks.
 
     The file is parsed once, with a fresh _block_row_hook, and the document
-    built from its rows, which it checks a column at a time. If anything fails
+    built from its rows, which it checks in one pass. If anything fails
     that way, _plain turns the same parse into what a plain parse gives and it
     is read one field at a time, so no tuple reaches a message. An object with
     exactly a block's keys in another order then shows them in the writer's

@@ -48,7 +48,7 @@ FALLBACK_COLOR = "#b59cc7"
 
 
 class BlueprintStyle(_checked_tuple("BlueprintStyle", "voxel_pixel_scale material_palette show_labels fallback_color")):
-    """How render_blueprint draws: pixels per voxel, a color per material, labels or none.
+    """How render_blueprint draws: pixels per voxel (an int of at least 1), a color per material, labels or none.
 
     Without a palette, a style gets its own copy of DEFAULT_PALETTE.
     """
@@ -59,6 +59,8 @@ class BlueprintStyle(_checked_tuple("BlueprintStyle", "voxel_pixel_scale materia
         cls, voxel_pixel_scale: int = 8, material_palette: Optional[Mapping[str, str]] = None,
         show_labels: bool = True, fallback_color: str = FALLBACK_COLOR,
     ) -> "BlueprintStyle":
+        if not isinstance(voxel_pixel_scale, int) or isinstance(voxel_pixel_scale, bool):
+            raise ValueError(f"voxel_pixel_scale must be an int, got {voxel_pixel_scale!r}")
         if voxel_pixel_scale < 1:
             raise ValueError("voxel_pixel_scale must be >= 1")
         if material_palette is None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from voxgen.errors import RetryExhaustedError
+from voxgen.errors import ParameterError, RetryExhaustedError
 from voxgen.generators import DungeonParams, gen_dungeon, gen_gridworld, gen_tutorial_house, gen_zombieworld
 from voxgen.generators.dungeon import NETHER_MATERIAL, NETHER_MONSTER, NETHER_TREASURE, STONE_MATERIAL, STONE_MONSTER, STONE_TREASURE
 from voxgen.geometry import Position
@@ -42,6 +42,12 @@ class TestGridworld:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             gen_gridworld(0)
+
+    @pytest.mark.parametrize("n", [True, 2.5, "3"])
+    def test_rejects_a_size_that_is_not_an_int(self, n):
+        with pytest.raises(ParameterError) as err:
+            gen_gridworld(n)
+        assert str(err.value) == f"n must be an int, got {n!r}"
 
     def test_doors_carve_shared_walls(self):
         grid = rasterize(gen_gridworld(2))

@@ -10,10 +10,11 @@ length; one that draws an x-slab at a time stays under three. A world that
 keeps a checked placement for every cell of its room floors holds about 55
 bytes per block-map row; one that keeps each floor as one box fill, about 7.
 The bound is 20. Projecting the rasterized grid to its block map peaks
-near 83 bytes per row when the document checks its rows one column at a
-time: a 72-byte row tuple, less those the interpreter reuses from its free
-list, and three 8-byte pointer arrays (the rows, the document's copy and
-its tuple). Holding all four columns at once adds 24 more. The bound is 100.
+near 75 bytes per row: a 72-byte row tuple, less those the interpreter
+reuses from its free list, and three 8-byte pointer arrays (the rows, the
+document's copy and its tuple). The document checks its rows in one pass,
+which holds no column of them; a check that held all four columns at once
+would add 24 more. The bound is 100.
 What ``read_block_map`` still holds of the same block map when it returns
 is about 80 bytes per row: a 72-byte row tuple and its pointer in the
 document, whose coordinates are small cached ints and whose material is one
@@ -23,8 +24,9 @@ reader that keeps a new string per block's material holds about 142 (128
 after generating). The bound is 90.
 
 Reading a position trace of 20,000 samples, which the test writes itself,
-peaks near 220 bytes per sample when the file is parsed a chunk of lines at
-a time: the events themselves, plus one chunk's lines, text and dicts. The
+peaks near 240 bytes per sample when the file is parsed a chunk of lines at
+a time: the events themselves, plus one chunk's lines, text, dicts and
+events. The
 same reader given the whole file as one chunk peaks near 700. The bound is 300.
 
 Reading the semantic map of ``gridworld --n 30`` (900 locations and 1,740

@@ -364,7 +364,14 @@ class TestTraceChunks:
         (sample(-1), ValidationError, "line {n}: trace timestamps must be non-negative"),
         (sample(0, "[", x=1.5), ValidationError, "line {n}: x: expected signed 64-bit integer, got 1.5"),
         (sample(0, ""), ValidationError, "line {n}: player_id: expected nonempty string, got ''"),
-    ], ids=["not-json", "two-objects", "negative-timestamp", "float-x", "empty-player"])
+        (sample(True), ValidationError, "line {n}: timestamp: expected integer, got True"),
+        (json.dumps({"player_id": "p", "x": 1, "y": 2, "z": 3}), ValidationError,
+         "line {n}: timestamp: expected integer, got None"),
+        (sample(0, ["p"]), ValidationError, "line {n}: player_id: expected nonempty string, got ['p']"),
+        (sample(0, "\ud800"), ValidationError,
+         "line {n}: player_id: expected a string UTF-8 can encode, got '\\ud800'"),
+    ], ids=["not-json", "two-objects", "negative-timestamp", "float-x", "empty-player", "bool-timestamp",
+            "no-timestamp", "list-player", "lone-surrogate-player"])
     def test_a_bad_line_at_a_chunk_edge_is_named(self, tmp_path, bad_line, bad, error, message):
         lines = [sample(t) for t in range(2 * _TRACE_CHUNK)]
         lines[2] = ""  # a blank line counts as a line
@@ -388,6 +395,18 @@ class TestTraceChunks:
         assert len(loads) == 2
         # Every sample of a player shares one str.
         assert len({id(event.player_id) for event in events}) == 3
+
+    def test_a_non_ascii_player_is_read_by_the_chunk_parse(self, tmp_path, monkeypatch):
+        players = ["jo\u00eblle" if t % 3 else "p" for t in range(2 * _TRACE_CHUNK)]
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(sample(t, player) + "\n" for t, player in enumerate(players)))
+        loads = []
+        monkeypatch.setattr(json, "loads", lambda text, loads_=json.loads: loads.append(text) or loads_(text))
+        events = read_trace(path)
+        assert events == [TraceEvent(t, player, Position(1, 2, 3)) for t, player in enumerate(players)]
+        assert len(loads) == 2
+        # Every sample of a player shares one str, across chunks too.
+        assert len({id(event.player_id) for event in events}) == 2
 
     def test_a_chunk_read_line_by_line_is_not_read_from_the_file_again(self, tmp_path, monkeypatch):
         # A "[" inside a string sends the first chunk line by line; its events are the same.

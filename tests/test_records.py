@@ -165,6 +165,15 @@ CASES = [
          "block-map-material"),
     case(BlockMapDocument, "rows", [(1, 2, 3, "log"), (1, 2, 3, "web")], ValidationError,
          "duplicate block coordinates (1, 2, 3)", "block-map-duplicate"),
+    # Each document's lists hold their own record type; anything else is named before it is sorted or read.
+    case(SemanticMap, "locations", (("a", "room", "log", P, Q, ()),), ValidationError,
+         "semantic map locations: expected LocationRecord items, got tuple", "map-tuple-location"),
+    case(SemanticMap, "locations", (LOC_B, CONN), ValidationError,
+         "semantic map locations: expected LocationRecord items, got ConnectionRecord", "map-connection-location"),
+    case(SemanticMap, "entities", (OBJ,), ValidationError,
+         "semantic map entities: expected EntityRecord items, got ObjectRecord", "map-object-entity"),
+    case(BlockMapDocument, "entities", (("zombie", 0, 0, 0, ()),), ValidationError,
+         "block map entities: expected BlockEntityRecord items, got tuple", "block-map-tuple-entity"),
     case(TraceEvent, "timestamp", True, ValueError, "trace timestamp must be an int, got True", "event-bool-time"),
     case(TraceEvent, "timestamp", -1, ValueError, "trace timestamps must be non-negative", "event-negative-time"),
     case(TraceEvent, "player_id", "", ValueError, "player_id must be nonempty", "event-empty-player"),
@@ -179,6 +188,12 @@ CASES = [
     case(Transition, "from_id", 7, ValueError, f"from_id {NAME_RULE} 7", "transition-from"),
     case(Transition, "to_id", "", ValueError, f"to_id {NAME_RULE} ''", "transition-to"),
     case(BlueprintStyle, "voxel_pixel_scale", 0, ValueError, "voxel_pixel_scale must be >= 1", "style-scale"),
+    case(BlueprintStyle, "voxel_pixel_scale", "8", ValueError, "voxel_pixel_scale must be an int, got '8'",
+         "style-str-scale"),
+    case(BlueprintStyle, "voxel_pixel_scale", True, ValueError, "voxel_pixel_scale must be an int, got True",
+         "style-bool-scale"),
+    case(BlueprintStyle, "voxel_pixel_scale", 2.5, ValueError, "voxel_pixel_scale must be an int, got 2.5",
+         "style-float-scale"),
     case(DungeonParams, "n", 1, ParameterError, "grid dimension must be >= 2, got 1", "dungeon-n"),
     case(DungeonParams, "cell_footprint", 6, ParameterError, "cell_footprint must be >= 7, got 6",
          "dungeon-footprint"),

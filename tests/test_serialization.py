@@ -585,7 +585,18 @@ def test_block_map_built_in_code_rejects_two_blocks_in_one_cell():
     ([[0, 0, 0, "log"]], "block row 0 [0, 0, 0, 'log']: expected an (x, y, z, material) tuple"),
     ([(0, 0, 0, "log"), ("1", 0, 0, "log"), (2, 0, 0, "log")],
      "block row 1 ('1', 0, 0, 'log'): x: expected signed 64-bit integer, got '1'"),
-], ids=["float-x", "bool-x", "y-past-the-lattice", "z-before-the-lattice", "3-tuple", "list", "str-x"])
+    # The rows are checked in the order given, each field in turn, so the first bad row is named.
+    ([(0, 0, 0, ""), (True, 0, 0, "log")], "block material must be a nonempty str that UTF-8 can encode, got ''"),
+    ([(True, 0, 0, "log"), (1, 0, 0, "")],
+     "block row 0 (True, 0, 0, 'log'): x: expected signed 64-bit integer, got True"),
+    ([(enum.IntEnum("Level", "GROUND").GROUND, 0, 0, "log"), (2, 0, 0, "")],
+     "block material must be a nonempty str that UTF-8 can encode, got ''"),
+    ([(0, 0, 0, "ston\u00e9"), (1, 0, 0, "")], "block material must be a nonempty str that UTF-8 can encode, got ''"),
+    ([(0, 0, 0, "log"), (1, 0, 0, "lo\ud800g")],
+     "block material must be a nonempty str that UTF-8 can encode, got 'lo\\ud800g'"),
+], ids=["float-x", "bool-x", "y-past-the-lattice", "z-before-the-lattice", "3-tuple", "list", "str-x",
+        "empty-material-then-bool-x", "bool-x-then-empty-material", "int-subclass-x-then-empty-material",
+        "non-ascii-material-then-empty-material", "lone-surrogate-material"])
 def test_block_map_built_in_code_names_its_first_bad_row_before_writing(tmp_path, rows, message):
     path = tmp_path / "block_map.json"
     with pytest.raises(ValidationError) as err:
