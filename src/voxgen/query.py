@@ -272,6 +272,7 @@ def _parsed_chunk(lines: list[str], players: dict[str, str]) -> Optional[Iterabl
     timestamps, ids, xs, ys, zs = (
         list(map(dict.get, rows, repeat(key))) for key in ("timestamp", "player_id", "x", "y", "z")
     )
+    del lines, text, rows  # so the events can take the memory of the chunk's text and dicts
     try:
         return list(map(TraceEvent, timestamps, map(players.setdefault, ids, ids), map(Position, xs, ys, zs)))
     except (TypeError, ValueError, CoordinateOverflowError):

@@ -181,11 +181,10 @@ _ID = operator.attrgetter("id")
 
 
 def _sorted_records(items: Iterable, record_type: type, key: Callable, what: str) -> tuple:
-    """items sorted by key; ValidationError naming what and the type of the first item that is not a record_type."""
-    items = list(items)
-    if not set(map(type, items)) <= {record_type}:
-        wrong = next(type(item) for item in items if type(item) is not record_type)
-        raise ValidationError(f"{what}: expected {record_type.__name__} items, got {wrong.__name__}")
+    """items sorted by key; ValidationError naming what and the type of the first item not a record_type instance."""
+    items = tuple(items)
+    for wrong in itertools.filterfalse(record_type.__instancecheck__, items):
+        raise ValidationError(f"{what}: expected {record_type.__name__} items, got {type(wrong).__name__}")
     return tuple(sorted(items, key=key))
 
 

@@ -24,9 +24,8 @@ reader that keeps a new string per block's material holds about 142 (128
 after generating). The bound is 90.
 
 Reading a position trace of 20,000 samples, which the test writes itself,
-peaks near 240 bytes per sample when the file is parsed a chunk of lines at
-a time: the events themselves, plus one chunk's lines, text, dicts and
-events. The
+peaks near 230 bytes per sample when the file is parsed a chunk of lines at
+a time: the events themselves, plus one chunk's lines, text and dicts. The
 same reader given the whole file as one chunk peaks near 700. The bound is 300.
 
 Reading the semantic map of ``gridworld --n 30`` (900 locations and 1,740
