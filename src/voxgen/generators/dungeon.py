@@ -37,7 +37,7 @@ from ..geometry import (
     WorldModel,
     _checked_tuple,
 )
-from ..rng import SeededRng
+from ..rng import SeededRng, check_seed
 
 GROUND_Y = 3
 ROOM_HEIGHT = 5
@@ -80,8 +80,7 @@ class DungeonParams(_checked_tuple("DungeonParams", _PARAM_FIELDS)):
             raise ParameterError(f"n must be an int, got {n!r}")
         if n < 2:
             raise ParameterError(f"grid dimension must be >= 2, got {n}")
-        if not (_is_int(seed) and 0 <= seed < 2**64):
-            raise ParameterError(f"seed must be an int in [0, 2**64), got {seed!r}")
+        check_seed(seed)
         if not _is_int(cell_footprint):
             raise ParameterError(f"cell_footprint must be an int, got {cell_footprint!r}")
         # Rooms span cell_footprint - 2 voxels; anything narrower cannot fit

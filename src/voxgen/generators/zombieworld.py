@@ -21,7 +21,7 @@ from ..geometry import (
     Position,
     WorldModel,
 )
-from ..rng import SeededRng
+from ..rng import SeededRng, check_seed
 
 GROUND_Y = 3
 PLOT_SIDE = 12
@@ -84,8 +84,8 @@ def _build_building(row: int, col: int, rng: SeededRng) -> BoundingVolume:
 
 
 def gen_zombieworld(seed: int) -> WorldModel:
-    """Build the zombie world for the given seed."""
-    rng = SeededRng(seed)
+    """Build the zombie world for the given seed, an int in [0, 2**64); ParameterError otherwise."""
+    rng = SeededRng(check_seed(seed))
     yard_max = 3 * PLOT_SIDE + 1
     boundary = BoundingVolume(
         "boundary",

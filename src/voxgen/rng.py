@@ -15,7 +15,16 @@ from __future__ import annotations
 
 import random
 
+from .errors import ParameterError
+
 MAX_SEED = 2**64 - 1
+
+
+def check_seed(seed: object) -> int:
+    """seed, if it is an int (not a bool) in [0, 2**64); ParameterError, a generator's error, otherwise."""
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed <= MAX_SEED):
+        raise ParameterError(f"seed must be an int in [0, 2**64), got {seed!r}")
+    return seed
 
 
 class SeededRng:

@@ -50,7 +50,9 @@ FALLBACK_COLOR = "#b59cc7"
 class BlueprintStyle(_checked_tuple("BlueprintStyle", "voxel_pixel_scale material_palette show_labels fallback_color")):
     """How render_blueprint draws: pixels per voxel (an int of at least 1), a color per material, labels or none.
 
-    Without a palette, a style gets its own copy of DEFAULT_PALETTE.
+    The palette maps nonempty material names to color strings, and the
+    fallback color is a string too. Without a palette, a style gets its own
+    copy of DEFAULT_PALETTE.
     """
 
     __slots__ = ()
@@ -65,6 +67,13 @@ class BlueprintStyle(_checked_tuple("BlueprintStyle", "voxel_pixel_scale materia
             raise ValueError("voxel_pixel_scale must be >= 1")
         if material_palette is None:
             material_palette = dict(DEFAULT_PALETTE)
+        elif not isinstance(material_palette, Mapping):
+            raise ValueError(f"material_palette must be a mapping, got {material_palette!r}")
+        for material, color in material_palette.items():
+            if not (isinstance(material, str) and material and isinstance(color, str)):
+                raise ValueError(f"material_palette must map nonempty str to str, got {material!r}: {color!r}")
+        if not isinstance(fallback_color, str):
+            raise ValueError(f"fallback_color must be a str, got {fallback_color!r}")
         return tuple.__new__(cls, (voxel_pixel_scale, material_palette, show_labels, fallback_color))
 
     def color(self, material: str) -> str:
@@ -78,7 +87,7 @@ def load_palette(path: PathLike) -> dict[str, str]:
     """
     raw = _load_json(path)
     if not isinstance(raw, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) and _is_utf8(k) and _is_utf8(v) for k, v in raw.items()
+        isinstance(k, str) and k and isinstance(v, str) and _is_utf8(k) and _is_utf8(v) for k, v in raw.items()
     ):
         raise ValidationError(f"{path}: palette must map material names to color strings")
     palette = dict(DEFAULT_PALETTE)

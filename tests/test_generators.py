@@ -141,6 +141,12 @@ class TestZombieWorld:
         b = semantic_map_from_world(gen_zombieworld(42))
         assert a == b
 
+    @pytest.mark.parametrize("seed", [2.5, True, "3", -1, 2**64], ids=repr)
+    def test_a_bad_seed_raises_parameter_error(self, seed):
+        with pytest.raises(ParameterError) as err:
+            gen_zombieworld(seed)
+        assert str(err.value) == f"seed must be an int in [0, 2**64), got {seed!r}"
+
     def test_entities_inside_their_rooms(self):
         world = gen_zombieworld(5)
         for v in world.walk_volumes():

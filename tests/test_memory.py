@@ -23,6 +23,15 @@ the file, because row tuples taken from the free list are not counted. A
 reader that keeps a new string per block's material holds about 142 (128
 after generating). The bound is 90.
 
+The same rows moved 1000 cells along x and z, past the ints CPython keeps
+one object each for (-5 to 256), show how a read holds coordinates. A reader
+that shares one int per distinct literal holds 66 bytes per row again, and
+its peak is 2.01 times the file's size: ``json.load`` reads the whole file,
+so the undecoded bytes and the text are held at once before the parse. A
+reader that builds an int per number holds two 28-byte ints more per row,
+122 bytes, and the rows then outgrow that read, so the parse peaks at 2.30.
+The bounds are 90 bytes per row and 2.15.
+
 Reading a position trace of 20,000 samples, which the test writes itself,
 peaks near 230 bytes per sample when the file is parsed a chunk of lines at
 a time: the events themselves, plus one chunk's lines, text and dicts. The
@@ -47,7 +56,7 @@ from pathlib import Path
 from voxgen.cli import build_parser, run
 from voxgen.query import read_trace
 from voxgen.raster import rasterize
-from voxgen.serialization import block_map_from_grid, read_block_map, read_semantic_map
+from voxgen.serialization import BlockMapDocument, block_map_from_grid, read_block_map, read_semantic_map, write_block_map
 from voxgen.viz import render_blueprint
 
 DUNGEON = ["dungeon", "--n", "6", "--cell-footprint", "20", "--seed", "3"]
@@ -61,6 +70,14 @@ def generate(tmp_path):
     hlr, llr = tmp_path / "semantic_map.json", tmp_path / "block_map.json"
     assert run([*DUNGEON, "--out-hlr", str(hlr), "--out-llr", str(llr)]) == 0
     return hlr, llr
+
+
+def shifted(llr):
+    """A copy of the block map at llr beside it, every block 1000 cells further along x and z."""
+    path = llr.with_name("shifted_block_map.json")
+    rows = [(x + 1000, y, z + 1000, material) for x, y, z, material in read_block_map(llr).rows]
+    write_block_map(BlockMapDocument(rows), path)
+    return path
 
 
 def traced_peak(fn, *args):
@@ -163,6 +180,16 @@ def test_a_read_block_map_keeps_under_90_bytes_per_row(tmp_path):
     assert read_bytes_per_row(llr) < 90
 
 
+def test_reading_a_block_map_with_large_coordinates_peaks_under_2_15_times_its_size(tmp_path):
+    _, llr = generate(tmp_path)
+    assert read_ratio(shifted(llr)) < 2.15
+
+
+def test_a_read_block_map_with_large_coordinates_keeps_under_90_bytes_per_row(tmp_path):
+    _, llr = generate(tmp_path)
+    assert read_bytes_per_row(shifted(llr)) < 90
+
+
 def test_rendering_a_blueprint_peaks_under_three_times_its_length(tmp_path):
     hlr, llr = generate(tmp_path)
     assert render_ratio(hlr, llr) < 3
@@ -189,15 +216,20 @@ if __name__ == "__main__":
         hlr, llr = generate(Path(scratch))
         ratios = {"read_block_map / file size": read_ratio(llr), "render_blueprint / SVG length": render_ratio(hlr, llr)}
         per_read_row = read_bytes_per_row(llr)
+        large = shifted(llr)
+        large_ratio, per_large_row = read_ratio(large), read_bytes_per_row(large)
         per_sample = trace_bytes_per_sample(write_trace(Path(scratch) / "trace.jsonl"))
         per_record = semantic_map_bytes_per_record(Path(scratch))
     per_row, projection = world_bytes_per_row(), projection_bytes_per_row()
     for name, ratio in ratios.items():
         print(f"{sys.version.split()[0]}  {name}: {ratio:.2f} (limit 3)")
     print(f"{sys.version.split()[0]}  read_block_map kept / block-map rows: {per_read_row:.1f} bytes (limit 90)")
+    print(f"{sys.version.split()[0]}  read_block_map, coordinates past 256 / file size: {large_ratio:.2f} (limit 2.15)")
+    print(f"{sys.version.split()[0]}  read_block_map kept, coordinates past 256 / block-map rows: {per_large_row:.1f} "
+          "bytes (limit 90)")
     print(f"{sys.version.split()[0]}  finalized world / block-map rows: {per_row:.1f} bytes (limit 20)")
     print(f"{sys.version.split()[0]}  block_map_from_grid peak / block-map rows: {projection:.1f} bytes (limit 100)")
     print(f"{sys.version.split()[0]}  read_trace peak / trace samples: {per_sample:.1f} bytes (limit 300)")
     print(f"{sys.version.split()[0]}  read_semantic_map kept / records: {per_record:.1f} bytes (limit 560)")
-    sys.exit(any(ratio >= 3 for ratio in ratios.values()) or per_read_row >= 90 or per_row >= 20 or projection >= 100
-             or per_sample >= 300 or per_record >= 560)
+    sys.exit(any(ratio >= 3 for ratio in ratios.values()) or per_read_row >= 90 or large_ratio >= 2.15
+             or per_large_row >= 90 or per_row >= 20 or projection >= 100 or per_sample >= 300 or per_record >= 560)

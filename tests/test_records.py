@@ -194,6 +194,13 @@ CASES = [
          "style-bool-scale"),
     case(BlueprintStyle, "voxel_pixel_scale", 2.5, ValueError, "voxel_pixel_scale must be an int, got 2.5",
          "style-float-scale"),
+    case(BlueprintStyle, "material_palette", {"log": 5}, ValueError,
+         "material_palette must map nonempty str to str, got 'log': 5", "style-int-color"),
+    case(BlueprintStyle, "material_palette", {"": "#fff"}, ValueError,
+         "material_palette must map nonempty str to str, got '': '#fff'", "style-empty-material"),
+    case(BlueprintStyle, "material_palette", [1], ValueError, "material_palette must be a mapping, got [1]",
+         "style-list-palette"),
+    case(BlueprintStyle, "fallback_color", 5, ValueError, "fallback_color must be a str, got 5", "style-int-fallback"),
     case(DungeonParams, "n", 1, ParameterError, "grid dimension must be >= 2, got 1", "dungeon-n"),
     case(DungeonParams, "cell_footprint", 6, ParameterError, "cell_footprint must be >= 7, got 6",
          "dungeon-footprint"),

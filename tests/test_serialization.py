@@ -10,6 +10,7 @@ from unittest import mock
 
 import pytest
 
+from voxgen import serialization
 from voxgen.errors import ParseError, ValidationError
 from voxgen.generators import DungeonParams, gen_dungeon, gen_gridworld, gen_zombieworld
 from voxgen.geometry import BlockPlacement, BoundingVolume, EntitySpec, Position, WorldModel
@@ -471,8 +472,12 @@ ROW = {"material": "log", "x": 1, "y": 2, "z": 3}
     ([ROW, dict(ROW, x=2, material=["log"])], "block material: expected nonempty string, got ['log']"),
     ([ROW, dict(ROW, x=2, material={"a": 1})], "block material: expected nonempty string, got {{'a': 1}}"),
     ([ROW, dict(ROW, x=2, material=7)], "block material: expected nonempty string, got 7"),
+    # Values equal to an int an earlier row holds, which the reader's memo of int literals must not swap for it.
+    ([ROW, dict(ROW, x=True, y=5)], "block x: expected signed 64-bit integer, got True"),
+    ([ROW, dict(ROW, x=1.0, y=5)], "block x: expected signed 64-bit integer, got 1.0"),
 ], ids=["bool-x", "float-y", "z-2**63", "empty-material", "missing-key", "non-object-row", "row-2-of-3",
-        "other-key-order-bool-x", "list-material", "dict-material", "int-material"])
+        "other-key-order-bool-x", "list-material", "dict-material", "int-material", "bool-x-after-x-1",
+        "float-x-after-x-1"])
 def test_block_map_reader_errors_keep_their_wording(tmp_path, monkeypatch, blocks, message):
     # The messages as the row-by-row reader gave them before the reader checked whole columns,
     # worded from the one parse.
@@ -505,11 +510,16 @@ def test_block_rows_laid_out_otherwise_than_the_writer_lays_them_out_are_read(tm
     assert load.call_count == 1
 
 
-def write_blocks(path, materials, keys=("material", "x", "y", "z")):
-    """A block map with one block per material, at x = 0, 1, ..., each block's keys in the given order."""
-    blocks = [{"material": material, "x": x, "y": 0, "z": 0} for x, material in enumerate(materials)]
+def write_rows(path, rows, keys=("material", "x", "y", "z")):
+    """A block map of the given (x, y, z, material) rows, each block's keys in the given order."""
+    blocks = [{"material": material, "x": x, "y": y, "z": z} for x, y, z, material in rows]
     path.write_text(json.dumps({"schema_version": "1", "blocks": [{k: block[k] for k in keys} for block in blocks]}))
     return path
+
+
+def write_blocks(path, materials, keys=("material", "x", "y", "z")):
+    """A block map with one block per material, at x = 0, 1, ..., each block's keys in the given order."""
+    return write_rows(path, [(x, 0, 0, material) for x, material in enumerate(materials)], keys)
 
 
 @pytest.mark.parametrize("keys", [("material", "x", "y", "z"), ("z", "y", "x", "material")],
@@ -518,6 +528,27 @@ def test_a_read_block_map_holds_one_string_per_material(tmp_path, keys):
     doc = read_block_map(write_blocks(tmp_path / "block_map.json", ["log", "stone", "oak_planks"] * 4, keys))
     assert len(doc.rows) == 12
     assert len({id(row[3]) for row in doc.rows}) == len({row[3] for row in doc.rows}) == 3
+
+
+# Coordinates beyond the small ints CPython keeps one object each for (-5 to 256).
+LARGE_ROWS = [(x, 300, z, "log") for x in (1000, -1000) for z in (257, 5000, 2**40)]
+
+
+@pytest.mark.parametrize("keys", [("material", "x", "y", "z"), ("z", "y", "x", "material")],
+                         ids=["writer-order", "other-key-order"])
+def test_a_read_block_map_holds_one_int_per_coordinate_value(tmp_path, keys):
+    doc = read_block_map(write_rows(tmp_path / "block_map.json", LARGE_ROWS, keys))
+    assert doc.rows == tuple(sorted(LARGE_ROWS))
+    values = [value for row in doc.rows for value in row[:3]]
+    assert len({id(value) for value in values}) == len(set(values)) == 6
+
+
+def test_a_block_map_with_more_distinct_ints_than_the_memo_keeps_reads_the_same(tmp_path, monkeypatch):
+    monkeypatch.setattr(serialization, "_SHARED_INTS_MAX", 2)
+    doc = read_block_map(write_rows(tmp_path / "block_map.json", LARGE_ROWS))
+    assert doc == BlockMapDocument(LARGE_ROWS)
+    # Past its first two literals the memo keeps none, so later rows hold ints of their own.
+    assert len({id(value) for row in doc.rows for value in row[:3]}) > 6
 
 
 def test_reading_block_maps_in_turn_gives_what_reading_each_alone_gives(tmp_path):

@@ -154,6 +154,14 @@ def test_palette_strings_must_be_utf8_encodable(tmp_path, palette):
         load_palette(path)
 
 
+def test_a_palette_file_names_no_empty_material(tmp_path):
+    # BlueprintStyle refuses an empty material name, so the file reader does too, in its own words.
+    path = tmp_path / "palette.json"
+    path.write_text(json.dumps({"": "#123456"}))
+    with pytest.raises(ValidationError, match="palette must map material names to color strings"):
+        load_palette(path)
+
+
 def test_scale_must_be_positive():
     with pytest.raises(ValueError):
         BlueprintStyle(voxel_pixel_scale=0)
