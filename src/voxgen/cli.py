@@ -1,7 +1,9 @@
 """Single command-line entry point for generation, visualization, monitoring.
 
-Generator subcommands write the semantic map (--out-hlr) and block map
-(--out-llr) for one world. ``viz`` renders either file set into an SVG
+Generator subcommands, one per ``GENERATORS`` entry, write the semantic map
+(--out-hlr) and block map (--out-llr) for one world. Each entry's build names
+its generator, which is looked up in this module when the build runs, so a
+wrapper set on the module sees the call. ``viz`` renders either file set into an SVG
 blueprint or a DOT graph; ``monitor`` replays a position trace against a
 semantic map and writes location-transition events. Every output file is
 written through ``serialization._write_atomically``, so a write that fails
@@ -25,47 +27,49 @@ from .errors import VoxgenError
 from .generators import DungeonParams, gen_dungeon, gen_gridworld, gen_tutorial_house, gen_zombieworld
 from .query import LocationIndex, read_trace, write_transitions
 from .raster import rasterize
+from .rng import MAX_SEED
 from .serialization import _write_atomically, read_block_map, read_semantic_map, write_world
 from .viz import GRAPH_MODES, BlueprintStyle, load_palette, render_blueprint, render_graph
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(convert, kind: str, in_range, message: str):
+    """An argparse type: ``convert(text)``, an error naming ``kind``, or ``message`` for an out-of-range value."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind}")
+        if not in_range(value):
+            raise argparse.ArgumentTypeError(message.format(value))
+        return value
+    return parse
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
+_positive_int = _checked(int, "an integer", lambda v: v >= 1, "must be >= 1, got {}")
+_seed = _checked(int, "an integer", lambda v: 0 <= v <= MAX_SEED, "seed must fit in 64 unsigned bits")
+_probability = _checked(float, "a number", lambda v: 0 < v <= 1, "probability must be in (0, 1]")
 
+_N = ("--n", {"type": _positive_int, "default": 4, "help": "grid dimension (default 4)"})
+_SEED = ("--seed", {"type": _seed, "default": 0, "help": "64-bit seed (default 0)"})
 
-def _probability(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError("probability must be in (0, 1]")
-    return value
-
-
-def _add_output_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out-hlr", required=True, metavar="FILE", help="semantic map output path")
-    parser.add_argument("--out-llr", required=True, metavar="FILE", help="block map output path")
+# name -> (help, arguments as (flag, add_argument options) pairs, build(args)), in --help order.
+GENERATORS = {
+    "gridworld": ("n x n grid of door-connected rooms", (_N,), lambda a: gen_gridworld(a.n)),
+    "dungeon": ("seeded rooms-and-corridors dungeon", (
+        _N, _SEED,
+        ("--room-prob", {"type": _probability, "default": 0.5,
+                         "help": "per-cell room probability in (0, 1] (default 0.5)"}),
+        ("--cell-footprint", {"type": _positive_int, "default": 10,
+                              "help": "experimental: voxels per grid cell edge (default 10)"}),
+    ), lambda a: gen_dungeon(DungeonParams(n=a.n, seed=a.seed, room_probability=a.room_prob,
+                                           cell_footprint=a.cell_footprint))),
+    "zombieworld": ("walled yard with buildings, mobs and hazard pits", (_SEED,), lambda a: gen_zombieworld(a.seed)),
+    "tutorial": ("the fixed two-room demo house", (), lambda a: gen_tutorial_house()),
+}
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    """Build the world with the function its subparser set as ``build``; write both maps."""
+    """Build the world with its GENERATORS entry's ``build``; write both maps."""
     world = args.build(args)
     write_world(world, rasterize(world), args.out_hlr, args.out_llr)
     return 0
@@ -114,34 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gridworld", help="n x n grid of door-connected rooms")
-    p.add_argument("--n", type=_positive_int, default=4, help="grid dimension (default 4)")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_generate, build=lambda a: gen_gridworld(a.n))
-
-    p = sub.add_parser("dungeon", help="seeded rooms-and-corridors dungeon")
-    p.add_argument("--n", type=_positive_int, default=4, help="grid dimension (default 4)")
-    p.add_argument("--seed", type=_seed, default=0, help="64-bit seed (default 0)")
-    p.add_argument("--room-prob", type=_probability, default=0.5,
-                   help="per-cell room probability in (0, 1] (default 0.5)")
-    p.add_argument("--cell-footprint", type=_positive_int, default=10,
-                   help="experimental: voxels per grid cell edge (default 10)")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_generate, build=lambda a: gen_dungeon(DungeonParams(
-        n=a.n,
-        seed=a.seed,
-        room_probability=a.room_prob,
-        cell_footprint=a.cell_footprint,
-    )))
-
-    p = sub.add_parser("zombieworld", help="walled yard with buildings, mobs and hazard pits")
-    p.add_argument("--seed", type=_seed, default=0, help="64-bit seed (default 0)")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_generate, build=lambda a: gen_zombieworld(a.seed))
-
-    p = sub.add_parser("tutorial", help="the fixed two-room demo house")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_generate, build=lambda a: gen_tutorial_house())
+    for name, (help_text, arguments, build) in GENERATORS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.add_argument("--out-hlr", required=True, metavar="FILE", help="semantic map output path")
+        p.add_argument("--out-llr", required=True, metavar="FILE", help="block map output path")
+        p.set_defaults(func=_cmd_generate, build=build)
 
     viz = sub.add_parser("viz", help="render maps into SVG or DOT files")
     viz_sub = viz.add_subparsers(dest="viz_command", required=True)

@@ -50,9 +50,9 @@ FALLBACK_COLOR = "#b59cc7"
 class BlueprintStyle(_checked_tuple("BlueprintStyle", "voxel_pixel_scale material_palette show_labels fallback_color")):
     """How render_blueprint draws: pixels per voxel (an int of at least 1), a color per material, labels or none.
 
-    The palette maps nonempty material names to color strings, and the
-    fallback color is a string too. Without a palette, a style gets its own
-    copy of DEFAULT_PALETTE.
+    The palette maps nonempty material names to color strings, and the fallback
+    color is a string too. A style keeps its own copy of the palette, by default
+    DEFAULT_PALETTE's, so a later change to the caller's mapping cannot undo that.
     """
 
     __slots__ = ()
@@ -66,9 +66,10 @@ class BlueprintStyle(_checked_tuple("BlueprintStyle", "voxel_pixel_scale materia
         if voxel_pixel_scale < 1:
             raise ValueError("voxel_pixel_scale must be >= 1")
         if material_palette is None:
-            material_palette = dict(DEFAULT_PALETTE)
+            material_palette = DEFAULT_PALETTE
         elif not isinstance(material_palette, Mapping):
             raise ValueError(f"material_palette must be a mapping, got {material_palette!r}")
+        material_palette = dict(material_palette)
         for material, color in material_palette.items():
             if not (isinstance(material, str) and material and isinstance(color, str)):
                 raise ValueError(f"material_palette must map nonempty str to str, got {material!r}: {color!r}")

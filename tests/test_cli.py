@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from voxgen.cli import run
+from voxgen.cli import GENERATORS, build_parser, run
+from voxgen.geometry import WorldModel
 
 
 def run_gen(tmp_path, *argv):
@@ -51,6 +52,64 @@ def test_gridworld_n_zero_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_gen(tmp_path, "gridworld", "--n", "0")
     assert exc.value.code == 2
+
+
+# Each bad value's exit code and the error line argparse prints for it. The
+# usage line above that line is not compared: its layout differs across
+# Python versions.
+ARGUMENT_ERRORS = [
+    (["gridworld", "--n", "0"], 2, "argument --n: must be >= 1, got 0"),
+    (["gridworld", "--n", "x"], 2, "argument --n: 'x' is not an integer"),
+    (["gridworld", "--n", "1.5"], 2, "argument --n: '1.5' is not an integer"),
+    (["dungeon", "--seed", "-1"], 2, "argument --seed: seed must fit in 64 unsigned bits"),
+    (["dungeon", "--seed", "18446744073709551616"], 2, "argument --seed: seed must fit in 64 unsigned bits"),
+    (["dungeon", "--seed", "18446744073709551615"], 0, None),
+    (["dungeon", "--room-prob", "0"], 2, "argument --room-prob: probability must be in (0, 1]"),
+    (["dungeon", "--room-prob", "nan"], 2, "argument --room-prob: probability must be in (0, 1]"),
+    (["dungeon", "--room-prob", "x"], 2, "argument --room-prob: 'x' is not a number"),
+    (["dungeon", "--cell-footprint", "0"], 2, "argument --cell-footprint: must be >= 1, got 0"),
+    (["zombieworld", "--seed", "z"], 2, "argument --seed: 'z' is not an integer"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", ARGUMENT_ERRORS, ids=[" ".join(c[0]) for c in ARGUMENT_ERRORS])
+def test_argument_values_are_checked_with_one_error_line(tmp_path, capsys, argv, code, message):
+    try:
+        status = run_gen(tmp_path, *argv)[0]
+    except SystemExit as exc:
+        status = exc.code
+    assert status == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == ""
+    else:
+        assert err.splitlines()[-1] == f"voxgen {argv[0]}: error: {message}"
+
+
+# The default each generator option documents in its help.
+DEFAULTS = {"n": 4, "seed": 0, "room_prob": 0.5, "cell_footprint": 10}
+
+
+@pytest.mark.parametrize("name", list(GENERATORS))
+def test_each_generator_entry_parses_its_documented_defaults_and_builds(name, capsys, monkeypatch):
+    help_text, arguments, _ = GENERATORS[name]
+    args = build_parser().parse_args([name, "--out-hlr", "h", "--out-llr", "l"])
+    for flag, options in arguments:
+        dest = flag[2:].replace("-", "_")
+        assert getattr(args, dest) == DEFAULTS[dest]
+        assert options["help"].endswith(f"(default {DEFAULTS[dest]})")
+    assert (args.out_hlr, args.out_llr) == ("h", "l")
+    world = args.build(args)
+    assert isinstance(world, WorldModel) and world.finalized
+
+    # Wide enough that argparse wraps no help string; its layout is not compared.
+    monkeypatch.setenv("COLUMNS", "200")
+    for argv, texts in (([], [help_text]), ([name], [options["help"] for _, options in arguments])):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(text in out for text in texts)
 
 
 def test_missing_required_output_is_a_usage_error():

@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from voxgen.cli import run
+from voxgen.cli import GENERATORS, run
 from voxgen.geometry import BlockPlacement, BoundingVolume, ConnectionSpec, EntitySpec, ObjectSpec, Position, WorldModel
 from voxgen.query import LocationIndex, write_predicates
 from voxgen.raster import rasterize
@@ -77,6 +77,10 @@ def generate(tmp_path, argv):
 def test_document_bytes_are_pinned(tmp_path, argv):
     hlr, llr = generate(tmp_path, argv)
     assert (sha256(hlr), sha256(llr)) == DOCUMENTS[argv]
+
+
+def test_every_generator_has_a_pinned_document():
+    assert {argv[0] for argv in DOCUMENTS} == set(GENERATORS)
 
 
 def test_gridworld_renderings_are_pinned(tmp_path):

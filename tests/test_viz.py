@@ -133,6 +133,14 @@ def test_control_characters_become_replacement_characters_in_svg(tmp_path):
     assert root.findall(f"{SVG_NS}rect")[1].get("fill") == "#00\ufffd00"
 
 
+def test_a_style_keeps_its_own_copy_of_the_palette():
+    palette = {"log": "#000000"}
+    style = BlueprintStyle(material_palette=palette)
+    palette["log"] = 5
+    svg = render_blueprint(SemanticMap("w"), BlockMapDocument(rows=[(0, 0, 0, "log")]), style)
+    assert svg_rects(svg)[1].get("fill") == "#000000"
+
+
 def test_unknown_material_gets_fallback_color():
     style = BlueprintStyle()
     assert style.color("no_such_material") == style.fallback_color
