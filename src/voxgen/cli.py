@@ -3,13 +3,13 @@
 Generator subcommands, one per ``GENERATORS`` entry, write the semantic map
 (--out-hlr) and block map (--out-llr) for one world. Each entry's build names
 its generator, which is looked up in this module when the build runs, so a
-wrapper set on the module sees the call. ``viz`` renders either file set into an SVG
-blueprint or a DOT graph; ``monitor`` replays a position trace against a
-semantic map and writes location-transition events. Every output file is
-written through ``serialization._write_atomically``, so a write that fails
-leaves that file as it was. A generator writes its semantic map first and
-its block map second, each on its own: if the block map's write fails, the
-command exits 1 with the new semantic map already in place next to the
+wrapper set on the module sees the call. ``viz`` renders either file set
+into an SVG blueprint or a DOT graph; ``monitor`` replays a position trace
+against a semantic map and writes location-transition events. Every output
+file is written through ``serialization._write_atomically``, so a write that
+fails leaves that file as it was. A generator writes its semantic map first
+and its block map second, each on its own: if the block map's write fails,
+the command exits 1 with the new semantic map already in place next to the
 previous block map, or none.
 
 Exit codes: 0 success, 2 usage error, 1 anything else. All randomness flows
