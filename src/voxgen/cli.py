@@ -36,6 +36,8 @@ def _checked(convert, kind: str, in_range, message: str):
     """An argparse type: ``convert(text)``, an error naming ``kind``, or ``message`` for an out-of-range value."""
     def parse(text: str):
         try:
+            if not text.isascii() or "_" in text or text.strip() != text:
+                raise ValueError  # int() and float() also take these; a numeric option takes plain ASCII text
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not {kind}")

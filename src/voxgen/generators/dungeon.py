@@ -238,16 +238,9 @@ def gen_dungeon(p: DungeonParams) -> WorldModel:
         )
         index = len(connected) - 1
         legs = _corridor_legs(p, index, rooms[cell], rooms[nearest], cell, nearest)
-        hull_tl = Position(
-            min(v.top_left.x for v in legs),
-            GROUND_Y,
-            min(v.top_left.z for v in legs),
-        )
-        hull_br = Position(
-            max(v.bottom_right.x for v in legs),
-            GROUND_Y + 2,
-            max(v.bottom_right.z for v in legs),
-        )
+        # A corridor has one or two legs; zip(*...) groups their corners by axis either way.
+        hull_tl = Position(*map(min, zip(*(leg.top_left for leg in legs))))
+        hull_br = Position(*map(max, zip(*(leg.bottom_right for leg in legs))))
         for volume in legs:
             world.add_volume(volume)
         world.add_connection(

@@ -30,11 +30,15 @@ def gen_gridworld(n: int) -> WorldModel:
     if n < 1:
         raise ParameterError(f"gridworld size must be >= 1, got {n}")
     world = WorldModel(f"gridworld_n{n}")
+    # Doors sit centered on each shared wall, 2 wide and 2 high, one block
+    # above the ground layer.
+    y_lo, y_hi = GROUND_Y + 1, GROUND_Y + 2
     for row in range(n):
         for col in range(n):
             x0, z0 = _room_origin(row, col)
+            here = f"room_{row}_{col}"
             room = BoundingVolume(
-                f"room_{row}_{col}",
+                here,
                 volume_type="room",
                 material=ROOM_MATERIAL,
                 top_left=Position(x0, GROUND_Y, z0),
@@ -43,40 +47,20 @@ def gen_gridworld(n: int) -> WorldModel:
                 ),
             )
             world.add_volume(room)
-
-    # Doors sit centered on each shared wall, 2 wide and 2 high, one block
-    # above the ground layer.
-    y_lo, y_hi = GROUND_Y + 1, GROUND_Y + 2
-    for row in range(n):
-        for col in range(n):
-            x0, z0 = _room_origin(row, col)
-            here = f"room_{row}_{col}"
+            # This room's doors to its east and south neighbours, in that order.
+            wall_x, wall_z = x0 + ROOM_SIDE - 1, z0 + ROOM_SIDE - 1
+            doors = []
             if col + 1 < n:
-                east = f"room_{row}_{col + 1}"
-                wall_x = x0 + ROOM_SIDE - 1
-                world.add_connection(
-                    ConnectionSpec(
-                        id=f"door_{here}__{east}",
-                        connection_type="door",
-                        bounds=(
-                            Position(wall_x, y_lo, z0 + 2),
-                            Position(wall_x, y_hi, z0 + 3),
-                        ),
-                        connected_ids=(here, east),
-                    )
-                )
+                doors.append((f"room_{row}_{col + 1}", (Position(wall_x, y_lo, z0 + 2), Position(wall_x, y_hi, z0 + 3))))
             if row + 1 < n:
-                south = f"room_{row + 1}_{col}"
-                wall_z = z0 + ROOM_SIDE - 1
+                doors.append((f"room_{row + 1}_{col}", (Position(x0 + 2, y_lo, wall_z), Position(x0 + 3, y_hi, wall_z))))
+            for there, bounds in doors:
                 world.add_connection(
                     ConnectionSpec(
-                        id=f"door_{here}__{south}",
+                        id=f"door_{here}__{there}",
                         connection_type="door",
-                        bounds=(
-                            Position(x0 + 2, y_lo, wall_z),
-                            Position(x0 + 3, y_hi, wall_z),
-                        ),
-                        connected_ids=(here, south),
+                        bounds=bounds,
+                        connected_ids=(here, there),
                     )
                 )
     return world.finalize()

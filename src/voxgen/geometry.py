@@ -47,7 +47,7 @@ and is the one full check.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, islice, product, repeat, starmap
+from itertools import chain, product, repeat, starmap
 from operator import eq
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -212,23 +212,22 @@ class Blocks:
 
     It reads as the BlockPlacements it stands for: iterating, indexing and
     comparing give each placement, and each box fill's cells in x, y, z order,
-    in insertion order; ``len()`` is their number, kept as a running count.
-    ``items`` are the placements and box fills as recorded. A finalized
+    in insertion order; ``len()`` is their number, the sum of the items'
+    sizes. ``items`` are the placements and box fills as recorded. A finalized
     holder keeps a Blocks; a mutable one keeps a BlockList, which can append.
     """
 
-    __slots__ = ("_items", "_count")
+    __slots__ = ("_items",)
 
     def __init__(self, items: Iterable["BlockPlacement | BoxFill"] = ()) -> None:
         self._items = list(items)
-        self._count = sum(item.size for item in self._items)
 
     @property
     def items(self) -> tuple["BlockPlacement | BoxFill", ...]:
         return tuple(self._items)
 
     def __len__(self) -> int:
-        return self._count
+        return sum(item.size for item in self._items)
 
     def __iter__(self) -> Iterator[BlockPlacement]:
         return chain.from_iterable(
@@ -236,14 +235,7 @@ class Blocks:
         )
 
     def __getitem__(self, index: int | slice) -> "BlockPlacement | list[BlockPlacement]":
-        if isinstance(index, slice):
-            return list(self)[index]
-        i = range(self._count)[index]  # an int in range, or IndexError
-        for item in self._items:
-            if i < item.size:
-                return next(islice(item.placements(), i, None)) if type(item) is BoxFill else item
-            i -= item.size
-        raise AssertionError("unreachable: the count covers every item")
+        return list(self)[index]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Blocks) and self._items == other._items:
@@ -264,8 +256,9 @@ class BlockList(Blocks):
     __slots__ = ()
 
     def append(self, item: "BlockPlacement | BoxFill") -> None:
+        if type(item) not in (BlockPlacement, BoxFill):
+            raise TypeError(f"block must be a BlockPlacement or a BoxFill, got {type(item).__name__}")
         self._items.append(item)
-        self._count += item.size
 
 
 class EntitySpec(_checked_tuple("EntitySpec", "id entity_type position equipment")):
@@ -520,9 +513,6 @@ class BoundingVolume(_ItemHolder):
         xs, ys, zs = map(set, zip(*positions))
         return x0 <= min(xs) and max(xs) <= x1 and y0 <= min(ys) and max(ys) <= y1 and z0 <= min(zs) and max(zs) <= z1
 
-    def contains_box(self, top_left: Position, bottom_right: Position) -> bool:
-        return self.contains(top_left) and self.contains(bottom_right)
-
     def walk(self) -> Iterator["BoundingVolume"]:
         """Depth-first, pre-order walk of this volume and its descendants."""
         yield self
@@ -555,7 +545,7 @@ class BoundingVolume(_ItemHolder):
             else:
                 self.top_left = Position(*map(min, self.top_left, child.top_left))
                 self.bottom_right = Position(*map(max, self.bottom_right, child.bottom_right))
-        elif not self.contains_box(child.top_left, child.bottom_right):
+        elif not self._contains_all((child.top_left, child.bottom_right)):
             raise OutOfBoundsError(
                 f"child {child.id} {child.top_left.as_tuple()}..{child.bottom_right.as_tuple()} "
                 f"exceeds parent {self.id}"

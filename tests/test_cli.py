@@ -69,6 +69,13 @@ ARGUMENT_ERRORS = [
     (["dungeon", "--room-prob", "x"], 2, "argument --room-prob: 'x' is not a number"),
     (["dungeon", "--cell-footprint", "0"], 2, "argument --cell-footprint: must be >= 1, got 0"),
     (["zombieworld", "--seed", "z"], 2, "argument --seed: 'z' is not an integer"),
+    # int() and float() also read other digits, "_" and surrounding whitespace; an option takes plain ASCII text.
+    (["gridworld", "--n", "\u0663"], 2, "argument --n: '\u0663' is not an integer"),
+    (["gridworld", "--n", "1_0"], 2, "argument --n: '1_0' is not an integer"),
+    (["gridworld", "--n", " 3"], 2, "argument --n: ' 3' is not an integer"),
+    (["zombieworld", "--seed", "\uff10"], 2, "argument --seed: '\uff10' is not an integer"),
+    (["dungeon", "--room-prob", "\uff10.\uff15"], 2, "argument --room-prob: '\uff10.\uff15' is not a number"),
+    (["dungeon", "--room-prob", "0_5"], 2, "argument --room-prob: '0_5' is not a number"),
 ]
 
 

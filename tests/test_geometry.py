@@ -2,8 +2,11 @@
 
 import enum
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxgen.errors import (
     CoordinateOverflowError,
@@ -302,6 +305,64 @@ class TestBlocks:
         assert type(room.blocks) is type(world.blocks) is Blocks and len(room.blocks) == 16
         with pytest.raises(AttributeError):
             world.blocks.append(BlockPlacement("stone", Position(2, 4, 2)))
+
+    def test_append_refuses_anything_but_a_placement_or_a_box_fill(self):
+        room = make_room()
+        room.generate_box("planks", (1, 1, 0, 4, 1, 1))
+        items = room.blocks.items
+        for bad in ("x", ("stone", Position(2, 4, 2)), None):
+            message = f"^block must be a BlockPlacement or a BoxFill, got {type(bad).__name__}$"
+            with pytest.raises(TypeError, match=message):
+                room.blocks.append(bad)
+            assert room.blocks.items == items and len(room.blocks) == 16
+
+
+coords = st.integers(-3, 3)
+
+
+@st.composite
+def block_items(draw):
+    """A placement, or a box fill of at most 2 x 2 x 2 cells."""
+    material = draw(st.sampled_from(["stone", "lava", "glass"]))
+    top_left = Position(draw(coords), draw(coords), draw(coords))
+    if draw(st.booleans()):
+        return BlockPlacement(material, top_left)
+    return BoxFill(material, top_left, top_left.shifted(*draw(st.tuples(*[st.integers(0, 1)] * 3))))
+
+
+def placements_of(items):
+    """Each placement, and each box fill's cells in x, then y, then z order, written out by hand."""
+    out = []
+    for item in items:
+        if type(item) is BlockPlacement:
+            out.append(item)
+            continue
+        (x0, y0, z0), (x1, y1, z1) = item.top_left, item.bottom_right
+        for x, y, z in product(range(x0, x1 + 1), range(y0, y1 + 1), range(z0, z1 + 1)):
+            out.append(BlockPlacement(item.material, Position(x, y, z)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=st.lists(block_items(), max_size=6), appended=st.lists(block_items(), max_size=3))
+def test_blocks_read_as_the_list_of_their_placements(items, appended):
+    blocks = BlockList(items)
+    expected = placements_of(items)
+    assert len(blocks) == len(expected)
+    for index in range(-len(expected) - 1, len(expected) + 1):
+        if -len(expected) <= index < len(expected):
+            assert blocks[index] == expected[index]
+        else:
+            with pytest.raises(IndexError):
+                blocks[index]
+    for piece in (slice(None), slice(1, -1), slice(None, None, 2), slice(None, None, -3), slice(5, 2, -1)):
+        assert blocks[piece] == expected[piece]
+    assert blocks == expected and blocks == tuple(expected) and list(blocks) == expected
+    assert Blocks(blocks.items) == blocks
+    for item in appended:
+        blocks.append(item)
+        expected.extend(placements_of([item]))
+        assert len(blocks) == len(expected) and blocks == expected
 
 
 class TestRandomPos:
