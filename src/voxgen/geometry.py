@@ -15,9 +15,10 @@ given a point as anything but a Position (a plain tuple, say) keeps
 ``_box_cells`` gives a box's cells in bulk as plain tuples, not Positions.
 
 Position and every spec are checked tuples (``_checked_tuple``): a
-namedtuple with ``__slots__ = ()`` whose ``__new__`` checks its fields,
-the usual values in one expression and any other one field at a time, to
-name the first bad one. ``_make`` and ``_replace`` go through ``__new__``.
+namedtuple with ``__slots__ = ()`` whose ``__new__`` checks its fields one
+at a time, to name the first bad one. Position and BlockPlacement, built per
+cell, first test the usual values in one expression; a world builds only a
+few hundred other specs. ``_make`` and ``_replace`` go through ``__new__``.
 A spec equals, hashes, sorts and unpacks as the tuple of its fields, and
 assigning a field raises AttributeError.
 
@@ -47,7 +48,7 @@ and is the one full check.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, product, repeat, starmap
+from itertools import chain, product, repeat
 from operator import eq
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -144,9 +145,9 @@ def _box_cells(top_left: Sequence[int], bottom_right: Sequence[int]) -> Iterator
     needs no names, and a plain tuple equals and hashes like the Position of
     the same cell. Corners out of order on some axis give no cells. The one
     walk over a box: the raster writes shells, roofs and box fills and carves
-    doors with it, and a BoxFill's placements and ``finalize()``'s message
-    for a box fill's first cell outside its volume turn its tuples into
-    checked Positions.
+    doors with it, a BoxFill's placements turn its tuples into checked
+    Positions, and ``finalize()`` tests them as they are to name a box fill's
+    first cell outside its volume.
     """
     (x0, y0, z0), (x1, y1, z1) = top_left, bottom_right
     return product(range(x0, x1 + 1), range(y0, y1 + 1), range(z0, z1 + 1))
@@ -207,6 +208,13 @@ class BoxFill(_checked_tuple("BoxFill", "material top_left bottom_right")):
         return BoxFill(self.material, self.top_left.shifted(dx, dy, dz), self.bottom_right.shifted(dx, dy, dz))
 
 
+def _block_item(item: "BlockPlacement | BoxFill") -> "BlockPlacement | BoxFill":
+    """item itself; TypeError unless it is one of the two things a Blocks holds."""
+    if type(item) not in (BlockPlacement, BoxFill):
+        raise TypeError(f"block must be a BlockPlacement or a BoxFill, got {type(item).__name__}")
+    return item
+
+
 class Blocks:
     """A holder's explicit blocks: placements and box fills, in insertion order.
 
@@ -220,7 +228,7 @@ class Blocks:
     __slots__ = ("_items",)
 
     def __init__(self, items: Iterable["BlockPlacement | BoxFill"] = ()) -> None:
-        self._items = list(items)
+        self._items = list(map(_block_item, items))
 
     @property
     def items(self) -> tuple["BlockPlacement | BoxFill", ...]:
@@ -256,9 +264,7 @@ class BlockList(Blocks):
     __slots__ = ()
 
     def append(self, item: "BlockPlacement | BoxFill") -> None:
-        if type(item) not in (BlockPlacement, BoxFill):
-            raise TypeError(f"block must be a BlockPlacement or a BoxFill, got {type(item).__name__}")
-        self._items.append(item)
+        self._items.append(_block_item(item))
 
 
 class EntitySpec(_checked_tuple("EntitySpec", "id entity_type position equipment")):
@@ -273,11 +279,9 @@ class EntitySpec(_checked_tuple("EntitySpec", "id entity_type position equipment
     def __new__(
         cls, id: str, entity_type: str, position: Position, equipment: Optional[Mapping[str, str]] = None
     ) -> "EntitySpec":
-        if not (type(id) is type(entity_type) is str and id and entity_type and id.isascii()
-                and entity_type.isascii() and type(position) is Position):
-            _check_name(id, "entity id")
-            _check_name(entity_type, "entity type")
-            position = _as_position(position)
+        _check_name(id, "entity id")
+        _check_name(entity_type, "entity type")
+        position = _as_position(position)
         if equipment is not None:
             equipment = MappingProxyType(dict(equipment))
             for slot, item in equipment.items():
@@ -293,12 +297,10 @@ class ObjectSpec(_checked_tuple("ObjectSpec", "id object_type block")):
     __slots__ = ()
 
     def __new__(cls, id: str, object_type: str, block: BlockPlacement) -> "ObjectSpec":
-        if not (type(id) is type(object_type) is str and id and object_type and id.isascii()
-                and object_type.isascii() and type(block) is BlockPlacement):
-            _check_name(id, "object id")
-            _check_name(object_type, "object type")
-            if type(block) is not BlockPlacement:
-                raise TypeError(f"object {id}: block must be a BlockPlacement, got {type(block).__name__}")
+        _check_name(id, "object id")
+        _check_name(object_type, "object type")
+        if type(block) is not BlockPlacement:
+            raise TypeError(f"object {id}: block must be a BlockPlacement, got {type(block).__name__}")
         return tuple.__new__(cls, (id, object_type, block))
 
 
@@ -315,10 +317,8 @@ class ConnectionSpec(_checked_tuple("ConnectionSpec", "id connection_type bounds
     def __new__(
         cls, id: str, connection_type: str, bounds: tuple[Position, Position], connected_ids: Sequence[str]
     ) -> "ConnectionSpec":
-        if not (type(id) is type(connection_type) is str and id and connection_type and id.isascii()
-                and connection_type.isascii()):
-            _check_name(id, "connection id")
-            _check_name(connection_type, "connection type")
+        _check_name(id, "connection id")
+        _check_name(connection_type, "connection type")
         tl, br = map(_as_position, bounds)
         if not _corners_in_order(tl, br):
             raise ValueError(f"connection {id}: bounds corners out of order")
@@ -374,12 +374,8 @@ class _ItemHolder:
         self.finalized = False
         self._registered: set[str] = set()
 
-    def contains(self, p: Position) -> bool:
-        """The world has no bounds, so it contains every position; a volume overrides this."""
-        return True
-
-    def _contains_all(self, positions: Sequence[Position]) -> bool:
-        """Whether every one of positions is inside; a volume overrides this with a check per axis."""
+    def contains(self, p: Sequence[int]) -> bool:
+        """The world has no bounds, so it contains every point; a volume overrides this."""
         return True
 
     def _check_mutable(self) -> None:
@@ -389,19 +385,16 @@ class _ItemHolder:
     def _check_inside(self, kind: str, items: Sequence) -> None:
         """Raise OutOfBoundsError for the first cell of items ("block", "entity" or "object" by kind) outside this holder.
 
-        All items are checked at once, by their least and greatest coordinate
-        per axis, a box fill by its two corners; they are looked at one by one
-        only to name the first outside, and a box fill's cells are walked only
-        when it sticks out.
+        One pass over the items, each tested by the corners of its extent with
+        ``contains``: its one cell, or a box fill's two corners. Cells are
+        walked only for the first item outside, to name its first cell outside.
         """
-        extents = [_extent(kind, item) for item in items]
-        if not extents or self._contains_all(list(chain.from_iterable(extents))):
-            return
-        for item, extent in zip(items, extents):
-            if not all(map(self.contains, extent)):
-                position = next(p for p in starmap(Position, _box_cells(*extent)) if not self.contains(p))
+        for item in items:
+            low, high = _extent(kind, item)
+            if not (self.contains(low) and self.contains(high)):
+                cell = next(p for p in _box_cells(low, high) if not self.contains(p))
                 what = kind if kind == "block" else f"{kind} {item.id}"
-                raise OutOfBoundsError(f"{what} at {position.as_tuple()} outside volume {self.id}")
+                raise OutOfBoundsError(f"{what} at {cell} outside volume {self.id}")
 
     def add_block(self, block: BlockPlacement) -> None:
         self._check_mutable()
@@ -499,19 +492,11 @@ class BoundingVolume(_ItemHolder):
 
     # -- queries ----------------------------------------------------------
 
-    def contains(self, p: Position) -> bool:
-        return (
-            self.top_left.x <= p.x <= self.bottom_right.x
-            and self.top_left.y <= p.y <= self.bottom_right.y
-            and self.top_left.z <= p.z <= self.bottom_right.z
-        )
-
-    def _contains_all(self, positions: Sequence[Position]) -> bool:
+    def contains(self, p: Sequence[int]) -> bool:
+        """Whether point p, a Position or any (x, y, z), lies in this volume's box, corners included."""
+        x, y, z = p
         (x0, y0, z0), (x1, y1, z1) = self.top_left, self.bottom_right
-        # Per axis, the distinct values first: a volume's items share few
-        # coordinates, and hashing an int is cheaper than comparing it.
-        xs, ys, zs = map(set, zip(*positions))
-        return x0 <= min(xs) and max(xs) <= x1 and y0 <= min(ys) and max(ys) <= y1 and z0 <= min(zs) and max(zs) <= z1
+        return x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1
 
     def walk(self) -> Iterator["BoundingVolume"]:
         """Depth-first, pre-order walk of this volume and its descendants."""
@@ -545,7 +530,7 @@ class BoundingVolume(_ItemHolder):
             else:
                 self.top_left = Position(*map(min, self.top_left, child.top_left))
                 self.bottom_right = Position(*map(max, self.bottom_right, child.bottom_right))
-        elif not self._contains_all((child.top_left, child.bottom_right)):
+        elif not (self.contains(child.top_left) and self.contains(child.bottom_right)):
             raise OutOfBoundsError(
                 f"child {child.id} {child.top_left.as_tuple()}..{child.bottom_right.as_tuple()} "
                 f"exceeds parent {self.id}"

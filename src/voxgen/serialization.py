@@ -18,9 +18,10 @@ one pass over the rows. Writers only encode: keys in a fixed order, "\n" line
 endings, ASCII output. Writing what you just read reproduces the file.
 
 Every record and document is a checked tuple (``geometry._checked_tuple``):
-a namedtuple whose ``__new__`` checks its fields, the usual ones in one
-expression and any other one field at a time, which names the first bad
-field. It equals, hashes and unpacks as the tuple of its fields.
+a namedtuple whose ``__new__`` checks its fields one at a time, naming the
+first bad one, and that equals, hashes and unpacks as the tuple of its fields.
+The semantic-map records (one per item read) and the block-row walk first
+test the usual values in one expression; a session builds a few hundred others.
 ``SemanticMap.depths`` is kept outside the tuple.
 
 The format is what ``json.dumps(indent=2, ensure_ascii=True)`` lays out. The
@@ -115,8 +116,8 @@ def _check_equipment(equipment: tuple[tuple[str, str], ...], context: str) -> No
         seen.add(slot)
 
 
-# Each record's __new__ tests the usual fields in one expression, and only when
-# that fails checks them one at a time, which names the first bad field.
+# A semantic-map read builds one of these per item, so each __new__ tests the usual fields in one
+# expression, and only when that fails checks them one at a time, which names the first bad one.
 
 
 class LocationRecord(_checked_tuple("LocationRecord", "id location_type material top_left bottom_right child_ids")):
@@ -161,6 +162,7 @@ class EntityRecord(_checked_tuple("EntityRecord", "id entity_type position locat
                 and entity_type.isascii() and type(position) is Position and not equipment):
             _check_names("entity", id=id, type=entity_type)
             position, = _points("entity", id, position=position)
+            equipment = tuple(equipment)
             _check_equipment(equipment, f"entity {id}: equipment")
         return tuple.__new__(cls, (id, entity_type, position, location_id, tuple(sorted(equipment))))
 
@@ -270,14 +272,11 @@ class BlockEntityRecord(_checked_tuple("BlockEntityRecord", "entity_type x y z e
     def __new__(
         cls, entity_type: str, x: int, y: int, z: int, equipment: Iterable[tuple[str, str]] = ()
     ) -> "BlockEntityRecord":
-        if not (type(entity_type) is str and entity_type and entity_type.isascii()
-                and type(x) is type(y) is type(z) is int
-                and COORD_MIN <= x <= COORD_MAX and COORD_MIN <= y <= COORD_MAX and COORD_MIN <= z <= COORD_MAX
-                and not equipment):
-            _check_names("entity", type=entity_type)
-            for axis, value in zip("xyz", (x, y, z)):
-                _read_coord(value, f"entity {entity_type}: {axis}")
-            _check_equipment(equipment, f"entity {entity_type}: equipment")
+        _check_names("entity", type=entity_type)
+        for axis, value in zip("xyz", (x, y, z)):
+            _read_coord(value, f"entity {entity_type}: {axis}")
+        equipment = tuple(equipment)
+        _check_equipment(equipment, f"entity {entity_type}: equipment")
         return tuple.__new__(cls, (entity_type, x, y, z, tuple(sorted(equipment))))
 
 

@@ -316,6 +316,13 @@ class TestBlocks:
                 room.blocks.append(bad)
             assert room.blocks.items == items and len(room.blocks) == 16
 
+    @pytest.mark.parametrize("cls", [Blocks, BlockList])
+    @pytest.mark.parametrize("bad", ["x", None, ("stone", Position(2, 4, 2))], ids=["str", "none", "tuple"])
+    def test_a_new_blocks_refuses_anything_but_a_placement_or_a_box_fill(self, cls, bad):
+        items = [BlockPlacement("stone", Position(2, 4, 2)), bad]
+        with pytest.raises(TypeError, match=f"^block must be a BlockPlacement or a BoxFill, got {type(bad).__name__}$"):
+            cls(items)
+
 
 coords = st.integers(-3, 3)
 
@@ -412,6 +419,23 @@ class TestAddChild:
         parent = make_room("parent", (0, 0, 0), (5, 5, 5), "stone")
         with pytest.raises(OutOfBoundsError):
             parent.add_child(make_room("child", (4, 0, 0), (7, 3, 3), "stone"))
+
+    @pytest.mark.parametrize("tl, br", [
+        ((-1, 1, 1), (4, 4, 4)), ((1, 1, 1), (6, 4, 4)),
+        ((1, -1, 1), (4, 4, 4)), ((1, 1, 1), (4, 6, 4)),
+        ((1, 1, -1), (4, 4, 4)), ((1, 1, 1), (4, 4, 6)),
+    ], ids=["x-low", "x-high", "y-low", "y-high", "z-low", "z-high"])
+    def test_fixed_parent_rejects_a_child_one_cell_past_each_face(self, tl, br):
+        parent = make_room("parent", (0, 0, 0), (5, 5, 5), "stone")
+        with pytest.raises(OutOfBoundsError) as exc:
+            parent.add_child(make_room("child", tl, br, "stone"))
+        assert str(exc.value) == f"child child {tl}..{br} exceeds parent parent"
+        assert parent.children == []
+
+    def test_fixed_parent_accepts_a_child_with_its_own_box(self):
+        parent = make_room("parent", (0, 0, 0), (5, 5, 5), "stone")
+        parent.add_child(make_room("child", (0, 0, 0), (5, 5, 5), "stone"))
+        assert [c.id for c in parent.children] == ["child"]
 
 
 class TestContainers:
@@ -527,11 +551,12 @@ class TestWorldModel:
             world.add_block(BlockPlacement("stone", Position(2, 4, 2)))
 
     @pytest.mark.parametrize("outside", [[0], [12], [25], [12, 26]], ids=["first", "middle", "last", "two"])
-    @pytest.mark.parametrize("kind", ["block", "entity", "object"])
+    @pytest.mark.parametrize("kind", ["block", "entity", "object", "fill"])
     def test_finalize_names_the_first_item_outside_its_volume(self, kind, outside):
         # Items put in a volume's lists directly, not through add_*, are checked
         # at finalize. Of 25 items inside, the ones at the indexes in outside are
-        # moved out; the message names the first of them.
+        # moved out; the message names the first of them. A fill takes 2 x 1 x 2
+        # cells from its position, so one at (0, 4, 2) sticks out of the low x face.
         positions = [Position(x, 4, z) for x in range(1, 6) for z in range(1, 6)]
         for index, p in zip(outside, [Position(0, 4, 2), Position(3, 9, 3)]):
             positions.insert(index, p)
@@ -539,6 +564,8 @@ class TestWorldModel:
         for i, p in enumerate(positions):
             if kind == "block":
                 room.blocks.append(BlockPlacement("stone", p))
+            elif kind == "fill":
+                room.blocks.append(BoxFill("stone", p, p.shifted(1, 0, 1)))
             elif kind == "entity":
                 room.entities.append(EntitySpec(f"item{i}", "zombie", p))
             else:
@@ -547,7 +574,7 @@ class TestWorldModel:
         world.add_volume(room)
         with pytest.raises(OutOfBoundsError) as exc:
             world.finalize()
-        what = "block" if kind == "block" else f"{kind} item{outside[0]}"
+        what = "block" if kind in ("block", "fill") else f"{kind} item{outside[0]}"
         assert str(exc.value) == f"{what} at (0, 4, 2) outside volume room_1"
 
     def test_finalizing_keeps_equality(self):
@@ -562,6 +589,17 @@ class TestWorldModel:
         v = make_room("dot", (2, 2, 2), (2, 2, 2), "stone")
         assert v.contains(Position(2, 2, 2))
         assert not v.contains(Position(2, 2, 3))
+
+    @pytest.mark.parametrize("point, inside", [
+        ((3, 5, 3), True),
+        ((1, 5, 3), True), ((6, 5, 3), True), ((3, 3, 3), True),
+        ((3, 7, 3), True), ((3, 5, 1), True), ((3, 5, 6), True),
+        ((0, 5, 3), False), ((7, 5, 3), False), ((3, 2, 3), False),
+        ((3, 8, 3), False), ((3, 5, 0), False), ((3, 5, 7), False),
+    ])
+    def test_contains_takes_a_plain_tuple_as_a_position(self, point, inside):
+        room = make_room()  # (1, 3, 1)..(6, 7, 6)
+        assert room.contains(point) is room.contains(Position(*point)) is inside
 
 
 class TestIdRegistry:

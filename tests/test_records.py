@@ -306,6 +306,18 @@ def test_an_entity_spec_keeps_a_read_only_copy_of_its_equipment():
         spec.equipment["weapon"] = "axe"
 
 
+@pytest.mark.parametrize("build", [
+    lambda equipment: EntityRecord("e", "zombie", P, None, equipment),
+    lambda equipment: BlockEntityRecord("zombie", 0, 0, 0, equipment),
+], ids=["EntityRecord", "BlockEntityRecord"])
+def test_a_one_shot_equipment_iterator_keeps_its_items(build):
+    record = build(iter([("weapon", "sword"), ("helmet", "cap")]))
+    assert record.equipment == (("helmet", "cap"), ("weapon", "sword"))
+    # The slots are checked before the sort, which could not compare 1 with "weapon".
+    with pytest.raises(ValidationError, match=r"unknown equipment slot 1$"):
+        build(iter([("weapon", "sword"), (1, "cap")]))
+
+
 def test_defaults_are_kept():
     assert DungeonParams(4) == DungeonParams(**VALID[DungeonParams])
     style = BlueprintStyle()
