@@ -7,10 +7,10 @@ wrapper set on the module sees the call. ``viz`` renders either file set
 into an SVG blueprint or a DOT graph; ``monitor`` replays a position trace
 against a semantic map and writes location-transition events. Every output
 file is written through ``serialization._write_atomically``, so a write that
-fails leaves that file as it was. A generator writes its semantic map first
-and its block map second, each on its own: if the block map's write fails,
-the command exits 1 with the new semantic map already in place next to the
-previous block map, or none.
+fails leaves that file as it was. A generator's two files are written by
+``write_world``, to temporary siblings first: only once both are complete
+does either replace its target, so if either write fails the command exits
+1 with both previous files (or none) as they were.
 
 Exit codes: 0 success, 2 usage error, 1 anything else. All randomness flows
 from the explicit --seed flag, so identical argv means byte-identical output

@@ -31,8 +31,11 @@ cell, is held as sorted plain ``(x, y, z, material)`` tuples, the only form a
 block takes here, and streamed: each row fills a fixed template, with every
 distinct material encoded once by ``json.dumps``, and no per-row object or
 whole-document string is built; the few entities go through ``json.dumps``.
-Both writers replace the target only once the new file is complete, so a
-failure part-way leaves the previous file as it was.
+``write_world`` writes a grid's block map one x-slab at a time, as one
+document per slab (``BlockGrid.slabs``), so it holds one slab's rows at a
+time. Both writers replace the target only once the new file is complete,
+and ``write_world`` replaces its two targets only once both are, so a
+failure part-way leaves the previous files as they were.
 
 Readers parse, check what the records cannot see (the JSON shape: lists,
 objects and the schema version) and construct the records and the document,
@@ -116,6 +119,14 @@ def _check_equipment(equipment: tuple[tuple[str, str], ...], context: str) -> No
         seen.add(slot)
 
 
+def _ascii_names(names: list) -> bool:
+    """Whether names are all nonempty ASCII strs: the fast test of an id list. join refuses a non-str in C."""
+    try:
+        return "".join(names).isascii() and all(names)
+    except TypeError:
+        return False
+
+
 # A semantic-map read builds one of these per item, so each __new__ tests the usual fields in one
 # expression, and only when that fails checks them one at a time, which names the first bad one.
 
@@ -127,13 +138,18 @@ class LocationRecord(_checked_tuple("LocationRecord", "id location_type material
         cls, id: str, location_type: str, material: str, top_left: Position, bottom_right: Position,
         child_ids: Iterable[str],
     ) -> "LocationRecord":
+        child_ids = list(child_ids)  # checked, then sorted in place
         if not (type(id) is type(location_type) is type(material) is str and id and location_type and material
                 and id.isascii() and location_type.isascii() and material.isascii()
-                and type(top_left) is type(bottom_right) is Position and _corners_in_order(top_left, bottom_right)):
+                and type(top_left) is type(bottom_right) is Position and _corners_in_order(top_left, bottom_right)
+                and _ascii_names(child_ids)):
             _check_names("location", id=id, type=location_type, material=material)
             top_left, bottom_right = _points("location", id, top_left=top_left, bottom_right=bottom_right)
             _check_bounds(top_left, bottom_right, f"location {id}: bounds")
-        return tuple.__new__(cls, (id, location_type, material, top_left, bottom_right, tuple(sorted(child_ids))))
+            for child_id in child_ids:  # before the sort can meet a bad one
+                _check_name(child_id, f"location {id}: child id", ValidationError)
+        child_ids.sort()
+        return tuple.__new__(cls, (id, location_type, material, top_left, bottom_right, tuple(child_ids)))
 
 
 class ConnectionRecord(_checked_tuple("ConnectionRecord", "id connection_type top_left bottom_right connected_ids")):
@@ -142,13 +158,17 @@ class ConnectionRecord(_checked_tuple("ConnectionRecord", "id connection_type to
     def __new__(
         cls, id: str, connection_type: str, top_left: Position, bottom_right: Position, connected_ids: Iterable[str]
     ) -> "ConnectionRecord":
+        connected_ids = list(connected_ids)
         if not (type(id) is type(connection_type) is str and id and connection_type and id.isascii()
                 and connection_type.isascii() and type(top_left) is type(bottom_right) is Position
-                and _corners_in_order(top_left, bottom_right)):
+                and _corners_in_order(top_left, bottom_right) and _ascii_names(connected_ids)):
             _check_names("connection", id=id, type=connection_type)
             top_left, bottom_right = _points("connection", id, top_left=top_left, bottom_right=bottom_right)
             _check_bounds(top_left, bottom_right, f"connection {id}: bounds")
-        return tuple.__new__(cls, (id, connection_type, top_left, bottom_right, tuple(sorted(connected_ids))))
+            for connected_id in connected_ids:
+                _check_name(connected_id, f"connection {id}: connected id", ValidationError)
+        connected_ids.sort()
+        return tuple.__new__(cls, (id, connection_type, top_left, bottom_right, tuple(connected_ids)))
 
 
 class EntityRecord(_checked_tuple("EntityRecord", "id entity_type position location_id equipment")):
@@ -285,6 +305,9 @@ BlockRow = tuple[int, int, int, str]
 
 _X, _Y, _Z, _MATERIAL = map(operator.itemgetter, range(4))
 
+# The order of a block map's entities.
+_ENTITY_ORDER = operator.attrgetter("x", "y", "z", "entity_type", "equipment")
+
 
 def _check_block_row(index: int, row: Any) -> None:
     """ValidationError naming row's first bad field: its shape, then x, y and z, then its material."""
@@ -333,8 +356,7 @@ class BlockMapDocument(_checked_tuple("BlockMapDocument", "rows entities")):
         duplicate = next(itertools.compress(rows, map(operator.eq, *cells)), None)
         if duplicate is not None:
             raise ValidationError(f"duplicate block coordinates {duplicate[:3]}")
-        entities = _sorted_records(entities, BlockEntityRecord, lambda e: (e.x, e.y, e.z, e.entity_type, e.equipment),
-                                   "block map entities")
+        entities = _sorted_records(entities, BlockEntityRecord, _ENTITY_ORDER, "block map entities")
         return tuple.__new__(cls, (tuple(rows), entities))
 
 
@@ -383,9 +405,9 @@ def semantic_map_from_world(world: WorldModel) -> SemanticMap:
 
 
 def block_map_from_grid(grid: BlockGrid) -> BlockMapDocument:
-    """Project a block grid onto its block-map document."""
+    """Project a block grid onto its block-map document, taking its cells one x-slab at a time."""
     # A generator: the document's own sorted list is then the only list of the rows.
-    rows = ((x, y, z, material) for (x, y, z), material in grid.cells.items())
+    rows = ((x, y, z, material) for slab in grid.slabs() for (x, y, z), material in slab.cells.items())
     entities = [
         BlockEntityRecord(e.entity_type, *e.position, _equipment_items(e.equipment)) for e in grid.entities
     ]
@@ -441,24 +463,29 @@ def _semantic_map_json(m: SemanticMap) -> dict[str, Any]:
     }
 
 
+def _temporary_sibling(path: PathLike) -> Optional[str]:
+    """A fresh name beside path's real target (a link is followed) to write it through, or None if the target
+    exists but is not a regular file (a device, a FIFO): replacing that would destroy it, so it is written in place."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        return None
+    return f"{target}.{os.urandom(4).hex()}.tmp"
+
+
 def _write_atomically(path: PathLike, write: Callable[[TextIO], None]) -> None:
     """Write a text file through write(handle), all or nothing.
 
-    The text goes to a temporary sibling that then replaces the target, so an
-    exception part-way leaves the previous file (or no file) and no temporary
-    behind. The file gets the mode that ``open(path, "w")`` gives a new file
-    under the umask. A symbolic link is followed, and a target that exists but
-    is not a regular file (a device, a FIFO) is written in place, because
-    replacing it would destroy it.
+    The text goes to a _temporary_sibling that then replaces the target, so
+    an exception part-way leaves the previous file (or no file) and no
+    temporary behind. The file gets the mode that ``open(path, "w")`` gives a
+    new file under the umask.
     """
-    target = os.path.realpath(path)
-    in_place = os.path.exists(target) and not os.path.isfile(target)
-    temp = None if in_place else f"{target}.{os.urandom(4).hex()}.tmp"
+    temp = _temporary_sibling(path)
     try:
-        with open(temp or target, "x" if temp else "w", encoding="utf-8", newline="\n") as handle:
+        with open(temp or path, "x" if temp else "w", encoding="utf-8", newline="\n") as handle:
             write(handle)
         if temp:
-            os.replace(temp, target)
+            os.replace(temp, os.path.realpath(path))
     except BaseException as err:
         if temp:
             with contextlib.suppress(OSError):
@@ -487,33 +514,70 @@ def _encode(text: str) -> str:
     return json.dumps(text, ensure_ascii=True)
 
 
-def _write_block_map_rows(doc: BlockMapDocument, handle: TextIO) -> None:
-    """The block map as json.dumps(indent=2) lays it out: each row from _BLOCK_ROW, the few entities by json."""
-    materials = {material: _encode(material) for material in set(map(_MATERIAL, doc.rows))}
+def _write_block_map_rows(docs: Iterable[BlockMapDocument], handle: TextIO) -> None:
+    """The one block map of docs, as json.dumps(indent=2) lays it out: each row from _BLOCK_ROW, each material
+    encoded once, then all the few entities by json. ValidationError if a document's cells do not follow the last's."""
+    materials: dict[str, str] = {}
+    entities: list[BlockEntityRecord] = []
+    last = None
     handle.write('{\n  "schema_version": %s,\n  "blocks": ' % _encode(SCHEMA_VERSION))
     separator = "[\n"
-    for x, y, z, material in doc.rows:
-        handle.write(separator + _BLOCK_ROW % (materials[material], x, y, z))
-        separator = ",\n"
+    for doc in docs:
+        entities += doc.entities
+        if not doc.rows:
+            continue
+        if last is not None and doc.rows[0][:3] <= last:
+            raise ValidationError(f"block map document starting at {doc.rows[0][:3]} does not come after {last}")
+        last = doc.rows[-1][:3]
+        for material in set(map(_MATERIAL, doc.rows)) - materials.keys():
+            materials[material] = _encode(material)
+        for x, y, z, material in doc.rows:
+            handle.write(separator + _BLOCK_ROW % (materials[material], x, y, z))
+            separator = ",\n"
     handle.write("[]" if separator == "[\n" else "\n  ]")
-    entities = [{"type": e.entity_type, "x": e.x, "y": e.y, "z": e.z} for e in doc.entities]
-    for entity, e in zip(entities, doc.entities):
+    entities.sort(key=_ENTITY_ORDER)
+    rows = [{"type": e.entity_type, "x": e.x, "y": e.y, "z": e.z} for e in entities]
+    for row, e in zip(rows, entities):
         if e.equipment:
-            entity["equipment"] = dict(e.equipment)
+            row["equipment"] = dict(e.equipment)
     # One level deeper than json.dumps lays the list out; a JSON string holds no raw newline.
-    handle.write(',\n  "entities": %s\n}\n' % json.dumps(entities, indent=2, ensure_ascii=True).replace("\n", "\n  "))
+    handle.write(',\n  "entities": %s\n}\n' % json.dumps(rows, indent=2, ensure_ascii=True).replace("\n", "\n  "))
 
 
-def write_block_map(doc: BlockMapDocument, path: PathLike) -> None:
-    _write_atomically(path, lambda handle: _write_block_map_rows(doc, handle))
+def write_block_map(doc: Union[BlockMapDocument, Iterable[BlockMapDocument]], path: PathLike) -> None:
+    """Write one block-map document, or the one block map of documents whose cells ascend from each to the next."""
+    docs = (doc,) if isinstance(doc, BlockMapDocument) else doc
+    _write_atomically(path, lambda handle: _write_block_map_rows(docs, handle))
 
 
 def write_world(world: WorldModel, grid: BlockGrid, hlr_path: PathLike, llr_path: PathLike) -> None:
-    """Write the semantic map and block map for a world and its grid, to two different files."""
+    """Write the semantic map and block map for a world and its grid, to two different files.
+
+    Both go to _temporary_sibling files, which replace the targets only once
+    both are complete, so a failed write leaves both previous files as they
+    were. The block map is projected and written one x-slab at a time.
+    """
     if Path(hlr_path).resolve() == Path(llr_path).resolve():
         raise VoxgenError(f"the semantic map and the block map would both be written to {llr_path}")
-    write_semantic_map(semantic_map_from_world(world), hlr_path)
-    write_block_map(block_map_from_grid(grid), llr_path)
+    paths = (hlr_path, llr_path)
+    temps = [_temporary_sibling(path) for path in paths]
+    hlr_file, llr_file = (temp or path for temp, path in zip(temps, paths))
+    shown = hlr_path  # the target being written, for an OSError's message
+    try:
+        write_semantic_map(semantic_map_from_world(world), hlr_file)
+        shown = llr_path
+        write_block_map(map(block_map_from_grid, grid.slabs()), llr_file)
+        for temp, shown in zip(temps, paths):
+            if temp:
+                os.replace(temp, os.path.realpath(shown))
+    except BaseException as err:
+        for temp in filter(None, temps):
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+        if isinstance(err, OSError):
+            cause = err.__cause__ or err  # a write's OSError names its temporary file; its cause has the reason
+            raise OSError(f"cannot write {shown}: {cause.strerror or cause}") from cause
+        raise
 
 
 # -- validated reading --------------------------------------------------------

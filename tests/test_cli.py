@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -247,6 +248,16 @@ def test_missing_input_file_exits_1(tmp_path, capsys):
     assert run(["monitor", "--hlr", str(tmp_path / "none.json"),
                 "--trace", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "o.jsonl")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_an_unwritable_block_map_exits_1_leaving_the_previous_semantic_map(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["gridworld", "--n", "2", "--out-hlr", "h.json", "--out-llr", "l.json"]) == 0
+    before = (tmp_path / "h.json").read_bytes()
+    assert run(["gridworld", "--n", "3", "--out-hlr", "h.json", "--out-llr", "missing/l.json"]) == 1
+    assert capsys.readouterr().err.startswith("error: io: cannot write missing/l.json: ")
+    assert (tmp_path / "h.json").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["h.json", "l.json"]
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):

@@ -15,6 +15,19 @@ reuses from its free list, and three 8-byte pointer arrays (the rows, the
 document's copy and its tuple). The document checks its rows in one pass,
 which holds no column of them; a check that held all four columns at once
 would add 24 more. The bound is 100.
+Rasterizing that world and writing its block map as ``write_world`` does,
+one x-slab at a time, peaks at about 330 bytes per row of its largest
+x-slab (1,040 rows at 8 columns a slab), 333 KB. ``dungeon --n 12`` with the
+same footprint and seed has 4.1 times the rows (41,717), and its slabs twice
+the z-extent: its largest holds 2,294, and the peak is 784 KB, 2.35 times
+the first. So the peak is bounded per slab row, not whole: nothing else it
+holds grows faster than a slab, and it is near 350 bytes per slab row, 1.07
+times the first. Building the whole grid and the whole document first peaks
+near 1,890 bytes per slab row at n = 6 and 3,550 at n = 12, 1.88 times as
+much (1.9 MB and 8.0 MB). The bound is 1.5 times. A whole collection runs
+before each of these two peaks is taken, which empties the interpreter's
+free lists, so that every tuple the write builds is counted and the peaks
+do not depend on what ran before them.
 What ``read_block_map`` still holds of the same block map when it returns
 is about 80 bytes per row: a 72-byte row tuple and its pointer in the
 document, whose coordinates are small cached ints and whose material is one
@@ -46,6 +59,7 @@ The module needs no pytest: ``python tests/test_memory.py`` runs the checks
 and prints each peak or holding as a multiple of its base.
 """
 
+import gc
 import json
 import random
 import sys
@@ -61,6 +75,8 @@ from voxgen.viz import render_blueprint
 
 DUNGEON = ["dungeon", "--n", "6", "--cell-footprint", "20", "--seed", "3"]
 DUNGEON_ROWS = 10_114
+# The same dungeon on a grid twice as wide each way.
+DUNGEON_4X = ["dungeon", "--n", "12", "--cell-footprint", "20", "--seed", "3"]
 GRIDWORLD = ["gridworld", "--n", "30"]
 GRIDWORLD_RECORDS = 900 + 1_740
 TRACE_SAMPLES = 20_000
@@ -106,8 +122,8 @@ def held_after(fn, *args):
     return result, held
 
 
-def build_world():
-    args = build_parser().parse_args([*DUNGEON, "--out-hlr", "unused", "--out-llr", "unused"])
+def build_world(argv=DUNGEON):
+    args = build_parser().parse_args([*argv, "--out-hlr", "unused", "--out-llr", "unused"])
     return args.build(args)
 
 
@@ -121,6 +137,26 @@ def projection_bytes_per_row():
     doc, peak = traced_peak(block_map_from_grid, rasterize(build_world()))
     assert len(doc.rows) == DUNGEON_ROWS
     return peak / DUNGEON_ROWS
+
+
+def generation_bytes_per_slab_row(argv, llr):
+    """The peak of rasterizing argv's world and writing its block map to llr, per row of its largest x-slab."""
+    world = build_world(argv)
+
+    def generate():
+        grid = rasterize(world)
+        write_block_map(map(block_map_from_grid, grid.slabs()), llr)  # as write_world writes it
+        return grid
+
+    gc.collect()
+    grid, peak = traced_peak(generate)
+    return peak / max(len(slab.cells) for slab in grid.slabs())
+
+
+def generation_growth(tmp_path):
+    """How much the generation peak per slab row grows from DUNGEON to DUNGEON_4X."""
+    llr = tmp_path / "block_map.json"
+    return generation_bytes_per_slab_row(DUNGEON_4X, llr) / generation_bytes_per_slab_row(DUNGEON, llr)
 
 
 def read_ratio(llr):
@@ -203,6 +239,10 @@ def test_projecting_a_grid_to_its_block_map_peaks_under_100_bytes_per_row():
     assert projection_bytes_per_row() < 100
 
 
+def test_generating_4x_the_cells_peaks_within_1_5_times_per_slab_row(tmp_path):
+    assert generation_growth(tmp_path) < 1.5
+
+
 def test_a_read_semantic_map_keeps_under_560_bytes_per_record(tmp_path):
     assert semantic_map_bytes_per_record(tmp_path) < 560
 
@@ -220,6 +260,7 @@ if __name__ == "__main__":
         large_ratio, per_large_row = read_ratio(large), read_bytes_per_row(large)
         per_sample = trace_bytes_per_sample(write_trace(Path(scratch) / "trace.jsonl"))
         per_record = semantic_map_bytes_per_record(Path(scratch))
+        growth = generation_growth(Path(scratch))
     per_row, projection = world_bytes_per_row(), projection_bytes_per_row()
     for name, ratio in ratios.items():
         print(f"{sys.version.split()[0]}  {name}: {ratio:.2f} (limit 3)")
@@ -229,7 +270,10 @@ if __name__ == "__main__":
           "bytes (limit 90)")
     print(f"{sys.version.split()[0]}  finalized world / block-map rows: {per_row:.1f} bytes (limit 20)")
     print(f"{sys.version.split()[0]}  block_map_from_grid peak / block-map rows: {projection:.1f} bytes (limit 100)")
+    print(f"{sys.version.split()[0]}  rasterize + block-map write peak per slab row, 4x the cells / 1x: {growth:.2f} "
+          "(limit 1.5)")
     print(f"{sys.version.split()[0]}  read_trace peak / trace samples: {per_sample:.1f} bytes (limit 300)")
     print(f"{sys.version.split()[0]}  read_semantic_map kept / records: {per_record:.1f} bytes (limit 560)")
     sys.exit(any(ratio >= 3 for ratio in ratios.values()) or per_read_row >= 90 or large_ratio >= 2.15
-             or per_large_row >= 90 or per_row >= 20 or projection >= 100 or per_sample >= 300 or per_record >= 560)
+             or per_large_row >= 90 or per_row >= 20 or projection >= 100 or per_sample >= 300 or per_record >= 560
+             or growth >= 1.5)

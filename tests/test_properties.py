@@ -18,6 +18,10 @@ map with one mutation: the same map, or the same error and message.
 traces of valid samples mixed with blank lines, every line ending, lines
 that a joined parse could misread and every bad field, read three lines to
 a chunk: the same events, or the same error and message.
+The block map that ``write_world`` streams one x-slab at a time has the
+bytes of the one document of ``oracles.naive_rasterize``'s cells, at slab
+widths from 1 to 64, and generating a world builds no cell dict or
+document with more rows than its largest slab.
 ``LocationIndex.locate`` agrees with the ``oracles.scan_locate`` scan on
 random location forests, on wide maps of side-by-side roots, crossing strips
 and boxes that reach the lattice's ends, and on a map with more distinct
@@ -33,10 +37,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from voxgen import query, serialization
+from voxgen import cli, query, raster, serialization
 from voxgen.errors import ParseError, ValidationError
+from voxgen.generators import DungeonParams, gen_dungeon, gen_gridworld, gen_zombieworld
 from voxgen.geometry import COORD_MAX, COORD_MIN, EQUIPMENT_SLOTS, Position
 from voxgen.query import LocationIndex, read_trace
+from voxgen.raster import rasterize
 from voxgen.serialization import (
     BlockEntityRecord,
     BlockMapDocument,
@@ -46,9 +52,10 @@ from voxgen.serialization import (
     read_semantic_map,
     write_block_map,
     write_semantic_map,
+    write_world,
 )
 
-from oracles import block_map_text, read_block_rows, read_trace_lines, scan_locate
+from oracles import block_map_text, naive_rasterize, random_world, read_block_rows, read_trace_lines, scan_locate
 
 READERS = [read_semantic_map, read_block_map, read_trace]
 WRITERS = {read_semantic_map: write_semantic_map, read_block_map: write_block_map}
@@ -194,6 +201,63 @@ def test_block_map_writer_matches_the_plain_json_encoding(tmp_path, doc):
     path = tmp_path / "block_map.json"
     write_block_map(doc, path)
     assert path.read_bytes() == block_map_text(doc).encode("ascii")
+
+
+def oracle_block_map(world):
+    """The one block-map document of the world's cells and entities as oracles.naive_rasterize finds them."""
+    cells, entities = naive_rasterize(world)
+    return BlockMapDocument(
+        [(*cell, material) for cell, material in cells.items()],
+        [BlockEntityRecord(e.entity_type, *e.position, tuple(e.equipment.items()) if e.equipment else ())
+         for e in entities],
+    )
+
+
+# Random worlds of at least one cell, small dungeons, and worlds whose doors carve across slabs.
+SLAB_WORLDS = [world for world in map(random_world, range(60)) if naive_rasterize(world)[0]][:40] + [
+    gen_dungeon(DungeonParams(n=3, seed=seed, cell_footprint=7)) for seed in range(4)
+] + [gen_gridworld(3), gen_zombieworld(0)]
+
+
+@pytest.mark.parametrize("width", [1, 3, 16, 64])
+def test_the_block_map_streamed_by_slab_is_the_oracles_one_document(tmp_path, monkeypatch, width):
+    monkeypatch.setattr(raster, "SLAB_WIDTH", width)
+    hlr, llr, expected = (tmp_path / name for name in ("semantic_map.json", "block_map.json", "oracle.json"))
+    for world in SLAB_WORLDS:
+        grid = rasterize(world)
+        write_world(world, grid, hlr, llr)
+        write_block_map(oracle_block_map(world), expected)
+        assert llr.read_bytes() == expected.read_bytes(), world.id
+        assert grid.cells == naive_rasterize(world)[0], world.id
+
+
+def test_generating_builds_no_cell_dict_or_document_larger_than_a_slab(tmp_path, monkeypatch):
+    """The generator path: a command's cell dicts and block-map documents each hold at most one x-slab."""
+    argv = ["dungeon", "--n", "4", "--cell-footprint", "20", "--seed", "3"]
+    slabs = [len(slab.cells) for slab in rasterize(gen_dungeon(DungeonParams(n=4, seed=3, cell_footprint=20))).slabs()]
+    documents, cell_dicts = [], []
+
+    class Recorded(BlockMapDocument):
+        __slots__ = ()
+
+        def __new__(cls, rows=(), entities=()):
+            doc = super().__new__(cls, rows, entities)
+            documents.append(len(doc.rows))
+            return doc
+
+    def recorded_apply(writes, x_lo, x_hi):
+        cells = apply(writes, x_lo, x_hi)
+        cell_dicts.append(len(cells))
+        return cells
+
+    apply = raster._apply
+    monkeypatch.setattr(serialization, "BlockMapDocument", Recorded)
+    monkeypatch.setattr(raster, "_apply", recorded_apply)
+    hlr, llr = tmp_path / "semantic_map.json", tmp_path / "block_map.json"
+    assert cli.run([*argv, "--out-hlr", str(hlr), "--out-llr", str(llr)]) == 0
+    monkeypatch.undo()
+    assert len(slabs) > 1 and max(slabs) < sum(slabs) == len(read_block_map(llr).rows)
+    assert documents == cell_dicts == slabs
 
 
 # A row, or now and then one with a bad field or a bad shape; coordinates

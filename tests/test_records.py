@@ -105,7 +105,19 @@ CASES = [
          "location a: bottom_right: expected three signed 64-bit integers, got [1, 1]", "location-bottom-right"),
     case(LocationRecord, "bottom_right", (1, 1, -1), ValidationError,
          "location a: bounds: top_left must be <= bottom_right per axis", "location-corners"),
+    case(LocationRecord, "child_ids", [5, "x"], ValidationError, f"location a: child id {NAME_RULE} 5",
+         "location-mixed-child-ids"),
+    case(LocationRecord, "child_ids", [5], ValidationError, f"location a: child id {NAME_RULE} 5",
+         "location-int-child-id"),
+    case(LocationRecord, "child_ids", ["b", ""], ValidationError, f"location a: child id {NAME_RULE} ''",
+         "location-empty-child-id"),
     case(ConnectionRecord, "id", 3, ValidationError, f"connection id {NAME_RULE} 3", "connection-id"),
+    case(ConnectionRecord, "connected_ids", [5, "x"], ValidationError, f"connection c: connected id {NAME_RULE} 5",
+         "connection-mixed-ids"),
+    case(ConnectionRecord, "connected_ids", [1, 2], ValidationError, f"connection c: connected id {NAME_RULE} 1",
+         "connection-int-ids"),
+    case(ConnectionRecord, "connected_ids", ("a", "\ud800"), ValidationError,
+         f"connection c: connected id {NAME_RULE} '\\ud800'", "connection-unencodable-id"),
     case(ConnectionRecord, "connection_type", "", ValidationError, f"connection type {NAME_RULE} ''",
          "connection-type"),
     case(ConnectionRecord, "top_left", "abc", ValidationError,

@@ -14,7 +14,7 @@ from voxgen import serialization
 from voxgen.errors import ParseError, ValidationError
 from voxgen.generators import DungeonParams, gen_dungeon, gen_gridworld, gen_zombieworld
 from voxgen.geometry import BlockPlacement, BoundingVolume, EntitySpec, Position, WorldModel
-from voxgen.raster import rasterize
+from voxgen.raster import BlockGrid, rasterize
 from voxgen.serialization import (
     BlockEntityRecord,
     BlockMapDocument,
@@ -674,6 +674,58 @@ def test_a_write_that_fails_part_way_leaves_the_previous_file(tmp_path):
     broken = BlockMapDocument(rows=rows, entities=[entity])
     with pytest.raises(TypeError):
         write_block_map(broken, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["block_map.json"]
+
+
+def test_a_failed_block_map_write_leaves_both_previous_files(tmp_path, tutorial_world, tutorial_grid):
+    hlr, llr = write_tutorial(tmp_path, tutorial_world, tutorial_grid)
+    before = hlr.read_bytes(), llr.read_bytes()
+    world = WorldModel("other").finalize()
+    # The row check refuses the empty material only once the semantic map is complete.
+    with pytest.raises(ValidationError, match="block material"):
+        write_world(world, BlockGrid({(0, 0, 0): ""}), hlr, llr)
+    assert (hlr.read_bytes(), llr.read_bytes()) == before
+    assert sorted(os.listdir(tmp_path)) == ["block_map.json", "semantic_map.json"]
+
+
+def test_an_unwritable_block_map_leaves_the_previous_semantic_map(tmp_path, tutorial_world, tutorial_grid):
+    hlr, _ = write_tutorial(tmp_path, tutorial_world, tutorial_grid)
+    before = hlr.read_bytes()
+    missing = tmp_path / "missing" / "block_map.json"
+    with pytest.raises(OSError, match=f"^cannot write {re.escape(str(missing))}: "):
+        write_world(WorldModel("other").finalize(), tutorial_grid, hlr, missing)
+    assert hlr.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["block_map.json", "semantic_map.json"]
+
+
+def test_a_change_to_a_rasterized_grids_cells_is_written(tmp_path):
+    world = gen_gridworld(2)
+    grid = rasterize(world)
+    grid.cells[500, 0, 0] = "gold"
+    _, llr = write_tutorial(tmp_path, world, grid)
+    assert read_block_map(llr).rows[-1] == (500, 0, 0, "gold")
+    assert len(read_block_map(llr).rows) == len(grid.cells)
+
+
+def test_documents_whose_cells_ascend_write_as_one_block_map(tmp_path):
+    rows = [(x, y, 0, "log" if x % 2 else "stone") for x in range(4) for y in range(2)]
+    entity = BlockEntityRecord("zombie", 0, 0, 0)
+    whole, parts = tmp_path / "whole.json", tmp_path / "parts.json"
+    write_block_map(BlockMapDocument(rows, [entity]), whole)
+    write_block_map(iter([BlockMapDocument(rows[:3]), BlockMapDocument(), BlockMapDocument(rows[3:], [entity])]),
+                    parts)
+    assert parts.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("second", [[(1, 0, 0, "log")], [(0, 5, 0, "log")], [(0, 0, 0, "log")]])
+def test_a_document_not_after_the_previous_one_is_refused(tmp_path, second):
+    path = tmp_path / "block_map.json"
+    write_block_map(BlockMapDocument([(0, 0, 0, "log")]), path)
+    before = path.read_bytes()
+    first = BlockMapDocument([(0, 0, 1, "log"), (1, 0, 0, "log")])
+    with pytest.raises(ValidationError, match=r"does not come after \(1, 0, 0\)$"):
+        write_block_map([first, BlockMapDocument(second)], path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["block_map.json"]
 
