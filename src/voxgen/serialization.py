@@ -14,23 +14,26 @@ of its points as a Position, built with Position(*point) if given otherwise,
 and a block-map entity's x, y and z are signed 64-bit ints. A block row is
 checked in one place, ``BlockMapDocument``, whoever built it: an
 ``(x, y, z, material)`` tuple with signed 64-bit int coordinates, checked in
-one pass over the rows. Writers only encode: keys in a fixed order, "\n" line
+one walk over the rows. Writers only encode: keys in a fixed order, "\n" line
 endings, ASCII output. Writing what you just read reproduces the file.
 
 Every record and document is a checked tuple (``geometry._checked_tuple``):
 a namedtuple whose ``__new__`` checks its fields one at a time, naming the
 first bad one, and that equals, hashes and unpacks as the tuple of its fields.
-The semantic-map records (one per item read) and the block-row walk first
-test the usual values in one expression; a session builds a few hundred others.
+The semantic-map records (one per item read) first test the usual values in
+one expression, and the block-row walk a batch of rows a column at a time; a
+session builds a few hundred others.
 ``SemanticMap.depths`` is kept outside the tuple.
 
 The format is what ``json.dumps(indent=2, ensure_ascii=True)`` lays out. The
 semantic map goes through ``json.dump``, which writes the text as it encodes
 it instead of joining it into one string first. The block map, one row per
-cell, is held as sorted plain ``(x, y, z, material)`` tuples, the only form a
-block takes here, and streamed: each row fills a fixed template, with every
-distinct material encoded once by ``json.dumps``, and no per-row object or
-whole-document string is built; the few entities go through ``json.dumps``.
+cell, is held as columns in cell order (``BlockRows``: three ``array('q')``
+of coordinates and an index into a table of distinct materials), read as
+plain ``(x, y, z, material)`` tuples, and streamed: each row fills a fixed
+template, a batch of rows joined at a time, with each document's materials
+encoded once by ``json.dumps``, and no per-row object or whole-document
+string is built; the few entities go through ``json.dumps``.
 ``write_world`` writes a grid's block map one x-slab at a time, as one
 document per slab (``BlockGrid.slabs``), so it holds one slab's rows at a
 time. Both writers replace the target only once the new file is complete,
@@ -42,12 +45,14 @@ objects and the schema version) and construct the records and the document,
 whose own checks are the rest. The semantic-map reader builds each record
 straight from its parsed object; only if that raises does it read the same
 parsed data one field at a time, which names the first bad field in the
-reader's words. The block-map reader builds each block's row while the file
-is parsed, whatever the order of its keys, so the parsed document holds no
-object per block, one string per distinct material and one int per distinct
-integer literal, and hands the rows to the document, which checks them. If
-that fails, the same parse, rows turned back into objects, is read field by
-field: each file is parsed once.
+reader's words. The block-map reader reads a file in the writer's own layout
+a chunk at a time, each chunk's blocks going straight into the document's
+columns, so it holds one chunk's text and objects, never the file's. Any
+other file, or one that fails, is parsed whole: each block's row
+is built while the file is parsed, whatever the order of its keys, with one
+string per distinct material and one int per distinct integer literal, and
+the rows go to the document, which checks them. If that fails, the same
+parse, rows turned back into objects, is read field by field.
 Readers raise ParseError (undecodable or malformed JSON, naming the line
 where known) or ValidationError.
 """
@@ -62,6 +67,7 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, TextIO, Union
 
+from .blockrows import _X, _Y, _Z, BlockRow, BlockRows, _Columns
 from .errors import CoordinateOverflowError, ParseError, ValidationError, VoxgenError
 from .geometry import (
     COORD_MAX,
@@ -300,13 +306,11 @@ class BlockEntityRecord(_checked_tuple("BlockEntityRecord", "entity_type x y z e
         return tuple.__new__(cls, (entity_type, x, y, z, tuple(sorted(equipment))))
 
 
-# A block as the block map stores it: its cell, then its material.
-BlockRow = tuple[int, int, int, str]
-
-_X, _Y, _Z, _MATERIAL = map(operator.itemgetter, range(4))
-
 # The order of a block map's entities.
 _ENTITY_ORDER = operator.attrgetter("x", "y", "z", "entity_type", "equipment")
+
+# Rows handled as one batch: a document checks a batch whole, a column at a time in C; the writer joins its text.
+_BATCH_ROWS = 256
 
 
 def _check_block_row(index: int, row: Any) -> None:
@@ -322,15 +326,16 @@ def _check_block_row(index: int, row: Any) -> None:
 class BlockMapDocument(_checked_tuple("BlockMapDocument", "rows entities")):
     """The low-level document: every block and entity in the flattened world, one block per cell.
 
-    The blocks are ``rows``, plain ``(x, y, z, material)`` tuples, given in
-    any order and kept sorted as tuples, which is (x, y, z) order because no
-    two share a cell. This is the one check of a row, whoever built it: a
-    4-tuple whose x, y and z are ints (not bools) on the signed 64-bit
-    lattice, as Position takes them, and whose material passes the readers'
-    name rule, in a cell no other row takes. The rows are checked in one
-    pass, in the order given: a row of plain ints whose material an earlier
-    row passed takes one expression, and any other is checked field by field
-    (an int or str subclass passes), which names the first bad row and field.
+    The blocks are given as ``rows``, plain ``(x, y, z, material)`` tuples
+    in any order, and kept as ``BlockRows``: columns in cell order. This is
+    the one check of a row, whoever built it: a 4-tuple whose x, y and z are
+    ints (not bools) on the signed 64-bit lattice, as Position takes them,
+    and whose material passes the readers' name rule, in a cell no other
+    row takes. The rows are consumed in one walk, in the order given, a
+    batch of _BATCH_ROWS at a time: a batch of plain values is checked a
+    column at a time, and any other batch row by row (an int or str
+    subclass passes), which names the first bad row and field. A BlockRows
+    is taken as it is, already checked.
     """
 
     __slots__ = ()
@@ -338,26 +343,21 @@ class BlockMapDocument(_checked_tuple("BlockMapDocument", "rows entities")):
     def __new__(
         cls, rows: Iterable[BlockRow] = (), entities: Iterable[BlockEntityRecord] = ()
     ) -> "BlockMapDocument":
-        rows = list(rows)
-        # Before the sort, which cannot compare a str coordinate with an int; `named` holds the materials passed so far.
-        named: set[str] = set()
-        for index, row in enumerate(rows):
-            if type(row) is tuple and len(row) == 4:
-                x, y, z, material = row
-                if (type(x) is type(y) is type(z) is int
-                        and COORD_MIN <= x <= COORD_MAX and COORD_MIN <= y <= COORD_MAX and COORD_MIN <= z <= COORD_MAX
-                        and type(material) is str and material in named):
-                    continue
-            _check_block_row(index, row)
-            named.add(row[3])
-        rows.sort()
-        # Each row's cell against the next one's; zip reuses its result tuple, so no tuple is built per row.
-        cells = [zip(*(map(axis, itertools.islice(rows, start, None)) for axis in (_X, _Y, _Z))) for start in (0, 1)]
-        duplicate = next(itertools.compress(rows, map(operator.eq, *cells)), None)
-        if duplicate is not None:
-            raise ValidationError(f"duplicate block coordinates {duplicate[:3]}")
+        if type(rows) is not BlockRows:
+            columns = _Columns()
+            rows = iter(rows)
+            for start in itertools.count(0, _BATCH_ROWS):
+                batch = list(itertools.islice(rows, _BATCH_ROWS))
+                if not batch:
+                    break
+                if not (set(map(type, batch)) == {tuple} and set(map(len, batch)) == {4}
+                        and columns.add(*zip(*batch))):
+                    for index, row in enumerate(batch, start):
+                        _check_block_row(index, row)
+                        columns.append(row)
+            rows = columns.rows()
         entities = _sorted_records(entities, BlockEntityRecord, _ENTITY_ORDER, "block map entities")
-        return tuple.__new__(cls, (tuple(rows), entities))
+        return tuple.__new__(cls, (rows, entities))
 
 
 # -- building documents from in-memory worlds -------------------------------
@@ -404,14 +404,33 @@ def semantic_map_from_world(world: WorldModel) -> SemanticMap:
     return SemanticMap(world.id, tuple(locations), tuple(connections), tuple(entities), tuple(objects))
 
 
+def _add_cells(columns: _Columns, cells: dict) -> bool:
+    """Whether a grid's cells, sorted once, check into columns as whole columns."""
+    try:
+        keys = sorted(cells)
+        cells_are_triples = set(map(len, keys)) <= {3}
+    except TypeError:  # keys that do not sort, or have no length
+        return False
+    return cells_are_triples and columns.add(
+        [*map(_X, keys)], [*map(_Y, keys)], [*map(_Z, keys)], [*map(cells.__getitem__, keys)]
+    )
+
+
 def block_map_from_grid(grid: BlockGrid) -> BlockMapDocument:
-    """Project a block grid onto its block-map document, taking its cells one x-slab at a time."""
-    # A generator: the document's own sorted list is then the only list of the rows.
-    rows = ((x, y, z, material) for slab in grid.slabs() for (x, y, z), material in slab.cells.items())
+    """Project a block grid onto its block-map document, taking its cells one x-slab at a time.
+
+    Each slab's cells are sorted and checked as whole columns. A grid with a
+    cell the columns refuse is projected row by row, in the grid's order, so
+    the document names the first bad cell.
+    """
     entities = [
         BlockEntityRecord(e.entity_type, *e.position, _equipment_items(e.equipment)) for e in grid.entities
     ]
-    return BlockMapDocument(rows=rows, entities=entities)
+    columns = _Columns()
+    if all(_add_cells(columns, slab.cells) for slab in grid.slabs()):
+        return BlockMapDocument(columns.rows(), entities)
+    rows = ((x, y, z, material) for slab in grid.slabs() for (x, y, z), material in slab.cells.items())
+    return BlockMapDocument(rows, entities)
 
 
 # -- canonical JSON writing --------------------------------------------------
@@ -515,24 +534,26 @@ def _encode(text: str) -> str:
 
 
 def _write_block_map_rows(docs: Iterable[BlockMapDocument], handle: TextIO) -> None:
-    """The one block map of docs, as json.dumps(indent=2) lays it out: each row from _BLOCK_ROW, each material
-    encoded once, then all the few entities by json. ValidationError if a document's cells do not follow the last's."""
-    materials: dict[str, str] = {}
+    """The one block map of docs, as json.dumps(indent=2) lays it out: each row from _BLOCK_ROW, _BATCH_ROWS rows
+    joined at a time, each document's materials encoded once, then all the few entities by json. ValidationError if a
+    document's cells do not follow the last's."""
     entities: list[BlockEntityRecord] = []
     last = None
     handle.write('{\n  "schema_version": %s,\n  "blocks": ' % _encode(SCHEMA_VERSION))
     separator = "[\n"
     for doc in docs:
         entities += doc.entities
-        if not doc.rows:
+        rows = doc.rows
+        if not rows:
             continue
-        if last is not None and doc.rows[0][:3] <= last:
-            raise ValidationError(f"block map document starting at {doc.rows[0][:3]} does not come after {last}")
-        last = doc.rows[-1][:3]
-        for material in set(map(_MATERIAL, doc.rows)) - materials.keys():
-            materials[material] = _encode(material)
-        for x, y, z, material in doc.rows:
-            handle.write(separator + _BLOCK_ROW % (materials[material], x, y, z))
+        if last is not None and rows[0][:3] <= last:
+            raise ValidationError(f"block map document starting at {rows[0][:3]} does not come after {last}")
+        last = rows[-1][:3]
+        materials = [_encode(material) for material in rows.materials]
+        texts = map(_BLOCK_ROW.__mod__, zip(map(materials.__getitem__, rows.material_index), rows.x, rows.y, rows.z))
+        while batch := ",\n".join(itertools.islice(texts, _BATCH_ROWS)):
+            handle.write(separator)
+            handle.write(batch)
             separator = ",\n"
     handle.write("[]" if separator == "[\n" else "\n  ]")
     entities.sort(key=_ENTITY_ORDER)
@@ -924,16 +945,95 @@ def _read_block_entities(data: dict, path: PathLike) -> list[BlockEntityRecord]:
     return entities
 
 
+# The text a block map in the writer's layout starts with, and how it goes on: each row but the last ends with
+# _ROW_END, the blocks list with _BLOCKS_END, and the entities list starts with _ENTITIES_KEY.
+_BLOCK_MAP_HEAD = '{\n  "schema_version": %s,\n  "blocks": [' % _encode(SCHEMA_VERSION)
+_ROW_END, _BLOCKS_END, _ENTITIES_KEY = "\n    },\n", "\n  ]", ',\n  "entities": '
+# How many characters of a block map in the writer's layout are read at a time.
+_CHUNK_CHARS = 1 << 16
+# A block object's fields, in the order _Columns.add takes them.
+_BLOCK_FIELDS = tuple(map(operator.itemgetter, ("x", "y", "z", "material")))
+_JSON_SPACE = " \t\n\r"
+
+
+def _add_blocks(columns: _Columns, text: str) -> bool:
+    """Whether the block objects of text, one piece of a blocks list, parse and check into columns.
+
+    A piece that holds no object is a valid list only if it is the whole
+    list: after other pieces, the list would end in a comma.
+    """
+    blocks = json.loads("[" + text + "]")
+    if not blocks:
+        return not columns.x
+    if set(map(type, blocks)) != {dict} or set(map(len, blocks)) != {4}:
+        return False
+    return columns.add(*([*map(field, blocks)] for field in _BLOCK_FIELDS))  # KeyError for a key not a block's
+
+
+def _read_written_block_map(path: PathLike) -> Optional[BlockMapDocument]:
+    """The document of a valid block map in the writer's own layout, read _CHUNK_CHARS at a time.
+
+    The blocks list is cut at the last _ROW_END read so far, and each piece
+    parsed as a list by json, its objects going straight into the columns.
+    A JSON string holds no raw newline, so a cut never splits a token, and a
+    cut inside a row leaves a piece that does not parse. The entities are
+    parsed after the first _BLOCKS_END, and must be the only key left. Any
+    other layout returns None; a piece that does not parse, a bad row or
+    entity or two blocks in one cell return None or raise. The whole-file
+    path then reads the file, and words any message.
+    """
+    columns = _Columns()
+    with open(path, "r", encoding="utf-8") as handle:
+        if handle.read(len(_BLOCK_MAP_HEAD)) != _BLOCK_MAP_HEAD:
+            return None
+        text = handle.read(_CHUNK_CHARS)
+        if text.startswith("]"):
+            text = text[1:]
+        else:
+            while (end := text.find(_BLOCKS_END)) < 0:
+                cut = text.rfind(_ROW_END)
+                if cut >= 0:
+                    cut += _ROW_END.index(",")  # the pieces part at the comma after the row's "}"
+                    if not _add_blocks(columns, text[:cut]):
+                        return None
+                    text = text[cut + 1:]
+                more = handle.read(_CHUNK_CHARS)
+                if not more:
+                    return None
+                text += more
+            if not _add_blocks(columns, text[:end]):
+                return None
+            text = text[end + len(_BLOCKS_END):]
+        text += handle.read()
+    if text.strip(_JSON_SPACE) == "}":
+        entities = []
+    elif text.startswith(_ENTITIES_KEY):
+        entities, end = json.JSONDecoder().raw_decode(text, len(_ENTITIES_KEY))
+        if text[end:].strip(_JSON_SPACE) != "}":
+            return None
+    else:
+        return None
+    return BlockMapDocument(columns.rows(), _read_block_entities({"entities": entities}, path))
+
+
 def read_block_map(path: PathLike) -> BlockMapDocument:
     """Parse a block-map file. Input order is free; the document sorts and checks.
 
-    The file is parsed once, with a fresh _block_row_hook and _SharedInts,
-    and the document built from its rows, which it checks in one pass. If
+    A valid regular file in the writer's own layout is read a chunk at a
+    time (_read_written_block_map), and its blocks go straight into the
+    document's columns; a pipe is read once, whole. Any other file is
+    parsed whole, once, with a fresh _block_row_hook and _SharedInts, and
+    the document built from its rows, which it checks in one walk. If
     anything fails that way, _plain turns the same parse into what a plain
     parse gives and it is read one field at a time, so no tuple reaches a
     message. An object with exactly a block's keys in another order then
     shows them in the writer's order.
     """
+    if os.path.isfile(path):
+        with contextlib.suppress(*_PARSE_FAILURES, LookupError, VoxgenError):
+            doc = _read_written_block_map(path)
+            if doc is not None:
+                return doc
     data = _load_json(path, _block_row_hook(), _SharedInts().__getitem__)
     with contextlib.suppress(VoxgenError):
         _check_schema_version(data, path)

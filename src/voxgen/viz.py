@@ -5,11 +5,12 @@ voxel is ``voxel_pixel_scale`` pixels, so a rectangle's SVG coordinates are
 exactly its location bounds times the scale. Leaf locations (no children) are
 drawn as labeled outlines; when a block map is supplied, each occupied (x, z)
 column is painted with the palette color of its topmost block. The block map
-keeps its rows in (x, y, z) order, so the rows of one x form a contiguous
-slab, and within a slab a column's last row is its topmost block. The
-columns are drawn in one pass per x-slab, and no table of all columns is
-built. Ids and colors are XML-escaped, and the control characters XML 1.0
-forbids become U+FFFD.
+keeps its rows as columns in (x, y, z) order, so the rows of one x form a
+contiguous slab, found by bisecting the x column, and within a slab a
+column's last row is its topmost block. The columns are drawn in one pass
+per x-slab, straight from the z and material-index columns: no row tuple
+and no table of all columns is built. Ids and colors are XML-escaped, and
+the control characters XML 1.0 forbids become U+FFFD.
 
 ``render_graph`` emits Graphviz DOT text: hierarchy mode is a digraph with one
 edge per parent-child pair, topology mode an undirected graph with one edge
@@ -22,7 +23,6 @@ strings, with ``"`` and ``\\`` escaped.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import itemgetter
 from typing import Mapping, Optional
 
 from .errors import ValidationError
@@ -117,13 +117,13 @@ def render_blueprint(
     """Render the top-down blueprint as an SVG document string."""
     style = style or BlueprintStyle()
     s = style.voxel_pixel_scale
-    rows = block_map.rows if block_map is not None else ()
+    rows = block_map.rows if block_map is not None else BlockMapDocument().rows
     corners = [(c.x, c.z) for loc in semantic_map.locations for c in (loc.top_left, loc.bottom_right)]
     xs = [x for x, _ in corners]
     zs = [z for _, z in corners]
     if rows:
-        xs += (rows[0][0], rows[-1][0])
-        zs += (min(map(itemgetter(2), rows)), max(map(itemgetter(2), rows)))
+        xs += (rows.x[0], rows.x[-1])
+        zs += (min(rows.z), max(rows.z))
     min_x, max_x, min_z, max_z = min(xs, default=0), max(xs, default=0), min(zs, default=0), max(zs, default=0)
     # One voxel of padding keeps strokes and edge labels inside the canvas.
     view_x = (min_x - 1) * s
@@ -138,16 +138,15 @@ def render_blueprint(
         f'<rect x="{view_x}" y="{view_z}" width="{view_w}" height="{view_h}" '
         f'fill="#ffffff" stroke="#000000" stroke-width="2"/>\n'
     ]
-    # Each material's rect ending, from its color.
+    # Each material's rect ending, from its color, by its place in the rows' material table.
     tail = f'" width="{s}" height="{s}" fill="'
-    ends = {material: f'{tail}{_xml_escape(style.color(material))}"/>\n' for material in set(map(itemgetter(3), rows))}
+    ends = [f'{tail}{_xml_escape(style.color(material))}"/>\n' for material in rows.materials]
     start = 0
     while start < len(rows):
-        # One x-slab of rows; dict(zip(zs, materials)) keeps each z's last row, its topmost block.
-        x = rows[start][0]
-        end = bisect_left(rows, (x + 1,), start)
-        slab = rows[start:end]
-        top = dict(zip(map(itemgetter(2), slab), map(itemgetter(3), slab)))
+        # One x-slab of rows; dict(zip(zs, material indexes)) keeps each z's last row, its topmost block.
+        x = rows.x[start]
+        end = bisect_left(rows.x, x + 1, start)
+        top = dict(zip(rows.z[start:end], rows.material_index[start:end]))
         head = f'<rect x="{x * s}" y="'
         parts.append("".join([f"{head}{z * s}{ends[top[z]]}" for z in sorted(top)]))
         start = end

@@ -1,27 +1,31 @@
-"""Peak memory of the block-map and trace readers, the block-map projection and the blueprint renderer, and what a finalized world, a read block map and a read semantic map hold.
+"""Peak memory of the block-map and trace readers, the block-map projection and the blueprint renderer, the block-map read's transient, and what a finalized world, a read block map and a read semantic map hold.
 
 All are measured with ``tracemalloc`` on ``dungeon --n 6 --cell-footprint 20
 --seed 3``: its block map (10,114 rows in 0.92 MB) and semantic map, and the
-world they come from. A reader that keeps one dict per block while parsing
-peaks near four times the file's size; one that builds each row as the parser
-finishes its object stays under three. A renderer that keeps a column table,
+world they come from. Reading that block map peaks at 0.85 times the file's
+size: the columns its document keeps, about a third of the file, and one
+64 KiB chunk's text and parsed objects. A reader that parses the whole text
+at once peaks at twice the file's size, the text and its undecoded bytes
+held together, and one that also keeps a dict per block near four times. The
+bound is 3. A renderer that keeps a column table,
 its sorted copy and a list of lines peaks at five to six times the SVG's
 length; one that draws an x-slab at a time stays under three. A world that
 keeps a checked placement for every cell of its room floors holds about 55
 bytes per block-map row; one that keeps each floor as one box fill, about 7.
 The bound is 20. Projecting the rasterized grid to its block map peaks
-near 75 bytes per row: a 72-byte row tuple, less those the interpreter
-reuses from its free list, and three 8-byte pointer arrays (the rows, the
-document's copy and its tuple). The document checks its rows in one pass,
-which holds no column of them; a check that held all four columns at once
-would add 24 more. The bound is 100.
+near 38 to 47 bytes per row, with what ran before: the document's columns,
+28 bytes a row and about 1/16 more to grow into, and, while one x-slab is
+checked into them, that slab's cell dict, its sorted keys, four lists of
+its values and three arrays of its coordinates. A projection that builds a
+72-byte tuple per row and sorts a list of them peaks near 78. The bound is
+100.
 Rasterizing that world and writing its block map as ``write_world`` does,
-one x-slab at a time, peaks at about 330 bytes per row of its largest
-x-slab (1,040 rows at 8 columns a slab), 333 KB. ``dungeon --n 12`` with the
+one x-slab at a time, peaks at about 280 bytes per row of its largest
+x-slab (1,040 rows at 8 columns a slab), 293 KB. ``dungeon --n 12`` with the
 same footprint and seed has 4.1 times the rows (41,717), and its slabs twice
-the z-extent: its largest holds 2,294, and the peak is 784 KB, 2.35 times
+the z-extent: its largest holds 2,294, and the peak is 704 KB, 2.4 times
 the first. So the peak is bounded per slab row, not whole: nothing else it
-holds grows faster than a slab, and it is near 350 bytes per slab row, 1.07
+holds grows faster than a slab, and it is near 307 bytes per slab row, 1.09
 times the first. Building the whole grid and the whole document first peaks
 near 1,890 bytes per slab row at n = 6 and 3,550 at n = 12, 1.88 times as
 much (1.9 MB and 8.0 MB). The bound is 1.5 times. A whole collection runs
@@ -29,21 +33,31 @@ before each of these two peaks is taken, which empties the interpreter's
 free lists, so that every tuple the write builds is counted and the peaks
 do not depend on what ran before them.
 What ``read_block_map`` still holds of the same block map when it returns
-is about 80 bytes per row: a 72-byte row tuple and its pointer in the
-document, whose coordinates are small cached ints and whose material is one
-of the read's few shared strings. It reads 66 after the test has generated
-the file, because row tuples taken from the free list are not counted. A
-reader that keeps a new string per block's material holds about 142 (128
-after generating). The bound is 90.
+is about 32 bytes per row: its document's columns, three 8-byte coordinates
+and a 4-byte material index per row (28 bytes), which ``array`` grows about
+1/16 at a time (29.75), plus the 23 entities and the few material strings,
+about 2.4 bytes per row. A read that keeps a 72-byte tuple per row, whose
+coordinates are small cached ints and whose material is one of the read's
+few shared strings, holds about 66 (80 in a fresh process, where tuples
+reused from the free list are counted too); one that also keeps a string
+per block's material, about 142. The bound is 35.
 
 The same rows moved 1000 cells along x and z, past the ints CPython keeps
-one object each for (-5 to 256), show how a read holds coordinates. A reader
-that shares one int per distinct literal holds 66 bytes per row again, and
-its peak is 2.01 times the file's size: ``json.load`` reads the whole file,
-so the undecoded bytes and the text are held at once before the parse. A
-reader that builds an int per number holds two 28-byte ints more per row,
-122 bytes, and the rows then outgrow that read, so the parse peaks at 2.30.
-The bounds are 90 bytes per row and 2.15.
+one object each for (-5 to 256), show how a read holds coordinates. The
+columns hold each as 8 bytes whatever its value, so the read holds about 31
+bytes per row again and peaks at 0.86 times the file's size. A read that
+keeps row tuples holds 66 bytes per row if it shares one int per distinct
+literal, and peaks at 2.01 times the file's size (``json.load`` holds the
+undecoded bytes and the text at once before the parse); one that builds an
+int per number holds 122, and peaks at 2.30. The bounds are 35 bytes per
+row and 2.15.
+
+A read's transient, its peak less what its document keeps, is set by the
+chunk, not the file: about 0.45 MB for this block map and for that of
+``dungeon --n 12`` with the same footprint and seed (41,717 rows in 3.8 MB),
+a ratio of 1.0. A reader that parses the whole file has transients of
+1.0 and 4.3 MB, 4.2 times; one whose 1 MiB chunk holds the whole smaller
+file at once, 1.5 times. The bound is 1.5 times.
 
 Reading a position trace of 20,000 samples, which the test writes itself,
 peaks near 230 bytes per sample when the file is parsed a chunk of lines at
@@ -171,6 +185,27 @@ def read_bytes_per_row(llr):
     return held / DUNGEON_ROWS
 
 
+def read_transient(llr):
+    """The most memory read_block_map(llr) held above what its document keeps, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        doc = read_block_map(llr)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert doc.rows
+    return peak - held
+
+
+def read_transient_growth(tmp_path):
+    """How much the read's transient grows from DUNGEON's block map to DUNGEON_4X's."""
+    _, small = generate(tmp_path)
+    large = tmp_path / "block_map_4x.json"
+    assert run([*DUNGEON_4X, "--out-hlr", str(tmp_path / "semantic_map_4x.json"), "--out-llr", str(large)]) == 0
+    return read_transient(large) / read_transient(small)
+
+
 def render_ratio(hlr, llr):
     semantic_map, block_map = read_semantic_map(hlr), read_block_map(llr)
     svg, peak = traced_peak(render_blueprint, semantic_map, block_map)
@@ -211,9 +246,9 @@ def test_reading_a_block_map_peaks_under_three_times_its_size(tmp_path):
     assert read_ratio(llr) < 3
 
 
-def test_a_read_block_map_keeps_under_90_bytes_per_row(tmp_path):
+def test_a_read_block_map_keeps_under_35_bytes_per_row(tmp_path):
     _, llr = generate(tmp_path)
-    assert read_bytes_per_row(llr) < 90
+    assert read_bytes_per_row(llr) < 35
 
 
 def test_reading_a_block_map_with_large_coordinates_peaks_under_2_15_times_its_size(tmp_path):
@@ -221,9 +256,13 @@ def test_reading_a_block_map_with_large_coordinates_peaks_under_2_15_times_its_s
     assert read_ratio(shifted(llr)) < 2.15
 
 
-def test_a_read_block_map_with_large_coordinates_keeps_under_90_bytes_per_row(tmp_path):
+def test_a_read_block_map_with_large_coordinates_keeps_under_35_bytes_per_row(tmp_path):
     _, llr = generate(tmp_path)
-    assert read_bytes_per_row(shifted(llr)) < 90
+    assert read_bytes_per_row(shifted(llr)) < 35
+
+
+def test_reading_4x_the_block_map_takes_within_1_5_times_the_transient_memory(tmp_path):
+    assert read_transient_growth(tmp_path) < 1.5
 
 
 def test_rendering_a_blueprint_peaks_under_three_times_its_length(tmp_path):
@@ -261,19 +300,21 @@ if __name__ == "__main__":
         per_sample = trace_bytes_per_sample(write_trace(Path(scratch) / "trace.jsonl"))
         per_record = semantic_map_bytes_per_record(Path(scratch))
         growth = generation_growth(Path(scratch))
+        read_growth = read_transient_growth(Path(scratch))
     per_row, projection = world_bytes_per_row(), projection_bytes_per_row()
     for name, ratio in ratios.items():
         print(f"{sys.version.split()[0]}  {name}: {ratio:.2f} (limit 3)")
-    print(f"{sys.version.split()[0]}  read_block_map kept / block-map rows: {per_read_row:.1f} bytes (limit 90)")
+    print(f"{sys.version.split()[0]}  read_block_map kept / block-map rows: {per_read_row:.1f} bytes (limit 35)")
     print(f"{sys.version.split()[0]}  read_block_map, coordinates past 256 / file size: {large_ratio:.2f} (limit 2.15)")
     print(f"{sys.version.split()[0]}  read_block_map kept, coordinates past 256 / block-map rows: {per_large_row:.1f} "
-          "bytes (limit 90)")
+          "bytes (limit 35)")
+    print(f"{sys.version.split()[0]}  read_block_map transient, 4x the rows / 1x: {read_growth:.2f} (limit 1.5)")
     print(f"{sys.version.split()[0]}  finalized world / block-map rows: {per_row:.1f} bytes (limit 20)")
     print(f"{sys.version.split()[0]}  block_map_from_grid peak / block-map rows: {projection:.1f} bytes (limit 100)")
     print(f"{sys.version.split()[0]}  rasterize + block-map write peak per slab row, 4x the cells / 1x: {growth:.2f} "
           "(limit 1.5)")
     print(f"{sys.version.split()[0]}  read_trace peak / trace samples: {per_sample:.1f} bytes (limit 300)")
     print(f"{sys.version.split()[0]}  read_semantic_map kept / records: {per_record:.1f} bytes (limit 560)")
-    sys.exit(any(ratio >= 3 for ratio in ratios.values()) or per_read_row >= 90 or large_ratio >= 2.15
-             or per_large_row >= 90 or per_row >= 20 or projection >= 100 or per_sample >= 300 or per_record >= 560
+    sys.exit(any(ratio >= 3 for ratio in ratios.values()) or per_read_row >= 35 or large_ratio >= 2.15
+             or per_large_row >= 35 or read_growth >= 1.5 or per_row >= 20 or projection >= 100 or per_sample >= 300 or per_record >= 560
              or growth >= 1.5)

@@ -8,7 +8,8 @@ the shape checks to the document invariants. A document that reads back
 writes and re-reads to the same bytes, and the streamed block-map writer
 writes the bytes of the plain json.dumps encoding in ``oracles``.
 ``read_block_map`` agrees with the row-by-row ``oracles.read_block_rows`` on
-near-valid block maps: the same rows, or the same error message. A block
+near-valid block maps, written compact and in the writer's layout, which it
+reads a chunk at a time: the same rows, or the same error message. A block
 map built in code from rows that now and then carry a bad field or shape is
 refused with a one-line ValidationError, or writes and reads back equal.
 ``read_semantic_map``, which builds the records straight from the parsed
@@ -311,15 +312,17 @@ near_valid_blocks = mostly(st.lists(mostly(block_fields, [[1, 2, 3], "row", None
 @given(blocks=near_valid_blocks)
 def test_block_map_reader_agrees_with_the_row_by_row_oracle(tmp_path, blocks):
     path = tmp_path / "block_map.json"
-    path.write_text(json.dumps({"schema_version": "1", "blocks": blocks}))
-    try:
-        expected = read_block_rows(path)
-    except ValidationError as err:
-        with pytest.raises(ValidationError) as got:
-            read_block_map(path)
-        assert str(got.value) == str(err)
-    else:
-        assert list(read_block_map(path).rows) == expected
+    # Compact, and in the writer's layout, which the reader reads a chunk at a time.
+    for indent in (None, 2):
+        path.write_text(json.dumps({"schema_version": "1", "blocks": blocks}, indent=indent))
+        try:
+            expected = read_block_rows(path)
+        except ValidationError as err:
+            with pytest.raises(ValidationError) as got:
+                read_block_map(path)
+            assert str(got.value) == str(err)
+        else:
+            assert list(read_block_map(path).rows) == expected
 
 
 sample_fields = st.fixed_dictionaries({

@@ -534,21 +534,9 @@ def test_a_read_block_map_holds_one_string_per_material(tmp_path, keys):
 LARGE_ROWS = [(x, 300, z, "log") for x in (1000, -1000) for z in (257, 5000, 2**40)]
 
 
-@pytest.mark.parametrize("keys", [("material", "x", "y", "z"), ("z", "y", "x", "material")],
-                         ids=["writer-order", "other-key-order"])
-def test_a_read_block_map_holds_one_int_per_coordinate_value(tmp_path, keys):
-    doc = read_block_map(write_rows(tmp_path / "block_map.json", LARGE_ROWS, keys))
-    assert doc.rows == tuple(sorted(LARGE_ROWS))
-    values = [value for row in doc.rows for value in row[:3]]
-    assert len({id(value) for value in values}) == len(set(values)) == 6
-
-
 def test_a_block_map_with_more_distinct_ints_than_the_memo_keeps_reads_the_same(tmp_path, monkeypatch):
     monkeypatch.setattr(serialization, "_SHARED_INTS_MAX", 2)
-    doc = read_block_map(write_rows(tmp_path / "block_map.json", LARGE_ROWS))
-    assert doc == BlockMapDocument(LARGE_ROWS)
-    # Past its first two literals the memo keeps none, so later rows hold ints of their own.
-    assert len({id(value) for row in doc.rows for value in row[:3]}) > 6
+    assert read_block_map(write_rows(tmp_path / "block_map.json", LARGE_ROWS)) == BlockMapDocument(LARGE_ROWS)
 
 
 def test_reading_block_maps_in_turn_gives_what_reading_each_alone_gives(tmp_path):
@@ -560,6 +548,97 @@ def test_reading_block_maps_in_turn_gives_what_reading_each_alone_gives(tmp_path
                                               (3, 0, 0, "stone")]), alone)
     # No memo outlives its read: the second document shares no material object with the first.
     assert {id(row[3]) for row in in_turn[0].rows}.isdisjoint(id(row[3]) for row in in_turn[1].rows)
+
+
+# A block map of a few hundred rows: negative coordinates, ones past the small-int cache and past 32 bits,
+# materials json escapes, and entities, one with equipment.
+WRITTEN = BlockMapDocument(
+    [(x, y, z, ["log", "stone", "caf\u00e9", 'q"uote'][(x + z) % 4])
+     for x in range(-5, 20) for y in (0, 1, 7) for z in (-300, 0, 5, 2**40)],
+    [BlockEntityRecord("zombie", 0, 0, 0, (("weapon", "iron_sword"),)), BlockEntityRecord("skeleton", 1, 2, 3)],
+)
+# Chunk sizes that put the cuts everywhere: inside keys, numbers, escapes and the layout's own markers.
+CHUNK_CHARS = [1, 6, 37, 256, 4096]
+
+
+@pytest.mark.parametrize("chars", CHUNK_CHARS)
+@pytest.mark.parametrize("doc", [WRITTEN, BlockMapDocument((), WRITTEN.entities), BlockMapDocument()],
+                         ids=["rows-and-entities", "entities-only", "empty"])
+def test_a_block_map_in_the_writers_layout_reads_as_read_whole_wherever_the_chunks_end(tmp_path, monkeypatch, chars,
+                                                                                        doc):
+    path, compact = tmp_path / "block_map.json", tmp_path / "compact.json"
+    write_block_map(doc, path)
+    compact.write_text(json.dumps(json.loads(path.read_text())))  # not the writer's layout: read whole
+    whole = read_block_map(compact)
+    monkeypatch.setattr(serialization, "_CHUNK_CHARS", chars)
+    load = mock.Mock(wraps=json.load)
+    monkeypatch.setattr(json, "load", load)
+    assert read_block_map(path) == whole == doc
+    assert load.call_count == 0  # read in chunks, never whole
+
+
+def writer_text(tmp_path, rows):
+    path = tmp_path / "written.json"
+    write_block_map(BlockMapDocument(rows), path)
+    return path.read_text()
+
+
+STONE_ROW = '    {\n      "material": "stone",'
+NEAR_WRITER_EDITS = {
+    # A row whose first material is an object closing at a row's indentation; the second material wins.
+    "nested-object-at-row-indentation": (
+        STONE_ROW, '    {\n      "material": {\n        "a": 1\n    },\n      "material": "stone",'),
+    # A row whose first material is a list closing at the blocks list's indentation.
+    "nested-list-at-blocks-indentation": (STONE_ROW, '    {\n      "material": [\n  ],\n      "material": "stone",'),
+}
+
+
+@pytest.mark.parametrize("chars", CHUNK_CHARS)
+@pytest.mark.parametrize("edit", NEAR_WRITER_EDITS.values(), ids=NEAR_WRITER_EDITS.keys())
+def test_a_file_near_the_writers_layout_reads_as_json_load_reads_it(tmp_path, monkeypatch, chars, edit):
+    rows = [(0, 0, 0, "log"), (1, 0, 0, "stone"), (2, 0, 0, "log")]
+    path = tmp_path / "block_map.json"
+    path.write_text(writer_text(tmp_path, rows).replace(*edit))
+    monkeypatch.setattr(serialization, "_CHUNK_CHARS", chars)
+    assert read_block_map(path) == BlockMapDocument(rows)
+
+
+@pytest.mark.parametrize("chars", CHUNK_CHARS)
+@pytest.mark.parametrize("edit", [("\n    }\n  ]", "\n    },\n  ]"), ("\n    }\n  ],\n", "\n    },\n")],
+                         ids=["comma-after-the-last-row", "blocks-list-never-closed"])
+def test_a_broken_file_in_the_writers_layout_gets_json_loads_message(tmp_path, monkeypatch, chars, edit):
+    path = tmp_path / "block_map.json"
+    path.write_text(writer_text(tmp_path, [(0, 0, 0, "log"), (1, 0, 0, "stone")]).replace(*edit))
+    with pytest.raises(json.JSONDecodeError) as parsed:
+        json.loads(path.read_text())
+    monkeypatch.setattr(serialization, "_CHUNK_CHARS", chars)
+    with pytest.raises(ParseError) as err:
+        read_block_map(path)
+    assert str(err.value) == f"{path}: line {parsed.value.lineno} column {parsed.value.colno}: {parsed.value.msg}"
+
+
+@pytest.mark.parametrize("chars", CHUNK_CHARS)
+def test_a_key_after_the_entities_counts_as_json_load_counts_it(tmp_path, monkeypatch, chars):
+    text = writer_text(tmp_path, [(0, 0, 0, "log"), (1, 0, 0, "stone")])
+    assert text.endswith('  "entities": []\n}\n')
+    path = tmp_path / "block_map.json"
+    monkeypatch.setattr(serialization, "_CHUNK_CHARS", chars)
+    # A second blocks list replaces the first.
+    path.write_text(text.replace('"entities": []', '"entities": [],\n  "blocks": [\n    {\n      "material": "web",'
+                                 '\n      "x": 5,\n      "y": 5,\n      "z": 5\n    }\n  ]'))
+    assert read_block_map(path) == BlockMapDocument([(5, 5, 5, "web")])
+    path.write_text(text.replace('"entities": []', '"entities": [],\n  "schema_version": "2"'))
+    with pytest.raises(ValidationError, match="unsupported schema_version '2'"):
+        read_block_map(path)
+
+
+@pytest.mark.parametrize("chars", CHUNK_CHARS)
+def test_a_block_map_starting_with_a_byte_order_mark_is_refused_as_json_load_refuses_it(tmp_path, monkeypatch, chars):
+    path = tmp_path / "block_map.json"
+    path.write_text("\ufeff" + writer_text(tmp_path, [(0, 0, 0, "log")]), encoding="utf-8")
+    monkeypatch.setattr(serialization, "_CHUNK_CHARS", chars)
+    with pytest.raises(ParseError, match="line 1 column 1: Unexpected UTF-8 BOM"):
+        read_block_map(path)
 
 
 BOUNDS = {"top_left": [0, 0, 0], "bottom_right": [1, 1, 1]}
@@ -762,3 +841,21 @@ def test_a_fifo_target_is_written_in_place(tmp_path):
     assert not reader.is_alive()
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert received == [expected.read_bytes()]
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["writers-layout", "compact"])
+def test_a_block_map_is_read_from_a_fifo_in_one_pass(tmp_path, compact):
+    regular = tmp_path / "regular.json"
+    write_block_map(WRITTEN, regular)
+    text = json.dumps(json.loads(regular.read_text())) if compact else regular.read_text()
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    read = []
+    threads = [threading.Thread(target=lambda: fifo.write_text(text), daemon=True),
+               threading.Thread(target=lambda: read.append(read_block_map(fifo)), daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert read == [WRITTEN]
