@@ -3,14 +3,15 @@
 Generator subcommands, one per ``GENERATORS`` entry, write the semantic map
 (--out-hlr) and block map (--out-llr) for one world. Each entry's build names
 its generator, which is looked up in this module when the build runs, so a
-wrapper set on the module sees the call. ``viz`` renders either file set
-into an SVG blueprint or a DOT graph; ``monitor`` replays a position trace
-against a semantic map and writes location-transition events. Every output
-file is written through ``serialization._write_atomically``, so a write that
-fails leaves that file as it was. A generator's two files are written by
-``write_world``, to temporary siblings first: only once both are complete
-does either replace its target, so if either write fails the command exits
-1 with both previous files (or none) as they were.
+wrapper set on the module sees the call. ``viz`` renders either file set into
+an SVG blueprint or a DOT graph; ``monitor`` replays a position trace against
+a semantic map and writes location-transition events. Every output file is
+written through ``serialization._write_atomically``, so a write that fails
+leaves that file as it was. The blueprint goes to its file one x-slab of
+columns at a time as it is rendered, and is never held whole. A generator's
+two files are written by ``write_world``, to temporary siblings first: only
+once both are complete does either replace its target, so if either write
+fails the command exits 1 with both previous files (or none) as they were.
 
 Exit codes: 0 success, 2 usage error, 1 anything else. All randomness flows
 from the explicit --seed flag, so identical argv means byte-identical output
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence
 
 from .errors import VoxgenError
 from .generators import DungeonParams, gen_dungeon, gen_gridworld, gen_tutorial_house, gen_zombieworld
@@ -77,11 +78,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-# A text file encodes each write whole, so one write of a large SVG would hold
-# an encoded copy of all of it at once; writes of this many characters do not.
-_WRITE_SLICE = 1 << 20
-
-
 def _cmd_viz_blueprint(args: argparse.Namespace) -> int:
     semantic_map = read_semantic_map(args.hlr)
     block_map = read_block_map(args.llr) if args.llr else None
@@ -89,13 +85,7 @@ def _cmd_viz_blueprint(args: argparse.Namespace) -> int:
     if args.palette:
         style_kwargs["material_palette"] = load_palette(args.palette)
     style = BlueprintStyle(**style_kwargs)
-    svg = render_blueprint(semantic_map, block_map, style)
-
-    def write(handle: TextIO) -> None:
-        for start in range(0, len(svg), _WRITE_SLICE):
-            handle.write(svg[start:start + _WRITE_SLICE])
-
-    _write_atomically(args.out, write)
+    _write_atomically(args.out, lambda handle: render_blueprint(semantic_map, block_map, style, out=handle))
     return 0
 
 

@@ -615,8 +615,9 @@ def _parse_error(path: PathLike, err: Exception, line: int = 0) -> ParseError:
     if isinstance(err, json.JSONDecodeError):
         line, column, reason = line or err.lineno, err.colno, err.msg
     elif isinstance(err, UnicodeDecodeError):
-        # A text reader decodes in chunks: find the first bad byte in the whole file.
-        raw = Path(path).read_bytes()
+        # A text reader decodes in chunks: find the first bad byte in the whole file. Only a regular file can be
+        # read again; opening a pipe again would wait for a writer that has gone, so its message names no line.
+        line, raw = 0, Path(path).read_bytes() if os.path.isfile(path) else b""
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError as first:

@@ -9,8 +9,10 @@ keeps its rows as columns in (x, y, z) order, so the rows of one x form a
 contiguous slab, found by bisecting the x column, and within a slab a
 column's last row is its topmost block. The columns are drawn in one pass
 per x-slab, straight from the z and material-index columns: no row tuple
-and no table of all columns is built. Ids and colors are XML-escaped, and
-the control characters XML 1.0 forbids become U+FFFD.
+and no table of all columns is built. Each slab's rects are one part of the
+SVG text, written to a text handle ``out``, if given, as soon as it is made,
+or else joined with the others. Ids and colors are XML-escaped, and the
+control characters XML 1.0 forbids become U+FFFD.
 
 ``render_graph`` emits Graphviz DOT text: hierarchy mode is a digraph with one
 edge per parent-child pair, topology mode an undirected graph with one edge
@@ -23,7 +25,7 @@ strings, with ``"`` and ``\\`` escaped.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional, TextIO
 
 from .errors import ValidationError
 from .geometry import _checked_tuple, _is_utf8
@@ -113,9 +115,18 @@ def render_blueprint(
     semantic_map: SemanticMap,
     block_map: Optional[BlockMapDocument] = None,
     style: Optional[BlueprintStyle] = None,
-) -> str:
-    """Render the top-down blueprint as an SVG document string."""
-    style = style or BlueprintStyle()
+    out: Optional[TextIO] = None,
+) -> Optional[str]:
+    """Render the top-down blueprint as an SVG document string, or write it to out a part at a time and return None."""
+    parts = _blueprint_parts(semantic_map, block_map, style or BlueprintStyle())
+    if out is None:
+        return "".join(parts)
+    out.writelines(parts)
+
+
+def _blueprint_parts(semantic_map: SemanticMap, block_map: Optional[BlockMapDocument],
+                     style: BlueprintStyle) -> Iterator[str]:
+    """The blueprint's SVG text: the header, one part per x-slab of columns, each leaf's outline and label, the end."""
     s = style.voxel_pixel_scale
     rows = block_map.rows if block_map is not None else BlockMapDocument().rows
     corners = [(c.x, c.z) for loc in semantic_map.locations for c in (loc.top_left, loc.bottom_right)]
@@ -131,13 +142,13 @@ def render_blueprint(
     view_w = (max_x - min_x + 3) * s
     view_h = (max_z - min_z + 3) * s
 
-    parts = [
+    yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view_x} {view_z} {view_w} {view_h}" '
         f'width="{view_w}" height="{view_h}">\n'
         f'<rect x="{view_x}" y="{view_z}" width="{view_w}" height="{view_h}" '
         f'fill="#ffffff" stroke="#000000" stroke-width="2"/>\n'
-    ]
+    )
     # Each material's rect ending, from its color, by its place in the rows' material table.
     tail = f'" width="{s}" height="{s}" fill="'
     ends = [f'{tail}{_xml_escape(style.color(material))}"/>\n' for material in rows.materials]
@@ -148,7 +159,7 @@ def render_blueprint(
         end = bisect_left(rows.x, x + 1, start)
         top = dict(zip(rows.z[start:end], rows.material_index[start:end]))
         head = f'<rect x="{x * s}" y="'
-        parts.append("".join([f"{head}{z * s}{ends[top[z]]}" for z in sorted(top)]))
+        yield "".join([f"{head}{z * s}{ends[top[z]]}" for z in sorted(top)])
         start = end
 
     leaves = [loc for loc in semantic_map.locations if not loc.child_ids]
@@ -157,18 +168,17 @@ def render_blueprint(
         z = loc.top_left.z * s
         w = (loc.bottom_right.x - loc.top_left.x + 1) * s
         h = (loc.bottom_right.z - loc.top_left.z + 1) * s
-        parts.append(
+        yield (
             f'<rect x="{x}" y="{z}" width="{w}" height="{h}" '
             f'fill="none" stroke="#202020" stroke-width="1"/>\n'
         )
         if style.show_labels:
-            parts.append(
+            yield (
                 f'<text x="{x + s // 2}" y="{z + s}" font-family="monospace" '
                 f'font-size="{s}">{_xml_escape(loc.id)}</text>\n'
             )
 
-    parts.append("</svg>\n")
-    return "".join(parts)
+    yield "</svg>\n"
 
 
 GRAPH_MODES = ("hierarchy", "topology")

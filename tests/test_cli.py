@@ -2,10 +2,13 @@
 
 import json
 import os
+import threading
 
 import pytest
 
+from voxgen import viz
 from voxgen.cli import GENERATORS, build_parser, run
+from voxgen.errors import VoxgenError
 from voxgen.geometry import WorldModel
 
 
@@ -204,6 +207,34 @@ def test_malformed_input_exits_1_with_one_line_error(tmp_path, capsys, data, arg
     assert len(err.strip().splitlines()) == 1
 
 
+UNDECODABLE_MAP = b'{"schema_version": "1", "blocks": [{"material": "\xff"}]}'
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("flag", ["--hlr", "--llr"])
+def test_an_undecodable_map_read_from_a_fifo_exits_1_with_one_line_error(tmp_path, capsys, flag):
+    # The bad byte's line is found by reading a regular file again; a pipe's writer has gone, so its message names none.
+    _, hlr, llr = run_gen(tmp_path, "tutorial")
+    regular, fifo = tmp_path / "regular.json", tmp_path / "fifo.json"
+    regular.write_bytes(b"\n" + UNDECODABLE_MAP)
+    os.mkfifo(fifo)
+    argv = ["viz", "blueprint", "--hlr", str(hlr), "--llr", str(llr), "--out", str(tmp_path / "o.svg")]
+    capsys.readouterr()
+    assert run([*argv, flag, str(regular)]) == 1
+    assert capsys.readouterr().err == f"error: ParseError: {regular}: line 2: not UTF-8 (invalid start byte)\n"
+    codes = []
+    threads = [threading.Thread(target=lambda: fifo.write_bytes(UNDECODABLE_MAP), daemon=True),
+               threading.Thread(target=lambda: codes.append(run([*argv, flag, str(fifo)])), daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert codes == [1]
+    assert capsys.readouterr().err == f"error: ParseError: {fifo}: not UTF-8 (invalid start byte)\n"
+    assert not (tmp_path / "o.svg").exists()
+
+
 LONE_SURROGATE_HLR = {"schema_version": "1", "id": "w", "locations": [{
     "id": "a\ud800b", "type": "room", "material": "stone",
     "bounds": {"top_left": [0, 0, 0], "bottom_right": [2, 2, 2]}, "child_ids": [],
@@ -265,3 +296,30 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
                 "--out-llr", str(tmp_path / "b.json")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: io:")
+
+
+@pytest.mark.parametrize("previous", [b"<svg>previous</svg>\n", None], ids=["replaced", "new"])
+def test_a_blueprint_that_fails_part_way_leaves_the_previous_file(tmp_path, capsys, monkeypatch, previous):
+    _, hlr, llr = run_gen(tmp_path, "dungeon", "--n", "4", "--seed", "3")
+    svg = tmp_path / "blueprint.svg"
+    if previous is not None:
+        svg.write_bytes(previous)
+    before = sorted(os.listdir(tmp_path))
+    parts = viz._blueprint_parts
+    written = []
+
+    def failing(*args):
+        # The real parts, until some have reached the temporary file beside svg; then a failure.
+        for part in parts(*args):
+            yield part
+            written[:] = [path.stat().st_size for path in tmp_path.glob("blueprint.svg.*.tmp")]
+            if any(written):
+                raise VoxgenError("render failed")
+
+    monkeypatch.setattr(viz, "_blueprint_parts", failing)
+    capsys.readouterr()
+    assert run(["viz", "blueprint", "--hlr", str(hlr), "--llr", str(llr), "--out", str(svg)]) == 1
+    assert capsys.readouterr().err == "error: VoxgenError: render failed\n"
+    assert len(written) == 1 and written[0] > 0
+    assert sorted(os.listdir(tmp_path)) == before
+    assert (svg.read_bytes() if svg.exists() else None) == previous

@@ -1,4 +1,4 @@
-"""Peak memory of the block-map and trace readers, the block-map projection and the blueprint renderer, the block-map read's transient, and what a finalized world, a read block map and a read semantic map hold.
+"""Peak memory of the block-map and trace readers, the block-map projection and the blueprint renderer, joined and streamed, the block-map read's transient, and what a finalized world, a read block map and a read semantic map hold.
 
 All are measured with ``tracemalloc`` on ``dungeon --n 6 --cell-footprint 20
 --seed 3``: its block map (10,114 rows in 0.92 MB) and semantic map, and the
@@ -7,9 +7,19 @@ size: the columns its document keeps, about a third of the file, and one
 64 KiB chunk's text and parsed objects. A reader that parses the whole text
 at once peaks at twice the file's size, the text and its undecoded bytes
 held together, and one that also keeps a dict per block near four times. The
-bound is 3. A renderer that keeps a column table,
-its sorted copy and a list of lines peaks at five to six times the SVG's
-length; one that draws an x-slab at a time stays under three. A world that
+bound is 3. A renderer that keeps a column table, its sorted copy and a list
+of lines peaks at five to six times the SVG's length; one that draws an
+x-slab at a time stays under three. Rendered to a handle that discards what
+it is given, a part at a time, the same blueprint peaks at 31 KB, 316 bytes
+per (x, z) column of its largest x-slab (98 columns): that slab's part, the
+list of its rect strings, its dict of topmost materials and its sorted z's,
+and each location's corners. ``dungeon --n 12`` with the same footprint and
+seed has 4.2 times the SVG (1.35 MB), and, its x-slabs twice the z-extent,
+208 columns in its largest: its peak is 75 KB, 358 bytes per slab column,
+1.13 times the first. So the peak is bounded per slab, not by the SVG: the
+corners grow with the locations, but they are a few KB. A render that joins
+the whole SVG first peaks at 6,713 and 13,195 bytes per slab column, 1.97
+times as much. The bound is 1.5 times. A world that
 keeps a checked placement for every cell of its room floors holds about 55
 bytes per block-map row; one that keeps each floor as one box fill, about 7.
 The bound is 20. Projecting the rasterized grid to its block map peaks
@@ -74,11 +84,13 @@ and prints each peak or holding as a multiple of its base.
 """
 
 import gc
+import io
 import json
 import random
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 from voxgen.cli import build_parser, run
@@ -212,6 +224,30 @@ def render_ratio(hlr, llr):
     return peak / len(svg)
 
 
+class Discard(io.TextIOBase):
+    """A text handle that discards what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+def streamed_render_bytes_per_slab_column(argv, tmp_path):
+    """The peak of rendering argv's blueprint to a Discard handle, per (x, z) column of its largest x-slab."""
+    hlr, llr = tmp_path / "semantic_map.json", tmp_path / "block_map.json"
+    assert run([*argv, "--out-hlr", str(hlr), "--out-llr", str(llr)]) == 0
+    semantic_map, block_map = read_semantic_map(hlr), read_block_map(llr)
+    columns = Counter(x for x, _ in {(x, z) for x, _, z, _ in block_map.rows})
+    gc.collect()
+    _, peak = traced_peak(render_blueprint, semantic_map, block_map, None, Discard())
+    return peak / max(columns.values())
+
+
+def streamed_render_growth(tmp_path):
+    """How much the streamed render's peak per slab column grows from DUNGEON to DUNGEON_4X."""
+    return (streamed_render_bytes_per_slab_column(DUNGEON_4X, tmp_path)
+            / streamed_render_bytes_per_slab_column(DUNGEON, tmp_path))
+
+
 def semantic_map_bytes_per_record(tmp_path):
     hlr = tmp_path / "gridworld_semantic_map.json"
     assert run([*GRIDWORLD, "--out-hlr", str(hlr), "--out-llr", str(tmp_path / "gridworld_block_map.json")]) == 0
@@ -270,6 +306,10 @@ def test_rendering_a_blueprint_peaks_under_three_times_its_length(tmp_path):
     assert render_ratio(hlr, llr) < 3
 
 
+def test_streaming_4x_the_blueprint_peaks_within_1_5_times_per_slab_column(tmp_path):
+    assert streamed_render_growth(tmp_path) < 1.5
+
+
 def test_a_finalized_world_holds_under_20_bytes_per_block_map_row():
     assert world_bytes_per_row() < 20
 
@@ -301,6 +341,7 @@ if __name__ == "__main__":
         per_record = semantic_map_bytes_per_record(Path(scratch))
         growth = generation_growth(Path(scratch))
         read_growth = read_transient_growth(Path(scratch))
+        render_growth = streamed_render_growth(Path(scratch))
     per_row, projection = world_bytes_per_row(), projection_bytes_per_row()
     for name, ratio in ratios.items():
         print(f"{sys.version.split()[0]}  {name}: {ratio:.2f} (limit 3)")
@@ -313,8 +354,10 @@ if __name__ == "__main__":
     print(f"{sys.version.split()[0]}  block_map_from_grid peak / block-map rows: {projection:.1f} bytes (limit 100)")
     print(f"{sys.version.split()[0]}  rasterize + block-map write peak per slab row, 4x the cells / 1x: {growth:.2f} "
           "(limit 1.5)")
+    print(f"{sys.version.split()[0]}  render_blueprint to a handle, peak per slab column, 4x the SVG / 1x: "
+          f"{render_growth:.2f} (limit 1.5)")
     print(f"{sys.version.split()[0]}  read_trace peak / trace samples: {per_sample:.1f} bytes (limit 300)")
     print(f"{sys.version.split()[0]}  read_semantic_map kept / records: {per_record:.1f} bytes (limit 560)")
     sys.exit(any(ratio >= 3 for ratio in ratios.values()) or per_read_row >= 35 or large_ratio >= 2.15
              or per_large_row >= 35 or read_growth >= 1.5 or per_row >= 20 or projection >= 100 or per_sample >= 300 or per_record >= 560
-             or growth >= 1.5)
+             or growth >= 1.5 or render_growth >= 1.5)

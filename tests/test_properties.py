@@ -22,13 +22,16 @@ a chunk: the same events, or the same error and message.
 The block map that ``write_world`` streams one x-slab at a time has the
 bytes of the one document of ``oracles.naive_rasterize``'s cells, at slab
 widths from 1 to 64, and generating a world builds no cell dict or
-document with more rows than its largest slab.
+document with more rows than its largest slab. A random world's blueprint
+written to a handle, one part per x-slab, is the text returned without a
+handle, with and without a block map and labels, at two scales.
 ``LocationIndex.locate`` agrees with the ``oracles.scan_locate`` scan on
 random location forests, on wide maps of side-by-side roots, crossing strips
 and boxes that reach the lattice's ends, and on a map with more distinct
 bounds than the index keeps as bucket boundaries.
 """
 
+import io
 import json
 import random
 from itertools import product
@@ -49,12 +52,15 @@ from voxgen.serialization import (
     BlockMapDocument,
     LocationRecord,
     SemanticMap,
+    block_map_from_grid,
     read_block_map,
     read_semantic_map,
+    semantic_map_from_world,
     write_block_map,
     write_semantic_map,
     write_world,
 )
+from voxgen.viz import BlueprintStyle, render_blueprint
 
 from oracles import block_map_text, naive_rasterize, random_world, read_block_rows, read_trace_lines, scan_locate
 
@@ -259,6 +265,33 @@ def test_generating_builds_no_cell_dict_or_document_larger_than_a_slab(tmp_path,
     monkeypatch.undo()
     assert len(slabs) > 1 and max(slabs) < sum(slabs) == len(read_block_map(llr).rows)
     assert documents == cell_dicts == slabs
+
+
+class Parts(io.StringIO):
+    """A text handle that also keeps each text written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_blueprint_streamed_a_slab_at_a_time_is_the_one_returned(seed):
+    world = random_world(seed)
+    semantic_map = semantic_map_from_world(world)
+    leaves = sum(not loc.child_ids for loc in semantic_map.locations)
+    for block_map, scale, labels in product((None, block_map_from_grid(rasterize(world))), (1, 7), (True, False)):
+        style = BlueprintStyle(voxel_pixel_scale=scale, show_labels=labels)
+        out = Parts()
+        assert render_blueprint(semantic_map, block_map, style, out=out) is None
+        assert out.getvalue() == render_blueprint(semantic_map, block_map, style)
+        slabs = len(set(block_map.rows.x)) if block_map is not None else 0
+        # The header, a part per x-slab, each leaf's outline and its label, the end.
+        assert len(out.parts) == 2 + slabs + leaves * (1 + labels)
 
 
 # A row, or now and then one with a bad field or a bad shape; coordinates
