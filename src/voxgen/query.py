@@ -35,7 +35,7 @@ from .errors import CoordinateOverflowError, NonMonotonicTraceError, ValidationE
 from .geometry import Position, _as_position, _check_name, _checked_tuple
 from .serialization import (
     _PARSE_FAILURES, LocationRecord, PathLike, SemanticMap, _parse_error, _read_coord, _read_int, _read_str,
-    _write_atomically,
+    _undecodable_line, _write_atomically,
 )
 
 
@@ -239,6 +239,8 @@ def read_trace(path: PathLike) -> list[TraceEvent]:
                     raise undecodable
                 if len(lines) < _TRACE_CHUNK:
                     return events
+    except UnicodeDecodeError as err:
+        raise _parse_error(path, err, _undecodable_line(path)) from err
     except _PARSE_FAILURES as err:
         raise _parse_error(path, err, lineno) from err
 

@@ -25,15 +25,15 @@ one expression, and the block-row walk a batch of rows a column at a time; a
 session builds a few hundred others.
 ``SemanticMap.depths`` is kept outside the tuple.
 
-The format is what ``json.dumps(indent=2, ensure_ascii=True)`` lays out. The
-semantic map goes through ``json.dump``, which writes the text as it encodes
-it instead of joining it into one string first. The block map, one row per
-cell, is held as columns in cell order (``BlockRows``: three ``array('q')``
-of coordinates and an index into a table of distinct materials), read as
-plain ``(x, y, z, material)`` tuples, and streamed: each row fills a fixed
-template, a batch of rows joined at a time, with each document's materials
-encoded once by ``json.dumps``, and no per-row object or whole-document
-string is built; the few entities go through ``json.dumps``.
+The format is what ``json.dumps(indent=2, ensure_ascii=True)`` lays out; the
+writers lay it out themselves. Each record fills a fixed template, its
+strings encoded in C by ``encode_basestring_ascii`` (what ``json.dumps``
+uses for a str), and each list is written a batch of records at a time. The
+block map, one row per cell, is held as columns in cell order
+(``BlockRows``: three ``array('q')`` of coordinates and an index into a
+table of distinct materials), read as plain ``(x, y, z, material)`` tuples,
+and streamed: a row joins four texts made once per document, its material's
+head and the text after each of its x, y and z values.
 ``write_world`` writes a grid's block map one x-slab at a time, as one
 document per slab (``BlockGrid.slabs``), so it holds one slab's rows at a
 time. Both writers replace the target only once the new file is complete,
@@ -64,8 +64,9 @@ import itertools
 import json
 import operator
 import os
+from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, TextIO, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from .blockrows import _X, _Y, _Z, BlockRow, BlockRows, _Columns
 from .errors import CoordinateOverflowError, ParseError, ValidationError, VoxgenError
@@ -436,52 +437,6 @@ def block_map_from_grid(grid: BlockGrid) -> BlockMapDocument:
 # -- canonical JSON writing --------------------------------------------------
 
 
-def _semantic_map_json(m: SemanticMap) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "id": m.id,
-        "locations": [
-            {
-                "id": r.id,
-                "type": r.location_type,
-                "material": r.material,
-                "bounds": {"top_left": list(r.top_left), "bottom_right": list(r.bottom_right)},
-                "child_ids": list(r.child_ids),
-            }
-            for r in m.locations
-        ],
-        "connections": [
-            {
-                "id": r.id,
-                "type": r.connection_type,
-                "bounds": {"top_left": list(r.top_left), "bottom_right": list(r.bottom_right)},
-                "connected_ids": list(r.connected_ids),
-            }
-            for r in m.connections
-        ],
-        "entities": [
-            {
-                "id": r.id,
-                "type": r.entity_type,
-                "position": list(r.position),
-                "location_id": r.location_id,
-                "equipment": dict(r.equipment),
-            }
-            for r in m.entities
-        ],
-        "objects": [
-            {
-                "id": r.id,
-                "type": r.object_type,
-                "material": r.material,
-                "position": list(r.position),
-                "location_id": r.location_id,
-            }
-            for r in m.objects
-        ],
-    }
-
-
 def _temporary_sibling(path: PathLike) -> Optional[str]:
     """A fresh name beside path's real target (a link is followed) to write it through, or None if the target
     exists but is not a regular file (a device, a FIFO): replacing that would destroy it, so it is written in place."""
@@ -515,32 +470,88 @@ def _write_atomically(path: PathLike, write: Callable[[TextIO], None]) -> None:
         raise
 
 
-def write_semantic_map(m: SemanticMap, path: PathLike) -> None:
-    doc = _semantic_map_json(m)
+# Each record as json.dumps(indent=2, ensure_ascii=True) lays it out, one %s per field: strings by _encode, the C
+# encoder json.dumps uses for a str, points by _CORNER or _POINT, id lists by _ids, equipment by _equipment_text.
+_SCHEMA = _encode(SCHEMA_VERSION)
+_CORNER = "[\n          %d,\n          %d,\n          %d\n        ]"
+_POINT = "[\n        %d,\n        %d,\n        %d\n      ]"
+_BOUNDS = '"bounds": {\n        "top_left": %s,\n        "bottom_right": %s\n      },\n      '
+_LOCATION = ('    {\n      "id": %s,\n      "type": %s,\n      "material": %s,\n      ' + _BOUNDS
+             + '"child_ids": %s\n    }')
+_CONNECTION = '    {\n      "id": %s,\n      "type": %s,\n      ' + _BOUNDS + '"connected_ids": %s\n    }'
+_ENTITY = ('    {\n      "id": %s,\n      "type": %s,\n      "position": %s,\n      "location_id": %s,\n'
+           '      "equipment": %s\n    }')
+_OBJECT = ('    {\n      "id": %s,\n      "type": %s,\n      "material": %s,\n      "position": %s,\n'
+           '      "location_id": %s\n    }')
+_BLOCK_ENTITY = '    {\n      "type": %s,\n      "x": %d,\n      "y": %d,\n      "z": %d%s\n    }'
+_ROW_HEAD = '    {\n      "material": %s,\n      "x": '
+_AFTER_VALUE = ('%d,\n      "y": ', '%d,\n      "z": ', "%d\n    }")
 
-    def write(handle: TextIO) -> None:
-        json.dump(doc, handle, indent=2, ensure_ascii=True)
-        handle.write("\n")
 
-    _write_atomically(path, write)
+def _ids(ids: tuple[str, ...]) -> str:
+    return "[\n        " + ",\n        ".join(map(_encode, ids)) + "\n      ]" if ids else "[]"
 
 
-# A block-map row as json.dumps(indent=2) lays it out, its material already encoded.
-_BLOCK_ROW = '    {\n      "material": %s,\n      "x": %d,\n      "y": %d,\n      "z": %d\n    }'
+def _equipment_text(equipment: tuple[tuple[str, str], ...]) -> str:
+    if not equipment:
+        return "{}"
+    slots, items = zip(*equipment)
+    pairs = map("        %s: %s".__mod__, zip(map(_encode, slots), map(_encode, items)))
+    return "{\n" + ",\n".join(pairs) + "\n      }"
 
 
-def _encode(text: str) -> str:
-    return json.dumps(text, ensure_ascii=True)
+# Each list of a semantic map, by its key, and the text of one of its records.
+_RECORD_TEXTS = {
+    "locations": lambda r: _LOCATION % (_encode(r.id), _encode(r.location_type), _encode(r.material),
+                                        _CORNER % r.top_left, _CORNER % r.bottom_right, _ids(r.child_ids)),
+    "connections": lambda r: _CONNECTION % (_encode(r.id), _encode(r.connection_type), _CORNER % r.top_left,
+                                            _CORNER % r.bottom_right, _ids(r.connected_ids)),
+    "entities": lambda r: _ENTITY % (_encode(r.id), _encode(r.entity_type), _POINT % r.position,
+                                     "null" if r.location_id is None else _encode(r.location_id),
+                                     _equipment_text(r.equipment)),
+    "objects": lambda r: _OBJECT % (_encode(r.id), _encode(r.object_type), _encode(r.material), _POINT % r.position,
+                                    "null" if r.location_id is None else _encode(r.location_id)),
+}
 
 
-def _write_block_map_rows(docs: Iterable[BlockMapDocument], handle: TextIO) -> None:
-    """The one block map of docs, as json.dumps(indent=2) lays it out: each row from _BLOCK_ROW, _BATCH_ROWS rows
-    joined at a time, each document's materials encoded once, then all the few entities by json. ValidationError if a
-    document's cells do not follow the last's."""
-    entities: list[BlockEntityRecord] = []
-    last = None
-    handle.write('{\n  "schema_version": %s,\n  "blocks": ' % _encode(SCHEMA_VERSION))
+def _write_list(handle: TextIO, runs: Iterable[Iterator[str]]) -> None:
+    """A list in a document's top-level object, one item per text of runs, at most _BATCH_ROWS of one run at a time."""
     separator = "[\n"
+    for texts in runs:
+        while batch := ",\n".join(itertools.islice(texts, _BATCH_ROWS)):
+            handle.write(separator)
+            handle.write(batch)
+            separator = ",\n"
+        del texts  # and what it holds, before the next run is made
+    handle.write("[]" if separator == "[\n" else "\n  ]")
+
+
+def _write_semantic_map_records(m: SemanticMap, handle: TextIO) -> None:
+    handle.write('{\n  "schema_version": %s,\n  "id": %s' % (_SCHEMA, _encode(m.id)))
+    for key, text in _RECORD_TEXTS.items():
+        handle.write(',\n  "%s": ' % key)
+        _write_list(handle, [map(text, getattr(m, key))])
+    handle.write("\n}\n")
+
+
+def write_semantic_map(m: SemanticMap, path: PathLike) -> None:
+    _write_atomically(path, lambda handle: _write_semantic_map_records(m, handle))
+
+
+def _row_texts(rows: BlockRows) -> Iterator[str]:
+    """The text of each row, joined from four texts each made once: its material's head, then the text after each of
+    its x, y and z values."""
+    heads = [*map(_ROW_HEAD.__mod__, map(_encode, rows.materials))]
+    xs, ys, zs = ({value: text % value for value in set(column)}
+                  for text, column in zip(_AFTER_VALUE, (rows.x, rows.y, rows.z)))
+    return map("".join, zip(map(heads.__getitem__, rows.material_index), map(xs.__getitem__, rows.x),
+                            map(ys.__getitem__, rows.y), map(zs.__getitem__, rows.z)))
+
+
+def _block_row_texts(docs: Iterable[BlockMapDocument], entities: list[BlockEntityRecord]) -> Iterator[Iterator[str]]:
+    """The texts of each document's rows, which gives its entities to entities; ValidationError if a document's cells
+    do not follow the last's."""
+    last = None
     for doc in docs:
         entities += doc.entities
         rows = doc.rows
@@ -549,20 +560,23 @@ def _write_block_map_rows(docs: Iterable[BlockMapDocument], handle: TextIO) -> N
         if last is not None and rows[0][:3] <= last:
             raise ValidationError(f"block map document starting at {rows[0][:3]} does not come after {last}")
         last = rows[-1][:3]
-        materials = [_encode(material) for material in rows.materials]
-        texts = map(_BLOCK_ROW.__mod__, zip(map(materials.__getitem__, rows.material_index), rows.x, rows.y, rows.z))
-        while batch := ",\n".join(itertools.islice(texts, _BATCH_ROWS)):
-            handle.write(separator)
-            handle.write(batch)
-            separator = ",\n"
-    handle.write("[]" if separator == "[\n" else "\n  ]")
+        yield _row_texts(rows)
+
+
+def _block_entity_text(e: BlockEntityRecord) -> str:
+    equipment = ',\n      "equipment": ' + _equipment_text(e.equipment) if e.equipment else ""
+    return _BLOCK_ENTITY % (_encode(e.entity_type), e.x, e.y, e.z, equipment)
+
+
+def _write_block_map_rows(docs: Iterable[BlockMapDocument], handle: TextIO) -> None:
+    """The one block map of docs, as json.dumps(indent=2) lays it out, the rows then all the few entities."""
+    entities: list[BlockEntityRecord] = []
+    handle.write('{\n  "schema_version": %s,\n  "blocks": ' % _SCHEMA)
+    _write_list(handle, _block_row_texts(docs, entities))
     entities.sort(key=_ENTITY_ORDER)
-    rows = [{"type": e.entity_type, "x": e.x, "y": e.y, "z": e.z} for e in entities]
-    for row, e in zip(rows, entities):
-        if e.equipment:
-            row["equipment"] = dict(e.equipment)
-    # One level deeper than json.dumps lays the list out; a JSON string holds no raw newline.
-    handle.write(',\n  "entities": %s\n}\n' % json.dumps(rows, indent=2, ensure_ascii=True).replace("\n", "\n  "))
+    handle.write(',\n  "entities": ')
+    _write_list(handle, [map(_block_entity_text, entities)])
+    handle.write("\n}\n")
 
 
 def write_block_map(doc: Union[BlockMapDocument, Iterable[BlockMapDocument]], path: PathLike) -> None:
@@ -610,18 +624,11 @@ _PARSE_FAILURES = (ValueError, RecursionError)
 
 
 def _parse_error(path: PathLike, err: Exception, line: int = 0) -> ParseError:
-    """The ParseError for err, one of _PARSE_FAILURES; line is the file line being parsed, if known."""
+    """The ParseError for err, one of _PARSE_FAILURES; line is the file line being parsed or undecodable, if known."""
     column, reason = 0, str(err)
     if isinstance(err, json.JSONDecodeError):
         line, column, reason = line or err.lineno, err.colno, err.msg
     elif isinstance(err, UnicodeDecodeError):
-        # A text reader decodes in chunks: find the first bad byte in the whole file. Only a regular file can be
-        # read again; opening a pipe again would wait for a writer that has gone, so its message names no line.
-        line, raw = 0, Path(path).read_bytes() if os.path.isfile(path) else b""
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as first:
-            line = raw.count(b"\n", 0, first.start) + 1
         reason = f"not UTF-8 ({err.reason})"
     elif isinstance(err, RecursionError):
         reason = "nesting too deep"
@@ -629,11 +636,24 @@ def _parse_error(path: PathLike, err: Exception, line: int = 0) -> ParseError:
     return ParseError(f"{path}: {where}{reason}", path=str(path), line=line, column=column)
 
 
+def _undecodable_line(path: PathLike) -> int:
+    """The line of the first bad byte of the regular file at path, read again; 0 for a pipe, which cannot be."""
+    raw = Path(path).read_bytes() if os.path.isfile(path) else b""
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as first:
+        return raw.count(b"\n", 0, first.start) + 1
+    return 0
+
+
 def _load_json(path: PathLike, object_pairs_hook: Optional[Callable[[list], Any]] = None,
                parse_int: Optional[Callable[[str], Any]] = None) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle, object_pairs_hook=object_pairs_hook, parse_int=parse_int)
+    except UnicodeDecodeError as err:
+        # The whole file is decoded at once, so err.object holds all of it, a pipe's too: the bad byte's line is there.
+        raise _parse_error(path, err, err.object.count(b"\n", 0, err.start) + 1) from err
     except _PARSE_FAILURES as err:
         raise _parse_error(path, err) from err
 
@@ -948,7 +968,7 @@ def _read_block_entities(data: dict, path: PathLike) -> list[BlockEntityRecord]:
 
 # The text a block map in the writer's layout starts with, and how it goes on: each row but the last ends with
 # _ROW_END, the blocks list with _BLOCKS_END, and the entities list starts with _ENTITIES_KEY.
-_BLOCK_MAP_HEAD = '{\n  "schema_version": %s,\n  "blocks": [' % _encode(SCHEMA_VERSION)
+_BLOCK_MAP_HEAD = '{\n  "schema_version": %s,\n  "blocks": [' % _SCHEMA
 _ROW_END, _BLOCKS_END, _ENTITIES_KEY = "\n    },\n", "\n  ]", ',\n  "entities": '
 # How many characters of a block map in the writer's layout are read at a time.
 _CHUNK_CHARS = 1 << 16

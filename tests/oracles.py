@@ -94,6 +94,37 @@ def diff_grids(a: BlockGrid, b: BlockGrid) -> list[tuple[Cell, Optional[str], Op
     return out
 
 
+def semantic_map_text(m: SemanticMap) -> str:
+    """The semantic-map file text, encoded the plain way: one dict per record, then json.dumps(indent=2)."""
+    def bounds(r) -> dict[str, list[int]]:
+        return {"top_left": list(r.top_left), "bottom_right": list(r.bottom_right)}
+
+    out = {
+        "schema_version": "1",
+        "id": m.id,
+        "locations": [
+            {"id": r.id, "type": r.location_type, "material": r.material, "bounds": bounds(r),
+             "child_ids": list(r.child_ids)}
+            for r in m.locations
+        ],
+        "connections": [
+            {"id": r.id, "type": r.connection_type, "bounds": bounds(r), "connected_ids": list(r.connected_ids)}
+            for r in m.connections
+        ],
+        "entities": [
+            {"id": r.id, "type": r.entity_type, "position": list(r.position), "location_id": r.location_id,
+             "equipment": dict(r.equipment)}
+            for r in m.entities
+        ],
+        "objects": [
+            {"id": r.id, "type": r.object_type, "material": r.material, "position": list(r.position),
+             "location_id": r.location_id}
+            for r in m.objects
+        ],
+    }
+    return json.dumps(out, indent=2, ensure_ascii=True) + "\n"
+
+
 def block_map_text(doc: BlockMapDocument) -> str:
     """The block-map file text, encoded the plain way: one dict per row, then json.dumps(indent=2)."""
     out: dict[str, Any] = {"schema_version": "1", "blocks": [], "entities": []}

@@ -213,7 +213,7 @@ UNDECODABLE_MAP = b'{"schema_version": "1", "blocks": [{"material": "\xff"}]}'
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 @pytest.mark.parametrize("flag", ["--hlr", "--llr"])
 def test_an_undecodable_map_read_from_a_fifo_exits_1_with_one_line_error(tmp_path, capsys, flag):
-    # The bad byte's line is found by reading a regular file again; a pipe's writer has gone, so its message names none.
+    # The bad byte's line is counted in the bytes the failed decode holds, the whole input, a pipe's as a file's.
     _, hlr, llr = run_gen(tmp_path, "tutorial")
     regular, fifo = tmp_path / "regular.json", tmp_path / "fifo.json"
     regular.write_bytes(b"\n" + UNDECODABLE_MAP)
@@ -231,7 +231,7 @@ def test_an_undecodable_map_read_from_a_fifo_exits_1_with_one_line_error(tmp_pat
         thread.join(timeout=10)
     assert not any(thread.is_alive() for thread in threads)
     assert codes == [1]
-    assert capsys.readouterr().err == f"error: ParseError: {fifo}: not UTF-8 (invalid start byte)\n"
+    assert capsys.readouterr().err == f"error: ParseError: {fifo}: line 1: not UTF-8 (invalid start byte)\n"
     assert not (tmp_path / "o.svg").exists()
 
 

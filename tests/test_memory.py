@@ -1,4 +1,4 @@
-"""Peak memory of the block-map and trace readers, the block-map projection and the blueprint renderer, joined and streamed, the block-map read's transient, and what a finalized world, a read block map and a read semantic map hold.
+"""Peak memory of the block-map and trace readers, the block-map projection, the semantic-map writer and the blueprint renderer, joined and streamed, the block-map read's transient, and what a finalized world, a read block map and a read semantic map hold.
 
 All are measured with ``tracemalloc`` on ``dungeon --n 6 --cell-footprint 20
 --seed 3``: its block map (10,114 rows in 0.92 MB) and semantic map, and the
@@ -79,6 +79,20 @@ connections in 0.83 MB) keeps about 480 bytes per record: the record tuple,
 its two Position tuples and its strings, and the map's depth per location.
 Records built as frozen dataclasses kept about 500. The bound is 560.
 
+Writing the semantic map of ``gridworld --n 15`` (645 records) to a handle
+that discards what it is given peaks at 201 KB, 311 bytes per record, and
+that of ``gridworld --n 30`` (2,640 records, 4.1 times as many) at 271 KB,
+103 bytes per record, 0.33 times the first. The write holds one batch of 256
+records' texts, their list and their join, never the whole document: from
+``gridworld --n 20`` on every batch is full, and the peak stays near 271 KB
+up to ``--n 60``. A write that joins each list into one string first peaks
+at 434 KB and 1.81 MB, 673 and 687 bytes per record, 1.02 times; one that
+builds the document as dicts for ``json.dump``, 408 KB and 1.64 MB, 0.98
+times. So the bound is 0.5 times: the larger map's peak per record within
+half the smaller's, which only a write whose peak grows less than about
+twice for four times the records meets. A whole collection runs first here
+too.
+
 The module needs no pytest: ``python tests/test_memory.py`` runs the checks
 and prints each peak or holding as a multiple of its base.
 """
@@ -96,7 +110,15 @@ from pathlib import Path
 from voxgen.cli import build_parser, run
 from voxgen.query import read_trace
 from voxgen.raster import rasterize
-from voxgen.serialization import BlockMapDocument, block_map_from_grid, read_block_map, read_semantic_map, write_block_map
+from voxgen.serialization import (
+    BlockMapDocument,
+    _write_semantic_map_records,
+    block_map_from_grid,
+    read_block_map,
+    read_semantic_map,
+    semantic_map_from_world,
+    write_block_map,
+)
 from voxgen.viz import render_blueprint
 
 DUNGEON = ["dungeon", "--n", "6", "--cell-footprint", "20", "--seed", "3"]
@@ -105,6 +127,9 @@ DUNGEON_ROWS = 10_114
 DUNGEON_4X = ["dungeon", "--n", "12", "--cell-footprint", "20", "--seed", "3"]
 GRIDWORLD = ["gridworld", "--n", "30"]
 GRIDWORLD_RECORDS = 900 + 1_740
+# The same gridworld a quarter the size.
+GRIDWORLD_QUARTER = ["gridworld", "--n", "15"]
+GRIDWORLD_QUARTER_RECORDS = 225 + 420
 TRACE_SAMPLES = 20_000
 
 
@@ -257,6 +282,21 @@ def semantic_map_bytes_per_record(tmp_path):
     return held / GRIDWORLD_RECORDS
 
 
+def semantic_map_write_bytes_per_record(argv, records):
+    """The peak of writing argv's semantic map to a Discard handle, per record."""
+    semantic_map = semantic_map_from_world(build_world(argv))
+    assert sum(map(len, semantic_map[1:])) == records
+    gc.collect()
+    _, peak = traced_peak(_write_semantic_map_records, semantic_map, Discard())
+    return peak / records
+
+
+def semantic_map_write_growth():
+    """How the semantic-map write's peak per record changes from GRIDWORLD_QUARTER to GRIDWORLD."""
+    return (semantic_map_write_bytes_per_record(GRIDWORLD, GRIDWORLD_RECORDS)
+            / semantic_map_write_bytes_per_record(GRIDWORLD_QUARTER, GRIDWORLD_QUARTER_RECORDS))
+
+
 def write_trace(path):
     """A trace of 16 players, each with its own clock, wandering a 300 x 12 x 300 box."""
     rng = random.Random(0)
@@ -326,6 +366,10 @@ def test_a_read_semantic_map_keeps_under_560_bytes_per_record(tmp_path):
     assert semantic_map_bytes_per_record(tmp_path) < 560
 
 
+def test_writing_4x_the_semantic_map_peaks_within_half_as_much_per_record():
+    assert semantic_map_write_growth() < 0.5
+
+
 def test_reading_a_trace_peaks_under_300_bytes_per_sample(tmp_path):
     assert trace_bytes_per_sample(write_trace(tmp_path / "trace.jsonl")) < 300
 
@@ -343,6 +387,7 @@ if __name__ == "__main__":
         read_growth = read_transient_growth(Path(scratch))
         render_growth = streamed_render_growth(Path(scratch))
     per_row, projection = world_bytes_per_row(), projection_bytes_per_row()
+    write_growth = semantic_map_write_growth()
     for name, ratio in ratios.items():
         print(f"{sys.version.split()[0]}  {name}: {ratio:.2f} (limit 3)")
     print(f"{sys.version.split()[0]}  read_block_map kept / block-map rows: {per_read_row:.1f} bytes (limit 35)")
@@ -358,6 +403,8 @@ if __name__ == "__main__":
           f"{render_growth:.2f} (limit 1.5)")
     print(f"{sys.version.split()[0]}  read_trace peak / trace samples: {per_sample:.1f} bytes (limit 300)")
     print(f"{sys.version.split()[0]}  read_semantic_map kept / records: {per_record:.1f} bytes (limit 560)")
+    print(f"{sys.version.split()[0]}  semantic-map write to a handle, peak per record, 4x the records / 1x: "
+          f"{write_growth:.2f} (limit 0.5)")
     sys.exit(any(ratio >= 3 for ratio in ratios.values()) or per_read_row >= 35 or large_ratio >= 2.15
              or per_large_row >= 35 or read_growth >= 1.5 or per_row >= 20 or projection >= 100 or per_sample >= 300 or per_record >= 560
-             or growth >= 1.5 or render_growth >= 1.5)
+             or growth >= 1.5 or render_growth >= 1.5 or write_growth >= 0.5)

@@ -5,8 +5,9 @@ and ``read_trace`` either return or raise ParseError/ValidationError. The
 near-valid strategies draw ids and coordinates from small pools, and in half
 the examples put any JSON value in any field, so that many examples get past
 the shape checks to the document invariants. A document that reads back
-writes and re-reads to the same bytes, and the streamed block-map writer
-writes the bytes of the plain json.dumps encoding in ``oracles``.
+writes and re-reads to the same bytes, and the templated semantic-map and
+block-map writers write the bytes of the plain json.dumps encodings in
+``oracles``, on documents of awkward names and lattice points.
 ``read_block_map`` agrees with the row-by-row ``oracles.read_block_rows`` on
 near-valid block maps, written compact and in the writer's layout, which it
 reads a chunk at a time: the same rows, or the same error message. A block
@@ -34,7 +35,7 @@ bounds than the index keeps as bucket boundaries.
 import io
 import json
 import random
-from itertools import product
+from itertools import islice, product
 from unittest import mock
 
 import pytest
@@ -50,7 +51,10 @@ from voxgen.raster import rasterize
 from voxgen.serialization import (
     BlockEntityRecord,
     BlockMapDocument,
+    ConnectionRecord,
+    EntityRecord,
     LocationRecord,
+    ObjectRecord,
     SemanticMap,
     block_map_from_grid,
     read_block_map,
@@ -62,7 +66,9 @@ from voxgen.serialization import (
 )
 from voxgen.viz import BlueprintStyle, render_blueprint
 
-from oracles import block_map_text, naive_rasterize, random_world, read_block_rows, read_trace_lines, scan_locate
+from oracles import (
+    block_map_text, naive_rasterize, random_world, read_block_rows, read_trace_lines, scan_locate, semantic_map_text,
+)
 
 READERS = [read_semantic_map, read_block_map, read_trace]
 WRITERS = {read_semantic_map: write_semantic_map, read_block_map: write_block_map}
@@ -208,6 +214,40 @@ def test_block_map_writer_matches_the_plain_json_encoding(tmp_path, doc):
     path = tmp_path / "block_map.json"
     write_block_map(doc, path)
     assert path.read_bytes() == block_map_text(doc).encode("ascii")
+
+
+@st.composite
+def semantic_maps_built_in_code(draw):
+    """A valid SemanticMap of awkward names and lattice points: a location forest, connections, entities and objects
+    with and without a location, id lists empty and not."""
+    record_ids = iter(draw(st.lists(names, unique=True, max_size=12)))
+    location_ids = list(islice(record_ids, draw(st.integers(0, 4))))
+    parents = [draw(st.sampled_from([None, *location_ids[:i]])) for i in range(len(location_ids))]
+    location_id = st.sampled_from([None, *location_ids])
+
+    def corners():
+        a, b = draw(cells), draw(cells)
+        return tuple(map(min, a, b)), tuple(map(max, a, b))
+
+    locations = [LocationRecord(loc_id, draw(names), draw(names), *corners(),
+                                [child for child, parent in zip(location_ids, parents) if parent == loc_id])
+                 for loc_id in location_ids]
+    connections = [ConnectionRecord(conn_id, draw(names), *corners(),
+                                    draw(st.lists(st.sampled_from(location_ids), min_size=2, max_size=3)))
+                   for conn_id in islice(record_ids, draw(st.integers(0, 2)) if location_ids else 0)]
+    entities = [EntityRecord(entity_id, draw(names), draw(cells), draw(location_id), draw(equipment))
+                for entity_id in islice(record_ids, draw(st.integers(0, 3)))]
+    objects = [ObjectRecord(object_id, draw(names), draw(names), draw(cells), draw(location_id))
+               for object_id in record_ids]
+    return SemanticMap(draw(names), locations, connections, entities, objects)
+
+
+@SETTINGS
+@given(semantic_map=semantic_maps_built_in_code())
+def test_semantic_map_writer_matches_the_plain_json_encoding(tmp_path, semantic_map):
+    path = tmp_path / "semantic_map.json"
+    write_semantic_map(semantic_map, path)
+    assert path.read_bytes() == semantic_map_text(semantic_map).encode("ascii")
 
 
 def oracle_block_map(world):

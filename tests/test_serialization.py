@@ -1,11 +1,13 @@
 """Document writing and reading: canonical bytes, validation, round trips."""
 
 import enum
+import itertools
 import json
 import os
 import re
 import stat
 import threading
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 from voxgen import serialization
 from voxgen.errors import ParseError, ValidationError
 from voxgen.generators import DungeonParams, gen_dungeon, gen_gridworld, gen_zombieworld
-from voxgen.geometry import BlockPlacement, BoundingVolume, EntitySpec, Position, WorldModel
+from voxgen.geometry import COORD_MAX, COORD_MIN, BlockPlacement, BoundingVolume, EntitySpec, Position, WorldModel
 from voxgen.raster import BlockGrid, rasterize
 from voxgen.serialization import (
     BlockEntityRecord,
@@ -31,6 +33,8 @@ from voxgen.serialization import (
     write_semantic_map,
     write_world,
 )
+
+from oracles import block_map_text, semantic_map_text
 
 
 def write_tutorial(tmp_path, world, grid):
@@ -299,6 +303,17 @@ def test_parse_error_carries_position(tmp_path):
         read_semantic_map(path)
     assert exc.value.line == 2
     assert "broken.json" in str(exc.value)
+
+
+@pytest.mark.parametrize("reader", [read_semantic_map, read_block_map])
+def test_an_undecodable_file_is_placed_without_reading_it_again(tmp_path, reader):
+    # The whole-file decode that fails holds every byte of the file, past the text reader's first chunk too.
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"schema_version": "1",' + b" " * 20_000 + b'\n  "blocks": [],\n  "id": "\xff"}\n')
+    with mock.patch.object(Path, "read_bytes", side_effect=AssertionError("the file was read again")):
+        with pytest.raises(ParseError, match=r"bad\.json: line 3: not UTF-8 \(invalid start byte\)$") as exc:
+            reader(path)
+    assert exc.value.line == 3
 
 
 def test_wrong_schema_version_rejected(tmp_path):
@@ -725,6 +740,40 @@ def test_a_block_at_an_int_subclass_coordinate_writes_and_reads_back(tmp_path):
     world.finalize()
     _, llr = write_tutorial(tmp_path, world, rasterize(world))
     assert read_block_map(llr).rows == ((3, 0, 0, "log"),)
+
+
+LOWEST, HIGHEST = Position(COORD_MIN, COORD_MIN, COORD_MIN), Position(COORD_MAX, COORD_MAX, COORD_MAX)
+# Names a %-template or str.format would read as placeholders: the writers put them in as they are encoded.
+FORMATTING = ["%s", "%d%%", "{}", "{0}", "%(x)s{"]
+
+
+def test_the_semantic_map_templates_write_the_lattice_ends_and_format_characters_as_json_does(tmp_path):
+    semantic_map = SemanticMap("%s{}", [
+        LocationRecord("%d", "{0}", "%%", LOWEST, HIGHEST, ["{}"]),
+        LocationRecord("{}", "room", "%(x)s", LOWEST, Position(COORD_MIN, 0, COORD_MAX), []),
+    ], [ConnectionRecord("%(x)s", "door{", HIGHEST, HIGHEST, ["%d", "{}"])], [
+        EntityRecord("e%", "{zombie}", HIGHEST, "%d", [("weapon", "%s"), ("helmet", "{0}")]),
+        EntityRecord("e{}", "%", LOWEST, None),
+    ], [ObjectRecord("o{}", "chest%", "%d", LOWEST, "{}"), ObjectRecord("o%", "{", "log", HIGHEST, None)])
+    path = tmp_path / "semantic_map.json"
+    write_semantic_map(semantic_map, path)
+    assert path.read_bytes() == semantic_map_text(semantic_map).encode("ascii")
+    assert read_semantic_map(path) == semantic_map
+
+
+def test_the_block_map_templates_write_the_lattice_ends_and_format_characters_one_row_per_slab_as_json_does(tmp_path):
+    cells = itertools.product((COORD_MIN, -1, COORD_MAX), (COORD_MIN, COORD_MAX), (0, COORD_MAX))  # in cell order
+    rows = [(*cell, FORMATTING[i % len(FORMATTING)]) for i, cell in enumerate(cells)]
+    entities = [BlockEntityRecord("%s{}", COORD_MIN, 0, COORD_MAX),
+                BlockEntityRecord("{0}", *HIGHEST, [("boots", "%d"), ("weapon", "{}")])]
+    doc = BlockMapDocument(rows, entities)
+    whole, slabs = tmp_path / "whole.json", tmp_path / "slabs.json"
+    write_block_map(doc, whole)
+    assert whole.read_bytes() == block_map_text(doc).encode("ascii")
+    write_block_map([BlockMapDocument([row], entities[:1] if i == 0 else entities[1:] if i == 5 else ())
+                     for i, row in enumerate(rows)], slabs)
+    assert slabs.read_bytes() == whole.read_bytes()
+    assert read_block_map(whole) == doc
 
 
 def test_the_callers_equipment_dict_cannot_change_a_finalized_world(tmp_path):
